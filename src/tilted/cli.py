@@ -330,6 +330,13 @@ def _cmd_module_descend(args) -> int:
         level = phitau.minimal_descent_level(mod, r)
         g = galois.tau(mod.p**level)
     rep = phitau.descend_fixed_point(mod, g, r, args.target)
+    if rep.residual_val is not None and rep.residual_val < args.target:
+        # the module's precision ran out first: H is known only below the
+        # residual, so nothing is certified at the target
+        raise NonConvergence(
+            f"descent stopped at residual {_frac(rep.residual_val)} < target "
+            f"{_frac(args.target)} after {rep.iterations} iterations"
+        )
     matches = phitau.descent_matches_direct(mod, g, rep, args.target)
     _emit(
         {

@@ -14,6 +14,7 @@ checks per call that N is large enough for the requested precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -67,50 +68,66 @@ def inverse(g: GroupElem, p: int, nacc: int = 24) -> GroupElem:
     return GroupElem(c, ainv, new_nacc)
 
 
-def _binom_mod(m: int, j: int, p: int) -> int:
-    """C(m, j) mod p by Lucas' theorem (m, j >= 0)."""
-    result = 1
-    while j:
-        mi, m = m % p, m // p
-        ji, j = j % p, j // p
-        if ji > mi:
-            return 0
-        num = den = 1
-        for s in range(ji):
-            num = num * (mi - s) % p
-            den = den * (s + 1) % p
-        result = result * num * pow(den, -1, p) % p
-    return result
+def _lucas_terms(m: int, p: int, bound: int | None) -> list[tuple[int, int]]:
+    """The pairs (j, C(m, j) mod p) with C(m, j) != 0 mod p and j < bound
+    (None: no bound), for m >= 0.
+
+    By Lucas' theorem these are the j whose base-p digits are each at
+    most the matching digit of m, and C(m, j) is the product of the
+    digit binomials.  Digits are added from the least significant up, so
+    a partial j at or above the bound is final and can be dropped.
+    """
+    terms = [(0, 1)] if bound is None or bound > 0 else []
+    place = 1
+    while m:
+        m, digit = divmod(m, p)
+        terms = [
+            (j + i * place, c * math.comb(digit, i) % p)
+            for i in range(digit + 1)
+            for j, c in terms
+            if bound is None or j + i * place < bound
+        ]
+        place *= p
+    return terms
+
+
+def _pexp(j: int, k: int, p: int) -> PExp:
+    """j / p^k in lowest terms (j >= 0)."""
+    while k and j % p == 0:
+        j //= p
+        k -= 1
+    return PExp(j, k)
 
 
 def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeries:
-    """(1+u)^r for r in Z[1/p], computed as (1 + u^(1/p^k))^m for r = m/p^k.
+    """(1+u)^r for r in Z[1/p], computed as (1 + v)^m for r = m/p^k and
+    v = u^(1/p^k).
 
-    Negative m goes through geometric-series inversion and requires a
-    finite precision cap.
+    With a finite precision cap only the terms v^j with j*val(v) < prec
+    are kept.  Choosing the least N with p^N*val(v) >= prec, the identity
+    (1+v)^(p^N) = 1 + v^(p^N) in characteristic p lets m be replaced by
+    m mod p^N; a negative m thus needs a finite cap, and then expands like
+    a positive one.  The nonzero binomials come from Lucas' theorem.
     """
     r = Fraction(r)
     e = PExp.from_fraction(r, p, cap)
     m, k = e.num, e.kden
-    if prec is not None:
-        prec = Fraction(prec)
-    v_mono = Monomial(PExp(1, k), ring.PEXP_ZERO)
-    v_val = Fraction(p, p - 1) / p**k
-    if m < 0:
-        if prec is None:
+    if prec is None:
+        if m < 0:
             raise PrecisionRequired("eps_pow with negative exponent needs a cap")
-        base = eps_pow(Fraction(-m, p**k), p, cap, prec)
-        return ring.invert(base, prec)
-    if prec is None and m > _EXACT_POWER_LIMIT:
-        raise PrecisionRequired(f"exact expansion of (1+u)^{m} is too large")
-    acc = {}
-    j = 0
-    while j <= m and (prec is None or j * v_val < prec):
-        c = _binom_mod(m, j, p)
-        if c:
-            mono = Monomial(PExp.from_fraction(Fraction(j, p**k), p, cap), ring.PEXP_ZERO)
-            acc[mono] = c
-        j += 1
+        if m > _EXACT_POWER_LIMIT:
+            raise PrecisionRequired(f"exact expansion of (1+u)^{m} is too large")
+        bound = None
+    else:
+        # j*val(v) < prec  <=>  j < bound, with val(v) = p/(p-1)/p^k
+        bound = math.ceil(Fraction(prec) * (p - 1) * p**k / p)
+        modulus = 1
+        while modulus < bound:
+            modulus *= p
+        m %= modulus
+    acc = {
+        Monomial(_pexp(j, k, p), ring.PEXP_ZERO): c for j, c in _lucas_terms(m, p, bound)
+    }
     return ring.make_series(p, cap, acc, prec)
 
 
@@ -158,12 +175,20 @@ def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
         )
 
 
+def _accumulate(acc: dict, image: PerfSeries, prec):
+    """Add image's terms into acc; return the joint precision cap."""
+    for m, c in image.terms:
+        acc[m] = acc.get(m, 0) + c
+    return min_prec(prec, image.prec)
+
+
 def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
-    out = ring.zero(p, cap, eff)
+    acc = {}
+    prec = eff
     for m, c in x.terms:
         if m.eu.is_zero():
-            out = out + ring.make_series(p, cap, {m: c}, eff)
+            acc[m] = acc.get(m, 0) + c
             continue
         mm, k = m.eu.num, m.eu.kden
         et_val = m.et.fraction(p)
@@ -173,30 +198,31 @@ def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
             f = w**mm
         else:
             f = ring.invert(w ** (-mm), target)
-        image = f.mono_shift(Monomial(ring.PEXP_ZERO, m.et), c)
-        out = out + image.truncate(eff)
-    return out
+        prec = _accumulate(acc, f.mono_shift(Monomial(ring.PEXP_ZERO, m.et), c), prec)
+    return ring.make_series(p, cap, acc, prec)
 
 
 def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
-    out = ring.zero(p, cap, eff)
+    acc = {}
+    prec = eff
     for m, co in x.terms:
         if m.et.is_zero():
-            out = out + ring.make_series(p, cap, {m: co}, eff)
+            acc[m] = acc.get(m, 0) + co
             continue
         mm, k = m.et.num, m.et.kden
         target = None if eff is None else eff - ring.mono_val(m, p)
         factor = eps_pow(Fraction(c * mm, p**k), p, cap, target)
-        out = out + factor.mono_shift(m, co).truncate(eff)
-    return out
+        prec = _accumulate(acc, factor.mono_shift(m, co), prec)
+    return ring.make_series(p, cap, acc, prec)
 
 
 def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
     """Apply the operator tau^c o gamma_a to a series.
 
-    The result carries precision min(prec(x), prec); an exact input with
-    only finite expansions yields an exact output.
+    The result carries precision min(prec(x), prec), lowered further
+    where gamma inverts a series for a negative u exponent; an exact
+    input with only finite expansions yields an exact output.
     """
     eff = min_prec(x.prec, None if prec is None else Fraction(prec))
     _check_accuracy(g, x, eff)
@@ -206,5 +232,7 @@ def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
     if g.a != 1:
         y = _apply_gamma(g.a, y, eff)
     if g.c != 0:
-        y = _apply_tau(g.c, y, eff)
+        # gamma's images may be known to less than eff, and tau is an
+        # isometry: its images are known exactly as far as y is
+        y = _apply_tau(g.c, y, y.prec)
     return y

@@ -26,6 +26,10 @@ class PPow:
     q: Fraction
     s: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        if self.q <= 0:
+            raise ValueError(f"p^lambda = q * p^s needs q > 0, got q = {self.q}")
+
     @staticmethod
     def rational(q) -> "PPow":
         return PPow(Fraction(q), Fraction(0))
@@ -139,6 +143,8 @@ def sh_test(
         m_samples = default_samples(p)
     if not m_samples:
         raise ValueError("m_samples must be nonempty")
+    if i_max < 0:
+        raise ValueError("need i_max >= 0 to test any level")
     margins = []
     witness = None
     inconclusive = False

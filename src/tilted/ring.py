@@ -438,6 +438,8 @@ class _Parser:
             if not tok.isdigit():
                 raise ParseError(f"expected digits, found {tok!r}", pos)
             den = int(tok)
+            if den == 0:
+                raise ParseError("zero denominator", pos)
         return Fraction(sign * num, den)
 
     def atom(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tilted import cli, galois
+from tilted import cli, galois, phitau, ring
 from tilted.errors import ParseError
 
 
@@ -63,6 +63,10 @@ class TestBasicCommands:
         code, out, err = run(capsys, "eval", "%%%")
         assert code == 3 and out == "" and "error" in err
 
+    def test_zero_denominator_is_exit_3(self, capsys):
+        code, out, err = run(capsys, "eval", "t^{1/0}")
+        assert code == 3 and out == "" and err.startswith("error:")
+
     def test_usage_error_is_exit_3(self, capsys):
         code, _, _ = run(capsys, "no-such-command")
         assert code == 3
@@ -87,6 +91,19 @@ class TestShCommands:
             capsys, "sh-test", "t+O(3)", "--plambda", "3/2", "--mu", "1"
         )
         assert code == 2 and obj["status"] == "inconclusive"
+
+    @pytest.mark.parametrize("plambda", ["-1*p^{1/2}", "0", "-3/2"])
+    def test_nonpositive_plambda_is_exit_3(self, capsys, plambda):
+        code, out, err = run(
+            capsys, "sh-test", "t", f"--plambda={plambda}", "--mu", "0"
+        )
+        assert code == 3 and out == "" and err.startswith("error:")
+
+    def test_negative_imax_is_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "sh-test", "t", "--plambda", "3/2", "--mu", "1", "--imax", "-1"
+        )
+        assert code == 3 and out == "" and err.startswith("error:")
 
     def test_refute(self, capsys):
         code, obj = run_json(
@@ -140,6 +157,30 @@ class TestModuleCommands:
     def test_descend(self, capsys, module_file):
         code, obj = run_json(capsys, "module", "descend", module_file, "--target", "8")
         assert code == 0 and obj["matches_direct"] is True
+
+    def test_descend_short_of_target_is_exit_2(self, capsys, tmp_path):
+        # B = diag(t^-1, t^2, 1, 1) spreads the exponents: the descent
+        # radius is 7, and prec 24 runs out before residual 12
+        p, cap, exps = 3, 6, (-1, 2, 0, 0)
+
+        def diag(sign):
+            return phitau.MatSeries.from_rows(
+                [
+                    [
+                        ring.monomial(p, cap, 1, 0, sign * exps[a]) if a == b else ring.zero(p, cap)
+                        for b in range(4)
+                    ]
+                    for a in range(4)
+                ]
+            )
+
+        mod = phitau.basechange_from_matrix(diag(1), diag(-1), 24)
+        assert phitau.minimal_descent_radius(phitau.integral_twist(mod)) == 7
+        path = tmp_path / "spread.mod"
+        path.write_text(phitau.module_to_text(mod))
+        code, out, err = run(capsys, "module", "descend", str(path), "--target", "12")
+        assert code == 2 and out == ""
+        assert err.startswith("inconclusive:") and "residual 11 < target 12" in err
 
     def test_sh(self, capsys, module_file):
         code, obj = run_json(capsys, "module", "sh", module_file)

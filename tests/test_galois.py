@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -127,3 +129,83 @@ def test_action_is_ring_hom(x, y):
     lhs = galois.act(g, x * y, 12)
     rhs = (galois.act(g, x, 12) * galois.act(g, y, 12)).truncate(12)
     assert ring.eq_to_prec(lhs, rhs)
+
+
+def _eps_pow_reference(m, k, p, prec):
+    """(1 + u^(1/p^k))^m to O(prec) the slow way: every binomial of a
+    positive power, and a geometric-series inversion for a negative one."""
+    if m < 0:
+        return ring.invert(_eps_pow_reference(-m, k, p, prec), prec)
+    v_val = Fraction(p, p - 1) / p**k
+    acc = ring.zero(p, CAP, prec)
+    for j in range(m + 1):
+        if j * v_val >= prec:
+            break
+        acc = acc + ring.monomial(p, CAP, math.comb(m, j) % p, Fraction(j, p**k), 0)
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_eps_pow_matches_inversion(p):
+    rng = random.Random(p)
+    for _ in range(40):
+        k = rng.randint(0, 3)
+        m = rng.randint(-200, 200)
+        # at most ~30 terms below the cap keeps the inversion cheap; the
+        # offset puts the cap on and off a term's valuation
+        prec = Fraction(rng.randint(1, 30) * p, (p - 1) * p**k) + rng.choice([0, Fraction(1, 7)])
+        want = _eps_pow_reference(m, k, p, prec)
+        got = galois.eps_pow(Fraction(m, p**k), p, CAP, prec)
+        assert (str(got), got.prec) == (str(want), want.prec), (m, k, prec)
+
+
+def test_eps_pow_exact_matches_binomials():
+    for p in (2, 3, 5, 7):
+        for m in (0, 1, p - 1, p, p + 1, 2 * p * p - 1, 200):
+            want = _eps_pow_reference(m, 1, p, Fraction(10**6))
+            got = galois.eps_pow(Fraction(m, p), p, CAP)
+            assert got.prec is None
+            assert got.terms == want.terms
+
+
+def _random_series(rng, p, prec, kmax):
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        eu = Fraction(rng.randint(-2, 4), p ** rng.randint(0, kmax))
+        et = Fraction(rng.randint(-3, 5), p ** rng.randint(0, kmax))
+        terms[(eu, et)] = rng.randint(1, p - 1)
+    return [ring.monomial(p, CAP, c, eu, et, prec) for (eu, et), c in terms.items()]
+
+
+@pytest.mark.parametrize("p, kmax", [(2, 2), (3, 2), (5, 1)])
+def test_act_is_sum_of_single_term_actions(p, kmax):
+    # kmax = 1 at p = 5: gamma on u^(-1/25) inverts a dense 160-term
+    # series at these caps, which takes seconds
+    rng = random.Random(10 + p)
+    for _ in range(25):
+        xprec = rng.choice([None, Fraction(rng.randint(4, 14))])
+        parts = _random_series(rng, p, xprec, kmax)
+        x = ring.zero(p, CAP, xprec)
+        for part in parts:
+            x = x + part
+        a = rng.choice([1, -1, p + 1, 2 * p - 1])
+        g = galois.GroupElem(rng.randint(-3, 3), a)
+        prec = rng.choice([None, Fraction(rng.randint(3, 12))])
+        try:
+            got = galois.act(g, x, prec)
+        except PrecisionRequired:
+            continue
+        want = ring.zero(p, CAP, ring.min_prec(xprec, prec))
+        for part in parts:
+            want = want + galois.act(g, part, prec)
+        assert (str(got), got.prec) == (str(want), want.prec), (g, str(x), prec)
+
+
+def test_composite_action_keeps_gamma_precision_loss():
+    # gamma_5 on u^(-1/3) inverts a series and loses precision; tau must
+    # not claim more than gamma's image is known to
+    x = s("u^{-1/3}*t^{2}")
+    g = galois.GroupElem(1, 5)
+    got = galois.act(g, x, 6)
+    assert got.prec == 5
+    assert ring.eq_to_prec(got, galois.act(g, x, 30))

@@ -37,6 +37,14 @@ class TestPPow:
         b = PPow.rational(2).shift(3)
         assert b.cmp(54, P) == 0
 
+    @pytest.mark.parametrize("q", [-1, 0, Fraction(-3, 2)])
+    def test_rejects_nonpositive_q(self, q):
+        # q * p^s is positive only for q > 0; cmp would square the sign away
+        with pytest.raises(ValueError):
+            PPow(Fraction(q), Fraction(1, 2))
+        with pytest.raises(ValueError):
+            PPow.rational(q)
+
     def test_nonpositive_values(self):
         assert PPow.rational(1).cmp(-1, P) > 0
         assert PPow.rational(1).cmp(0, P) > 0
@@ -80,6 +88,11 @@ class TestShTest:
     def test_gamma_family_needs_unit_levels(self):
         with pytest.raises(ValueError):
             SubgroupFamily(FamilyKind.GAMMA, 0)
+
+    def test_rejects_negative_imax(self):
+        # no level tested would make PASS a vacuous certificate
+        with pytest.raises(ValueError):
+            holder.sh_test(s("t"), TAU0, CP, 1, -1)
 
     def test_rejects_bad_samples(self):
         with pytest.raises(ValueError):

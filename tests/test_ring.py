@@ -137,6 +137,11 @@ class TestParseFormat:
             s("t+%")
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize("bad", ["t^{1/0}", "u^{-3/0}", "t+O(1/0)"])
+    def test_zero_denominator(self, bad):
+        with pytest.raises(ParseError):
+            s(bad)
+
     def test_cap_enforced_on_exponents(self):
         with pytest.raises(CapExceeded):
             s("t^{1/2187}")  # denominator 3^7 > 3^6
