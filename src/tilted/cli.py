@@ -5,7 +5,8 @@ module (gen | check | descend | sh), newton, selftest.
 
 Exit codes: 0 on success or a passing test, 1 when a test fails or a
 counterexample is found, 2 when the result is inconclusive or limited
-by precision, 3 on usage or parse errors.
+by precision (including an exponent beyond the denominator cap), 3 on
+usage or parse errors.
 
 Output is JSON on stdout with a "schema" field; rationals are rendered
 as "a/b" strings so that results are exact and byte-stable.  The
@@ -23,6 +24,7 @@ from fractions import Fraction
 
 from . import galois, holder, newton, phitau, ring, selftest
 from .errors import (
+    CapExceeded,
     DegenerateOrbit,
     InsufficientGroupAccuracy,
     NonConvergence,
@@ -103,10 +105,24 @@ def _series_obj(x) -> dict:
     }
 
 
+def prime(text) -> int:
+    p = int(text)
+    if not ring.is_prime(p):
+        raise argparse.ArgumentTypeError(f"p must be a prime >= 2, got {p}")
+    return p
+
+
+def denom_cap(text) -> int:
+    cap = int(text)
+    if not 0 <= cap <= ring.MAX_DENOM_CAP:
+        raise argparse.ArgumentTypeError(f"cap must be in 0..{ring.MAX_DENOM_CAP}, got {cap}")
+    return cap
+
+
 def _add_ring_args(sub, prec_default=None):
-    sub.add_argument("--p", type=int, default=3, help="the prime (default 3)")
+    sub.add_argument("--p", type=prime, default=3, help="the prime (default 3)")
     sub.add_argument(
-        "--cap", type=int, default=ring.DEFAULT_DENOM_CAP,
+        "--cap", type=denom_cap, default=ring.DEFAULT_DENOM_CAP,
         help="exponent denominator cap: denominators divide p^cap",
     )
     sub.add_argument(
@@ -195,7 +211,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--imax", type=int, default=2)
 
     s = sub.add_parser("newton", help="Newton polygon of a Kummer tower step")
-    s.add_argument("--p", type=int, default=3)
+    s.add_argument("--p", type=prime, default=3)
     s.add_argument("--eK", type=int, default=1)
     s.add_argument("--n", type=int, default=0)
 
@@ -444,6 +460,7 @@ def dispatch(argv) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (
+        CapExceeded,
         PrecisionRequired,
         InsufficientGroupAccuracy,
         DegenerateOrbit,

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import ring
 from .errors import InsufficientGroupAccuracy, PrecisionRequired
-from .ring import Monomial, PerfSeries, PExp, min_prec
+from .ring import PerfSeries, min_prec
 
 # (1 + x)^m has at most m+1 terms; refuse to expand huge exact powers.
 _EXACT_POWER_LIMIT = 100_000
@@ -91,14 +91,6 @@ def _lucas_terms(m: int, p: int, bound: int | None) -> list[tuple[int, int]]:
     return terms
 
 
-def _pexp(j: int, k: int, p: int) -> PExp:
-    """j / p^k in lowest terms (j >= 0)."""
-    while k and j % p == 0:
-        j //= p
-        k -= 1
-    return PExp(j, k)
-
-
 def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeries:
     """(1+u)^r for r in Z[1/p], computed as (1 + v)^m for r = m/p^k and
     v = u^(1/p^k).
@@ -109,9 +101,7 @@ def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeri
     m mod p^N; a negative m thus needs a finite cap, and then expands like
     a positive one.  The nonzero binomials come from Lucas' theorem.
     """
-    r = Fraction(r)
-    e = PExp.from_fraction(r, p, cap)
-    m, k = e.num, e.kden
+    m, k = ring.split_exponent(r, p, cap)
     if prec is None:
         if m < 0:
             raise PrecisionRequired("eps_pow with negative exponent needs a cap")
@@ -125,9 +115,9 @@ def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeri
         while modulus < bound:
             modulus *= p
         m %= modulus
-    acc = {
-        Monomial(_pexp(j, k, p), ring.PEXP_ZERO): c for j, c in _lucas_terms(m, p, bound)
-    }
+    # v^j = u^(j/p^k) is the monomial (j * p^(cap-k), 0)
+    unit = p ** (cap - k)
+    acc = {(j * unit, 0): c for j, c in _lucas_terms(m, p, bound)}
     return ring.make_series(p, cap, acc, prec)
 
 
@@ -150,10 +140,8 @@ def required_accuracy(x: PerfSeries, eff) -> int | None:
     denominator in x; None means no finite N suffices (exact x)."""
     if eff is None:
         return None
-    kmax = 0
-    for m, _ in x.terms:
-        kmax = max(kmax, m.eu.kden, m.et.kden)
-    p = x.p
+    p, cap = x.p, x.cap
+    kmax = max((ring.lowest_terms(e, p, cap)[1] for m, _ in x.terms for e in m), default=0)
     need = 0
     while Fraction(p, p - 1) * Fraction(p**need, p**kmax) < eff:
         need += 1
@@ -187,18 +175,18 @@ def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
     acc = {}
     prec = eff
     for m, c in x.terms:
-        if m.eu.is_zero():
+        eu, et = m
+        if eu == 0:
             acc[m] = acc.get(m, 0) + c
             continue
-        mm, k = m.eu.num, m.eu.kden
-        et_val = m.et.fraction(p)
-        target = None if eff is None else eff - et_val
+        mm, k = ring.lowest_terms(eu, p, cap)
+        target = None if eff is None else eff - Fraction(et, p**cap)
         w = eps_pow(Fraction(a, p**k), p, cap, target) - ring.one(p, cap).truncate(target)
         if mm >= 0:
             f = w**mm
         else:
             f = ring.invert(w ** (-mm), target)
-        prec = _accumulate(acc, f.mono_shift(Monomial(ring.PEXP_ZERO, m.et), c), prec)
+        prec = _accumulate(acc, f.mono_shift((0, et), c), prec)
     return ring.make_series(p, cap, acc, prec)
 
 
@@ -207,12 +195,11 @@ def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
     acc = {}
     prec = eff
     for m, co in x.terms:
-        if m.et.is_zero():
+        if m[1] == 0:
             acc[m] = acc.get(m, 0) + co
             continue
-        mm, k = m.et.num, m.et.kden
-        target = None if eff is None else eff - ring.mono_val(m, p)
-        factor = eps_pow(Fraction(c * mm, p**k), p, cap, target)
+        target = None if eff is None else eff - ring.mono_val(m, p, cap)
+        factor = eps_pow(Fraction(c * m[1], p**cap), p, cap, target)
         prec = _accumulate(acc, factor.mono_shift(m, co), prec)
     return ring.make_series(p, cap, acc, prec)
 

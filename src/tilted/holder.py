@@ -162,7 +162,6 @@ def sh_test(
                 level_floor = floor if level_floor is None else min(level_floor, floor)
                 continue
             level_min = v if level_min is None else min(level_min, v)
-            prec_d = floor  # exact val; still need headroom vs difference prec
             if bound_i.cmp(v - mu, p) > 0 and witness is None:
                 witness = (i, g)
         if level_min is not None:
@@ -280,15 +279,9 @@ def nonmembership_witness(
 def deperfection_level(x: PerfSeries) -> int | None:
     """Least n with phi^n(x) in kappa((t)), i.e. x in phi^{-n} of the
     integer-exponent pure-t subring; None when no such n <= cap exists."""
-    for m, _ in x.terms:
-        if not m.eu.is_zero():
-            return None
-    level = 0
-    for m, _ in x.terms:
-        level = max(level, m.et.kden)
-    if level > x.cap:
+    if any(a for (a, _), _ in x.terms):
         return None
-    return level
+    return max((ring.lowest_terms(b, x.p, x.cap)[1] for (_, b), _ in x.terms), default=0)
 
 
 @dataclass(frozen=True)
@@ -303,7 +296,7 @@ class GammaFixedReport:
 
 def gamma_fixed_test(x: PerfSeries, a_samples, prec) -> GammaFixedReport:
     """Check (gamma_a - 1)x vanishes below prec for all sampled a."""
-    structural = all(m.eu.is_zero() for m, _ in x.terms)
+    structural = not any(a for (a, _), _ in x.terms)
     prec = Fraction(prec)
     for a in a_samples:
         d = galois.act(galois.gamma(a), x, prec) - x.truncate(prec)

@@ -185,8 +185,9 @@ class PhiTauModule:
 def _check_pure_t(mat: MatSeries):
     for row in mat.rows:
         for e in row:
-            for m, _ in e.terms:
-                if not m.eu.is_zero() or m.et.kden != 0:
+            scale = e.p**e.cap
+            for (a, b), _ in e.terms:
+                if a or b % scale:
                     raise PreconditionViolated(
                         "Frobenius matrix must have pure-t integer exponents"
                     )
@@ -252,10 +253,6 @@ def cocycle_check(module: PhiTauModule, g: GroupElem, prec=None):
 # -- base-change test data --------------------------------------------
 
 
-def _laurent_mono(p, cap, coeff, e):
-    return ring.monomial(p, cap, coeff, 0, e)
-
-
 def basechange_generate(
     d: int,
     seed: int,
@@ -285,7 +282,7 @@ def basechange_generate(
                 j += 1
             c = rng.randrange(1, p)
             e = rng.randint(0, complexity)
-            f = _laurent_mono(p, cap, c, e)
+            f = ring.monomial(p, cap, c, 0, e)
             fac = [[ring.one(p, cap) if a == bcol else ring.zero(p, cap) for bcol in range(d)] for a in range(d)]
             fac[i][j] = f
             inv = [[ring.one(p, cap) if a == bcol else ring.zero(p, cap) for bcol in range(d)] for a in range(d)]
@@ -297,7 +294,7 @@ def basechange_generate(
             e = rng.choice([-1, 0, 0, 1])
             fac = [
                 [
-                    (_laurent_mono(p, cap, c, e) if a == i else ring.one(p, cap))
+                    (ring.monomial(p, cap, c, 0, e) if a == i else ring.one(p, cap))
                     if a == bcol
                     else ring.zero(p, cap)
                     for bcol in range(d)
@@ -306,7 +303,7 @@ def basechange_generate(
             ]
             inv = [
                 [
-                    (_laurent_mono(p, cap, pow(c, -1, p), -e) if a == i else ring.one(p, cap))
+                    (ring.monomial(p, cap, pow(c, -1, p), 0, -e) if a == i else ring.one(p, cap))
                     if a == bcol
                     else ring.zero(p, cap)
                     for bcol in range(d)
@@ -344,15 +341,6 @@ def v_tau(coords) -> Fraction | None:
     if exact:
         return floor
     return None
-
-
-def coords_floor(coords):
-    floor = None
-    for c in coords:
-        v = c.val_floor()
-        if v is not None:
-            floor = v if floor is None else min(floor, v)
-    return floor
 
 
 def v_tilde(module: PhiTauModule, coords) -> Fraction | None:
@@ -710,7 +698,13 @@ def module_from_text(text: str) -> PhiTauModule:
     d = int(header["d"])
     cap = int(header["cap"])
     prec = Fraction(header["prec"])
-    if lines[1] != "[P]":
+    if not ring.is_prime(p):
+        raise ParseError(f"header p={p} is not a prime")
+    if d < 1:
+        raise ParseError(f"header d={d} must be >= 1")
+    if not 0 <= cap <= ring.MAX_DENOM_CAP:
+        raise ParseError(f"header cap={cap} must be in 0..{ring.MAX_DENOM_CAP}")
+    if len(lines) < 2 or lines[1] != "[P]":
         raise ParseError("expected [P] section")
     frob, nxt = _read_matrix(lines, 2, d, p, cap)
     if nxt >= len(lines) or lines[nxt] != "[tau]":

@@ -6,17 +6,25 @@ configurable cap p^D), together with an optional precision cap: the series is
 known modulo terms of valuation >= prec.
 
 The valuation is monomial-graded: val(u) = p/(p-1), val(t) = 1, and
-val(u^a t^b) = a*p/(p-1) + b.  All valuations are exact `Fraction`s; the
+val(u^a t^b) = a*p/(p-1) + b.  Valuations are exact `Fraction`s; the
 precision "+infinity" (an exact series) is represented by ``None``.
+
+Every exponent lies in p^-D Z, so a monomial is stored as a pair of ints
+(A, B) meaning u^(A/p^D) * t^(B/p^D).  Its valuation is
+(A*p + B*(p-1)) / (p^D*(p-1)), so the integer key (A*p + B*(p-1), A)
+orders monomials by valuation, ties broken by the u and then the t
+exponent.  A monomial product is integer addition, Frobenius multiplies
+both ints by p, and its inverse is exact when p divides both; a precision
+cap prec drops exactly the monomials with A*p + B*(p-1) >=
+ceil(prec*(p-1)*p^D).  Fractions appear only at the edges: valuations,
+precision caps, and the text form.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     CapExceeded,
@@ -27,6 +35,11 @@ from .errors import (
 )
 
 DEFAULT_DENOM_CAP = 6
+# exponents are ints scaled by p^cap, so the cap bounds their size
+MAX_DENOM_CAP = 64
+
+# the monomial u^0 t^0
+MONO_ONE = (0, 0)
 
 
 def min_prec(a, b):
@@ -45,86 +58,103 @@ def add_prec(v, prec):
     return v + prec
 
 
-@dataclass(frozen=True)
-class PExp:
-    """An exponent m / p^kden in Z[1/p].
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is exact
+    for n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
-    Normalized so that kden == 0 or p does not divide num.  The value
-    depends on p, which is supplied by the enclosing series.
+
+def check_ring(p, cap):
+    """Reject a p below 2, for which exponents and coefficients mean
+    nothing, and a cap outside 0..MAX_DENOM_CAP (primality is left to
+    the entry points)."""
+    if p < 2:
+        raise ValueError(f"p must be a prime >= 2, got {p}")
+    if not 0 <= cap <= MAX_DENOM_CAP:
+        raise ValueError(f"denominator cap must be in 0..{MAX_DENOM_CAP}, got {cap}")
+
+
+def split_exponent(q, p, cap) -> tuple[int, int]:
+    """(m, k) with q = m / p^k in lowest terms.
+
+    Raises ValueError when the denominator of q is not a power of p or
+    `check_ring` rejects (p, cap), and CapExceeded when k > cap.
     """
-
-    num: int
-    kden: int
-
-    @staticmethod
-    def from_fraction(q, p, cap):
-        q = Fraction(q)
-        den = q.denominator
-        k = 0
-        while den % p == 0:
-            den //= p
-            k += 1
-        if den != 1:
-            raise ValueError(f"denominator {q.denominator} is not a power of {p}")
-        if k > cap:
-            raise CapExceeded(f"exponent {q} needs denominator p^{k} > p^{cap}")
-        return PExp(q.numerator, k)
-
-    def fraction(self, p):
-        return Fraction(self.num, p**self.kden)
-
-    def is_zero(self):
-        return self.num == 0
+    check_ring(p, cap)
+    q = Fraction(q)
+    den = q.denominator
+    k = 0
+    while den % p == 0:
+        den //= p
+        k += 1
+    if den != 1:
+        raise ValueError(f"denominator {q.denominator} is not a power of {p}")
+    if k > cap:
+        raise CapExceeded(f"exponent {q} needs denominator p^{k} > p^{cap}")
+    return q.numerator, k
 
 
-PEXP_ZERO = PExp(0, 0)
+def exponent_units(q, p, cap) -> int:
+    """The int A with q = A / p^cap, validated as in `split_exponent`."""
+    m, k = split_exponent(q, p, cap)
+    return m * p ** (cap - k)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A monomial u^eu * t^et."""
-
-    eu: PExp
-    et: PExp
-
-
-MONO_ONE = Monomial(PEXP_ZERO, PEXP_ZERO)
+def lowest_terms(a: int, p: int, cap: int) -> tuple[int, int]:
+    """(m, k) with a / p^cap = m / p^k in lowest terms."""
+    k = cap
+    while k and a % p == 0:
+        a //= p
+        k -= 1
+    return a, k
 
 
-@lru_cache(maxsize=None)
-def mono_val(m: Monomial, p: int) -> Fraction:
-    """Valuation of a monomial: eu * p/(p-1) + et."""
-    return m.eu.fraction(p) * Fraction(p, p - 1) + m.et.fraction(p)
+def mono_val(m, p: int, cap: int) -> Fraction:
+    """Valuation of the monomial (A, B): A/p^cap * p/(p-1) + B/p^cap."""
+    return Fraction(m[0] * p + m[1] * (p - 1), p**cap * (p - 1))
 
 
-@lru_cache(maxsize=None)
-def _mono_key(m: Monomial, p: int):
-    return (mono_val(m, p), m.eu.fraction(p), m.et.fraction(p))
-
-
-def _mono_mul(a: Monomial, b: Monomial, p: int, cap: int) -> Monomial:
-    if b is MONO_ONE:
-        return a
-    if a is MONO_ONE:
-        return b
-    eu = PExp.from_fraction(a.eu.fraction(p) + b.eu.fraction(p), p, cap)
-    et = PExp.from_fraction(a.et.fraction(p) + b.et.fraction(p), p, cap)
-    return Monomial(eu, et)
+def _key_bound(prec: Fraction, p: int, cap: int) -> int:
+    """ceil(prec * (p-1) * p^cap): a monomial is below prec exactly when
+    its key A*p + B*(p-1) is below this bound."""
+    return -(-prec.numerator * (p - 1) * p**cap // prec.denominator)
 
 
 @dataclass(frozen=True)
 class PerfSeries:
     """A sparse series over F_p, known modulo terms of valuation >= prec.
 
-    ``terms`` is kept sorted by ascending valuation, ties broken by the
-    (eu, et) lexicographic order; this is the canonical form used for
-    equality, hashing and formatting.
+    ``terms`` holds ((A, B), coeff) pairs for the monomials
+    u^(A/p^cap) * t^(B/p^cap), sorted by the integer key
+    (A*p + B*(p-1), A): ascending valuation, ties broken by the (eu, et)
+    lexicographic order.  This is the canonical form used for equality,
+    hashing and formatting.
     """
 
     p: int
     cap: int
     prec: Fraction | None
-    terms: tuple[tuple[Monomial, int], ...]
+    terms: tuple[tuple[tuple[int, int], int], ...]
 
     # -- basic queries ------------------------------------------------
 
@@ -136,14 +166,14 @@ class PerfSeries:
         (the series is then 0 up to O(prec))."""
         if not self.terms:
             return None
-        return mono_val(self.terms[0][0], self.p)
+        return mono_val(self.terms[0][0], self.p, self.cap)
 
     def val_floor(self) -> Fraction | None:
         """A certified lower bound for the valuation: the exact valuation
         for a nonzero series, prec for a series with no known terms, and
         None (= +infinity) for the exact zero."""
         if self.terms:
-            return mono_val(self.terms[0][0], self.p)
+            return mono_val(self.terms[0][0], self.p, self.cap)
         return self.prec
 
     def leading(self):
@@ -151,7 +181,7 @@ class PerfSeries:
             raise ZeroDivisor("series has no known terms")
         return self.terms[0]
 
-    def coeff(self, mono: Monomial) -> int:
+    def coeff(self, mono: tuple[int, int]) -> int:
         for m, c in self.terms:
             if m == mono:
                 return c
@@ -168,7 +198,7 @@ class PerfSeries:
         prec = min_prec(self.prec, other.prec)
         acc = dict(self.terms)
         for m, c in other.terms:
-            acc[m] = (acc.get(m, 0) + c) % self.p
+            acc[m] = acc.get(m, 0) + c
         return make_series(self.p, self.cap, acc, prec)
 
     def __neg__(self):
@@ -195,20 +225,19 @@ class PerfSeries:
             add_prec_of(other, self.prec),
         )
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = _mono_mul(m1, m2, self.p, self.cap)
-                acc[m] = (acc.get(m, 0) + c1 * c2) % self.p
+        get = acc.get
+        for (a1, b1), c1 in self.terms:
+            for (a2, b2), c2 in other.terms:
+                m = (a1 + a2, b1 + b2)
+                acc[m] = get(m, 0) + c1 * c2
         return make_series(self.p, self.cap, acc, prec)
 
-    def mono_shift(self, mono: Monomial, coeff: int = 1):
+    def mono_shift(self, mono: tuple[int, int], coeff: int = 1):
         """Multiply by a single monomial coeff * mono (coeff a unit)."""
         coeff %= self.p
-        mv = mono_val(mono, self.p)
-        prec = add_prec(mv, self.prec)
-        acc = {}
-        for m, c in self.terms:
-            acc[_mono_mul(m, mono, self.p, self.cap)] = (c * coeff) % self.p
+        prec = add_prec(mono_val(mono, self.p, self.cap), self.prec)
+        da, db = mono
+        acc = {(a + da, b + db): c * coeff for (a, b), c in self.terms}
         return make_series(self.p, self.cap, acc, prec)
 
     def __pow__(self, n: int):
@@ -252,20 +281,20 @@ def add_prec_of(x: PerfSeries, prec):
 
 
 def make_series(p, cap, termdict, prec=None) -> PerfSeries:
-    """Normalize a {Monomial: coeff} mapping into canonical form."""
-    if prec is not None:
-        prec = Fraction(prec)
-    items = []
-    for m, c in termdict.items():
-        c %= p
-        if c == 0:
-            continue
-        if m.eu.kden > cap or m.et.kden > cap:
-            raise CapExceeded(f"monomial needs denominator beyond p^{cap}")
-        if prec is not None and mono_val(m, p) >= prec:
-            continue
-        items.append((m, c))
-    items.sort(key=lambda mc: _mono_key(mc[0], p))
+    """Normalize a {(A, B): coeff} mapping into canonical form."""
+    pm1 = p - 1
+    if prec is None:
+        items = [(m, c % p) for m, c in termdict.items() if c % p]
+    else:
+        if type(prec) is not Fraction:
+            prec = Fraction(prec)
+        bound = _key_bound(prec, p, cap)
+        items = [
+            (m, c % p)
+            for m, c in termdict.items()
+            if c % p and m[0] * p + m[1] * pm1 < bound
+        ]
+    items.sort(key=lambda mc: (mc[0][0] * p + mc[0][1] * pm1, mc[0][0]))
     return PerfSeries(p, cap, prec, tuple(items))
 
 
@@ -286,7 +315,7 @@ def constant(c, p, cap=DEFAULT_DENOM_CAP):
 
 def monomial(p, cap, coeff, eu, et, prec=None):
     """coeff * u^eu * t^et with rational exponents."""
-    m = Monomial(PExp.from_fraction(eu, p, cap), PExp.from_fraction(et, p, cap))
+    m = (exponent_units(eu, p, cap), exponent_units(et, p, cap))
     return make_series(p, cap, {m: coeff}, prec)
 
 
@@ -304,33 +333,23 @@ def t_var(p, cap=DEFAULT_DENOM_CAP):
 def frobenius(x: PerfSeries) -> PerfSeries:
     """Scale all exponents by p; coefficients are fixed since kappa = F_p."""
     p = x.p
-    acc = {}
-    for m, c in x.terms:
-        eu = PExp.from_fraction(m.eu.fraction(p) * p, p, x.cap)
-        et = PExp.from_fraction(m.et.fraction(p) * p, p, x.cap)
-        acc[Monomial(eu, et)] = c
+    acc = {(a * p, b * p): c for (a, b), c in x.terms}
     prec = None if x.prec is None else x.prec * p
     return make_series(p, x.cap, acc, prec)
 
 
 def frobenius_inv(x: PerfSeries) -> PerfSeries:
     """Scale all exponents by 1/p.  Raises CapExceeded at the denominator cap."""
-    p = x.p
+    p, cap = x.p, x.cap
     acc = {}
-    for m, c in x.terms:
-        eu = PExp.from_fraction(Fraction(m.eu.fraction(p), p), p, x.cap)
-        et = PExp.from_fraction(Fraction(m.et.fraction(p), p), p, x.cap)
-        acc[Monomial(eu, et)] = c
+    for (a, b), c in x.terms:
+        for e in (a, b):
+            if e % p:
+                q = Fraction(e, p ** (cap + 1))
+                raise CapExceeded(f"exponent {q} needs denominator p^{cap + 1} > p^{cap}")
+        acc[(a // p, b // p)] = c
     prec = None if x.prec is None else Fraction(x.prec, p)
-    return make_series(p, x.cap, acc, prec)
-
-
-def frobenius_pow(x: PerfSeries, n: int) -> PerfSeries:
-    for _ in range(n):
-        x = frobenius(x)
-    for _ in range(-n):
-        x = frobenius_inv(x)
-    return x
+    return make_series(p, cap, acc, prec)
 
 
 # -- inversion --------------------------------------------------------
@@ -348,31 +367,28 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
     if not x.terms:
         raise ZeroDivisor("cannot invert a series with no known terms")
     lead_m, lead_c = x.terms[0]
-    lead_v = mono_val(lead_m, x.p)
-    if len(x.terms) > 1 and mono_val(x.terms[1][0], x.p) == lead_v:
+    p, cap = x.p, x.cap
+    lead_v = mono_val(lead_m, p, cap)
+    if len(x.terms) > 1 and mono_val(x.terms[1][0], p, cap) == lead_v:
         raise NonDominantLeading(
             f"two monomials share the minimal valuation {lead_v}"
         )
-    p = x.p
-    inv_m = Monomial(
-        PExp.from_fraction(-lead_m.eu.fraction(p), p, x.cap),
-        PExp.from_fraction(-lead_m.et.fraction(p), p, x.cap),
-    )
+    inv_m = (-lead_m[0], -lead_m[1])
     inv_c = pow(lead_c, -1, p)
     # determined precision of the inverse: prec(x) - 2*val(x)
     determined = None if x.prec is None else x.prec - 2 * lead_v
     target = min_prec(determined, None if prec is None else Fraction(prec))
-    tail = make_series(p, x.cap, dict(x.terms[1:]), x.prec)
+    tail = make_series(p, cap, dict(x.terms[1:]), x.prec)
     if tail.is_zero() and tail.prec is None:
-        return make_series(p, x.cap, {inv_m: inv_c}, target)
+        return make_series(p, cap, {inv_m: inv_c}, target)
     if target is None:
         raise PrecisionRequired("inverting a unit with a tail needs a finite cap")
     # x = lead * (1 + y) with val(y) > 0; 1/x = (1/lead) * sum (-y)^j
     y = tail.mono_shift(inv_m, inv_c).truncate(target + lead_v)
     y_v = y.val_floor()
-    acc = one(p, x.cap).truncate(target + lead_v)
+    acc = one(p, cap).truncate(target + lead_v)
     if y_v is not None:
-        power = one(p, x.cap).truncate(target + lead_v)
+        power = one(p, cap).truncate(target + lead_v)
         neg_y = -y
         j_v = Fraction(0)
         while j_v < target + lead_v:
@@ -497,6 +513,7 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
     term   := coeff ['*' atom {'*' atom}] | atom {'*' atom}
     atom   := ('u'|'t') ['^' '{' rational '}']
     """
+    check_ring(p, cap)
     parser = _Parser(text)
     acc = {}
     prec = None
@@ -513,8 +530,8 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
                 raise ParseError(f"trailing input after O(...): {tok!r}", pos)
             break
         coeff, eu, et = parser.term(p, cap)
-        m = Monomial(PExp.from_fraction(eu, p, cap), PExp.from_fraction(et, p, cap))
-        acc[m] = (acc.get(m, 0) + coeff) % p
+        m = (exponent_units(eu, p, cap), exponent_units(et, p, cap))
+        acc[m] = acc.get(m, 0) + coeff
         if parser.peek() is None:
             break
         parser.expect("+")
@@ -536,12 +553,13 @@ def _format_atom(name, q: Fraction):
 def format_series(x: PerfSeries) -> str:
     """Canonical text form: terms in ascending valuation order, then O(prec)."""
     parts = []
-    for m, c in x.terms:
+    scale = x.p**x.cap
+    for (a, b), c in x.terms:
         atoms = []
-        if not m.eu.is_zero():
-            atoms.append(_format_atom("u", m.eu.fraction(x.p)))
-        if not m.et.is_zero():
-            atoms.append(_format_atom("t", m.et.fraction(x.p)))
+        if a:
+            atoms.append(_format_atom("u", Fraction(a, scale)))
+        if b:
+            atoms.append(_format_atom("t", Fraction(b, scale)))
         if not atoms:
             parts.append(str(c))
         elif c == 1:

@@ -384,6 +384,7 @@ def check_linear_closure():
     cp = Fraction(p, p - 1)
     fam = SubgroupFamily(FamilyKind.TAU, 0)
     rng = random.Random(9)
+    scale = p**ring.DEFAULT_DENOM_CAP
 
     def poly():
         acc = ring.zero(p)
@@ -399,14 +400,14 @@ def check_linear_closure():
         j = rng.randint(0, 3)
         f = ring.monomial(p, ring.DEFAULT_DENOM_CAP, rng.randrange(1, p), 0, j)
         z = f * x + y
-        moving = [m.et.fraction(p) for m, _ in z.terms if not m.et.is_zero()]
+        moving = [Fraction(b, scale) for (_, b), _ in z.terms if b]
         if not moving:
             continue
         trials += 1
         mu = min(moving)
         naive = min(
-            [j + m.et.fraction(p) for m, _ in x.terms if j + m.et.fraction(p) != 0]
-            + [m.et.fraction(p) for m, _ in y.terms if not m.et.is_zero()]
+            [j + Fraction(b, scale) for (_, b), _ in x.terms if j + Fraction(b, scale) != 0]
+            + [Fraction(b, scale) for (_, b), _ in y.terms if b]
         )
         ck.check(mu >= naive, f"trial={trials}: bookkeeping bound {naive} > {mu}")
         verdict = holder.sh_test(z, fam, cp, mu, i_max=3)

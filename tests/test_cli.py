@@ -71,6 +71,29 @@ class TestBasicCommands:
         code, _, _ = run(capsys, "no-such-command")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "t", "--p", "1"],
+            ["eval", "t", "--p", "0"],
+            ["eval", "t", "--p", "4"],
+            ["eval", "t", "--p", "-3"],
+            ["newton", "--p", "9"],
+            ["eval", "t", "--cap", "-1"],
+            ["eval", "t", "--cap", "65"],
+            ["module", "gen", "--p", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_p_or_cap_is_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error:")
+
+    def test_cap_exceeded_is_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "t^{1/2187}")
+        assert code == 2 and out == ""
+        assert err == "inconclusive: exponent 1/2187 needs denominator p^7 > p^6\n"
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "act", "tau^2*gamma_4", "t+u", "--prec", "9")
         _, out2, _ = run(capsys, "act", "tau^2*gamma_4", "t+u", "--prec", "9")
@@ -149,6 +172,22 @@ class TestModuleCommands:
     def test_check(self, capsys, module_file):
         code, obj = run_json(capsys, "module", "check", module_file, "--c", "2")
         assert code == 0 and obj["ok"] is True
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p=3 d=2 prec=24 cap=6\n",
+            "p=3 d=0 prec=24 cap=6\n[P]\n[tau]\n",
+            "p=1 d=1 prec=24 cap=6\n[P]\n1\n[tau]\n1\n",
+            "p=3 d=1 prec=24 cap=65\n[P]\n1\n[tau]\n1\n",
+        ],
+        ids=["header-only", "d=0", "p=1", "cap=65"],
+    )
+    def test_bad_module_file_is_exit_3(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.mod"
+        path.write_text(text)
+        code, out, err = run(capsys, "module", "check", str(path))
+        assert code == 3 and out == "" and err.startswith("error:")
 
     def test_check_missing_file(self, capsys):
         code, _, _ = run(capsys, "module", "check", "/no/such/file")

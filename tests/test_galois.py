@@ -209,3 +209,10 @@ def test_composite_action_keeps_gamma_precision_loss():
     got = galois.act(g, x, 6)
     assert got.prec == 5
     assert ring.eq_to_prec(got, galois.act(g, x, 30))
+
+
+@pytest.mark.parametrize("p", [1, 0])
+def test_eps_pow_rejects_p_below_two(p):
+    # p = 1 used to spin in the exponent-normalising loop
+    with pytest.raises(ValueError):
+        galois.eps_pow(1, p, CAP, 5)

@@ -163,3 +163,18 @@ class TestFileFormat:
     def test_sections_in_order(self):
         with pytest.raises(ParseError):
             phitau.module_from_text("p=3 d=1 prec=12 cap=6\n[tau]\n1\n[P]\n1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p=3 d=1 prec=12 cap=6\n",
+            "p=3 d=0 prec=12 cap=6\n[P]\n[tau]\n",
+            "p=9 d=1 prec=12 cap=6\n[P]\n1\n[tau]\n1\n",
+            "p=0 d=1 prec=12 cap=6\n[P]\n1\n[tau]\n1\n",
+            "p=3 d=1 prec=12 cap=-2\n[P]\n1\n[tau]\n1\n",
+        ],
+        ids=["header-only", "d=0", "p=9", "p=0", "cap=-2"],
+    )
+    def test_bad_header(self, text):
+        with pytest.raises(ParseError):
+            phitau.module_from_text(text)

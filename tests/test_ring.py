@@ -183,3 +183,23 @@ def test_frobenius_scales_valuation(x):
 @given(series_strategy())
 def test_format_parse_roundtrip(x):
     assert ring.parse_series(ring.format_series(x), P, CAP) == x
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_p_below_two_rejected(p):
+    # p = 1 used to spin in the exponent-normalising loop
+    with pytest.raises(ValueError):
+        ring.parse_series("t^{1/3}", p)
+    with pytest.raises(ValueError):
+        ring.monomial(p, 2, 1, 0, 1)
+
+
+@pytest.mark.parametrize("cap", [-1, ring.MAX_DENOM_CAP + 1])
+def test_cap_out_of_range_rejected(cap):
+    with pytest.raises(ValueError):
+        ring.parse_series("t", 3, cap)
+
+
+def test_is_prime():
+    assert [n for n in range(30) if ring.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert ring.is_prime(2**61 - 1) and not ring.is_prime(3215031751)
