@@ -203,6 +203,17 @@ def _level_minima(x, fam, i_max, m_samples=None, prec=None):
     return vs
 
 
+def fit_exponent(levels, p):
+    """Fit (p^lambda, mu) to level minima v_0, v_1, ..., using
+    v_{i+1} - v_i = p^lambda p^i (p-1); returns (p^lambda, mu, consistent)
+    where consistent says every consecutive pair gives the same p^lambda."""
+    cands = [Fraction(levels[i + 1] - levels[i], p**i * (p - 1)) for i in range(len(levels) - 1)]
+    plam_hat = cands[0]
+    consistent = all(c == plam_hat for c in cands)
+    mu_hat = levels[0] - plam_hat
+    return plam_hat, mu_hat, consistent
+
+
 def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int, m_samples=None) -> ShEstimate:
     """Fit (p^lambda, mu) from measured margins: consecutive level minima
     satisfy v_{i+1} - v_i = p^lambda p^i (p-1) for a true exponent."""
@@ -215,13 +226,7 @@ def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int, m_samples=None) 
     if any(v is None for v, _ in vs):
         raise PrecisionRequired("some level differences vanished to precision")
     levels = tuple(v for v, _ in vs)
-    cands = [
-        Fraction(levels[i + 1] - levels[i], p**i * (p - 1)) for i in range(i_max)
-    ]
-    plam_hat = cands[0]
-    consistent = all(c == plam_hat for c in cands)
-    mu_hat = levels[0] - plam_hat
-    return ShEstimate(plam_hat, mu_hat, consistent, levels)
+    return ShEstimate(*fit_exponent(levels, p), levels)
 
 
 @dataclass(frozen=True)

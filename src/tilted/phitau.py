@@ -113,36 +113,46 @@ class MatSeries:
         return self.map(lambda e: galois.act(g, e, prec))
 
     def det(self) -> PerfSeries:
-        d = self.d
-        if d == 1:
-            return self.rows[0][0]
-        acc = None
-        for j in range(d):
-            minor = MatSeries.from_rows(
-                [[self.rows[i][l] for l in range(d) if l != j] for i in range(1, d)]
-            )
-            term = self.rows[0][j] * minor.det()
-            if j % 2 == 1:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
+        """Cofactor expansion along the first row, each minor expanded
+        along its own first row with the sign of its column's position.
+
+        Every minor is computed once (`_minors`).  The rows of each minor
+        are a suffix of 0..d-1, so there are 2^d minors and
+        d 2^(d-1) - d series products, against about (e-1) d! for the
+        plain recursion.  Nothing is divided, so the O(.) caps are those
+        of the plain recursion exactly.
+        """
+        full = tuple(range(self.d))
+        return _minors(self.rows)(full, full)
 
     def adjugate(self):
+        """Transposed cofactor matrix.  Cofactor (i, j) is the minor on
+        rows != i and columns != j, expanded as in `det`, and the cofactors
+        share their minors: 810 series products at d = 6 and 5,544 at
+        d = 8, against 7,380 and 554,176 for the plain recursion."""
+        return self._adjugate(_minors(self.rows))
+
+    def inverse(self, prec=None):
+        """adj(M) det(M)^{-1} to prec.  The determinant's first-row minors
+        are the cofactors (0, j), so det and adjugate share one table: the
+        minors take 816 series products at d = 6 and 5,552 at d = 8,
+        against 8,616 and 623,456 for the plain recursion."""
+        minor = _minors(self.rows)
+        full = tuple(range(self.d))
+        detinv = ring.invert(minor(full, full), prec)
+        return self._adjugate(minor).scale_series(detinv).truncate(prec)
+
+    def _adjugate(self, minor):
         d = self.d
         if d == 1:
             return MatSeries.from_rows([[ring.one(self.p, self.cap).truncate(self.rows[0][0].prec)]])
+        full = tuple(range(d))
         cof = []
         for i in range(d):
+            r = full[:i] + full[i + 1 :]
             row = []
             for j in range(d):
-                minor = MatSeries.from_rows(
-                    [
-                        [self.rows[a][b] for b in range(d) if b != j]
-                        for a in range(d)
-                        if a != i
-                    ]
-                )
-                c = minor.det()
+                c = minor(r, full[:j] + full[j + 1 :])
                 if (i + j) % 2 == 1:
                     c = -c
                 row.append(c)
@@ -150,9 +160,31 @@ class MatSeries:
         # adjugate is the transposed cofactor matrix
         return MatSeries.from_rows([[cof[j][i] for j in range(d)] for i in range(d)])
 
-    def inverse(self, prec=None):
-        detinv = ring.invert(self.det(), prec)
-        return self.adjugate().scale_series(detinv).truncate(prec)
+
+def _minors(rows):
+    """minor(R, C): the determinant of the submatrix on row tuple R and
+    column tuple C, expanded along R's first row; memoized, so that each
+    minor costs one product per column once its own minors are known."""
+    table = {}
+
+    def minor(r, c):
+        key = (r, c)
+        if key in table:
+            return table[key]
+        if len(r) == 1:
+            val = rows[r[0]][c[0]]
+        else:
+            top, rest = rows[r[0]], r[1:]
+            val = None
+            for k, col in enumerate(c):
+                term = top[col] * minor(rest, c[:k] + c[k + 1 :])
+                if k % 2 == 1:
+                    term = -term
+                val = term if val is None else val + term
+        table[key] = val
+        return val
+
+    return minor
 
 
 def mat_val(q: MatSeries):
@@ -265,6 +297,9 @@ def basechange_generate(
     kappa[t, 1/t] as a product of elementary and unit-diagonal factors,
     then P = B^{-1} phi(B), Mat(tau) = B^{-1} tau(B), lattice W = B^{-1}.
     """
+    if not ring.is_prime(p):
+        raise ValueError(f"p must be a prime, got p={p}")
+    ring.check_ring(p, cap)
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = random.Random(seed)
@@ -383,7 +418,7 @@ def equiv_constant(module: PhiTauModule, samples=40, seed=0):
     for _ in range(samples):
         coords = _sample_coords(module, rng)
         vt = v_tau(coords)
-        vtd = v_tilde(module, coords)
+        vtd = v_tau(w_inv.vecmul(coords))
         if vt is None or vtd is None:
             continue
         best = max(best, abs(vt - vtd))
@@ -536,16 +571,6 @@ def descent_matches_direct(module, g, report: DescentReport, target_prec) -> boo
 # -- super-Hölder tests on modules ------------------------------------
 
 
-def fit_exponent(levels, p):
-    """Fit (p^lambda, mu) to a sequence of level minima v_i, using
-    v_{i+1} - v_i = p^lambda p^i (p-1)."""
-    cands = [Fraction(levels[i + 1] - levels[i], p**i * (p - 1)) for i in range(len(levels) - 1)]
-    plam_hat = cands[0]
-    consistent = all(c == plam_hat for c in cands)
-    mu_hat = levels[0] - plam_hat
-    return plam_hat, mu_hat, consistent
-
-
 @dataclass(frozen=True)
 class MatrixShReport:
     levels: tuple[Fraction, ...]
@@ -561,6 +586,8 @@ def matrix_sh_test(
     """Measure val(Mat(g) - Id) over tau-levels k+i and fit the exponent
     of the matrix-valued orbit map.  When a target p^lambda is supplied
     the status records whether the fitted exponent matches it."""
+    if i_max < 1:
+        raise ValueError("need i_max >= 1 to fit an exponent")
     p, d = module.p, module.d
     if m_samples is None:
         m_samples = holder.default_samples(p)
@@ -577,7 +604,7 @@ def matrix_sh_test(
         if vmin is None:
             raise PreconditionViolated("orbit differences vanish to precision")
         levels.append(vmin)
-    plam_hat, mu_hat, consistent = fit_exponent(levels, p)
+    plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
     if plam is None:
         status = holder.Status.PASS if consistent else holder.Status.INCONCLUSIVE
     else:
@@ -605,6 +632,8 @@ def module_sh_test(
     """For each basis vector (scaled by t^(1/p^n) when n >= 1), measure
     val((g-1) x) under both the basis valuation and the lattice valuation
     across tau-levels k+i, and fit the exponents."""
+    if i_max < 1:
+        raise ValueError("need i_max >= 1 to fit an exponent")
     p, d, cap = module.p, module.d, module.cap
     if m_samples is None:
         m_samples = holder.default_samples(p)
@@ -613,6 +642,7 @@ def module_sh_test(
         if n == 0
         else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
     )
+    w_inv = module.lattice_inverse() if module.lattice is not None else None
     reports = []
     for j in range(d):
         coords = tuple(
@@ -628,12 +658,12 @@ def module_sh_test(
                 moved = module_act(module, g, coords)
                 diff = tuple(a - b.truncate(module.prec) for a, b in zip(moved, coords))
                 vt = v_tau(diff)
-                vtd = v_tilde(module, diff) if module.lattice is not None else None
+                vtd = v_tau(w_inv.vecmul(diff)) if w_inv is not None else None
                 if vt is not None:
                     vt_min = vt if vt_min is None else min(vt_min, vt)
                 if vtd is not None:
                     vtd_min = vtd if vtd_min is None else min(vtd_min, vtd)
-            if vt_min is None or (module.lattice is not None and vtd_min is None):
+            if vt_min is None or (w_inv is not None and vtd_min is None):
                 raise PreconditionViolated("orbit differences vanish to precision")
             tau_levels.append(vt_min)
             tilde_levels.append(vtd_min)
@@ -642,8 +672,8 @@ def module_sh_test(
                 j,
                 tuple(tau_levels),
                 tuple(tilde_levels),
-                fit_exponent(tau_levels, p),
-                fit_exponent(tilde_levels, p),
+                holder.fit_exponent(tau_levels, p),
+                holder.fit_exponent(tilde_levels, p),
             )
         )
     return tuple(reports)

@@ -177,8 +177,9 @@ def check_newton_hulls():
 def check_cocycle_family():
     ck = _Checker()
     p = 3
-    for seed in range(50):
-        d = 1 + seed % 3
+    # fifty small modules, then one at each d = 4..8
+    cases = [(seed, 1 + seed % 3) for seed in range(50)] + [(d, d) for d in range(4, 9)]
+    for seed, d in cases:
         mod = phitau.basechange_generate(d, seed=seed, complexity=2, p=p, prec=20)
         for c in (2, 3):
             ok, _ = phitau.cocycle_check(mod, galois.tau(c))
@@ -205,8 +206,10 @@ def check_descent():
     ck = _Checker()
     p = 3
     target = Fraction(12)
-    for seed in (0, 1, 2, 5, 8, 13, 21, 34):
-        d = 1 + seed % 2
+    # eight modules at d = 1, 2, then one at each d = 4, 5, 6
+    cases = [(seed, 1 + seed % 2) for seed in (0, 1, 2, 5, 8, 13, 21, 34)]
+    cases += [(d + 1, d) for d in (4, 5, 6)]
+    for seed, d in cases:
         mod = phitau.integral_twist(
             phitau.basechange_generate(d, seed=seed, complexity=2, p=p, prec=24)
         )
@@ -214,22 +217,22 @@ def check_descent():
         level = phitau.minimal_descent_level(mod, r)
         g = galois.tau(p**level)
         rep = phitau.descend_fixed_point(mod, g, r, target)
-        ck.check(rep.residual_val is None or rep.residual_val >= target, f"seed={seed} short")
+        ck.check(rep.residual_val is None or rep.residual_val >= target, f"seed={seed} d={d} short")
         gains = [
             b - a
             for a, b in zip(rep.residual_history, rep.residual_history[1:])
             if a is not None and b is not None
         ]
-        ck.check(all(gain >= rep.q_val for gain in gains), f"seed={seed} slow gain")
+        ck.check(all(gain >= rep.q_val for gain in gains), f"seed={seed} d={d} slow gain")
         first = rep.residual_history[0] if rep.residual_history else None
         if first is not None:
             limit = 1
             while first + limit * rep.q_val < target:
                 limit += 1
-            ck.check(rep.iterations <= limit + 1, f"seed={seed} too many iterations")
+            ck.check(rep.iterations <= limit + 1, f"seed={seed} d={d} too many iterations")
         ck.check(
             phitau.descent_matches_direct(mod, g, rep, target),
-            f"seed={seed} descent != direct",
+            f"seed={seed} d={d} descent != direct",
         )
     # closed form: B = 1+t gives H = u (1+t)^{-1} at r = 1
     one = ring.one(p)

@@ -227,6 +227,11 @@ class TestModuleCommands:
         fit = obj["vectors"][0]["basis_fit"]
         assert fit["plambda"] == "3/2"
 
+    @pytest.mark.parametrize("imax", ["0", "-1"])
+    def test_sh_without_two_levels_is_exit_3(self, capsys, module_file, imax):
+        code, out, err = run(capsys, "module", "sh", module_file, "--imax", imax)
+        assert code == 3 and out == "" and err.startswith("error:")
+
 
 class TestNewtonCommand:
     def test_elementary(self, capsys):

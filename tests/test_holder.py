@@ -118,6 +118,11 @@ class TestShEstimate:
         with pytest.raises(DegenerateOrbit):
             holder.sh_estimate(s("u"), TAU0, i_max=2)
 
+    def test_fit_exponent(self):
+        # v_i = 3^i: v_{i+1} - v_i = 2 * 3^i gives p^lambda = 1, mu = 0
+        assert holder.fit_exponent((1, 3, 9), 3) == (1, 0, True)
+        assert holder.fit_exponent((1, 3, 10), 3) == (1, 0, False)
+
 
 class TestNonmembership:
     def test_refutes_above_true_exponent(self):

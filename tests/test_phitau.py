@@ -30,6 +30,93 @@ def mod_d2():
     return phitau.basechange_generate(2, seed=4, complexity=2, p=P, prec=24)
 
 
+def oracle_det(m):
+    """The plain recursive cofactor expansion along the first row."""
+    d = m.d
+    if d == 1:
+        return m.rows[0][0]
+    acc = None
+    for j in range(d):
+        minor = MatSeries.from_rows(
+            [[m.rows[i][l] for l in range(d) if l != j] for i in range(1, d)]
+        )
+        term = m.rows[0][j] * oracle_det(minor)
+        if j % 2 == 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def oracle_adjugate(m):
+    d = m.d
+    if d == 1:
+        return MatSeries.from_rows([[ring.one(m.p, m.cap).truncate(m.rows[0][0].prec)]])
+    cof = [
+        [
+            oracle_det(
+                MatSeries.from_rows(
+                    [[m.rows[a][b] for b in range(d) if b != j] for a in range(d) if a != i]
+                )
+            )
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+    cof = [[-c if (i + j) % 2 else c for j, c in enumerate(row)] for i, row in enumerate(cof)]
+    return MatSeries.from_rows([[cof[j][i] for j in range(d)] for i in range(d)])
+
+
+def oracle_inverse(det, adj, prec):
+    return adj.scale_series(ring.invert(det, prec)).truncate(prec)
+
+
+def text(m):
+    return [[(str(e), e.prec) for e in row] for row in m.rows]
+
+
+ORACLE_PREC = 10
+
+
+def oracle_matrices(d, p):
+    mod = phitau.basechange_generate(d, seed=10 * d + p, complexity=2, p=p, prec=ORACLE_PREC)
+    return {
+        "lattice": mod.lattice,
+        "frob": mod.frob.truncate(ORACLE_PREC),
+        "acted": mod.frob.act(galois.tau(1), ORACLE_PREC),
+    }
+
+
+class TestSharedMinors:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_recursive_expansion(self, d, p):
+        for kind, m in oracle_matrices(d, p).items():
+            det, adj = oracle_det(m), oracle_adjugate(m)
+            got = m.det()
+            assert (str(got), got.prec) == (str(det), det.prec), kind
+            assert text(m.adjugate()) == text(adj), kind
+            want = oracle_inverse(det, adj, ORACLE_PREC)
+            assert text(m.inverse(ORACLE_PREC)) == text(want), kind
+
+    def test_product_count(self, monkeypatch):
+        calls = []
+        mul = ring.PerfSeries.__mul__
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        m = phitau.basechange_generate(7, seed=7, complexity=2, p=P, prec=12).frob.truncate(12)
+        monkeypatch.setattr(ring.PerfSeries, "__mul__", counting)
+        m.det()
+        # 2^7 minors on suffix rows, k products for each of size k >= 2
+        assert len(calls) == 7 * 2**6 - 7
+        calls.clear()
+        m.inverse(12)
+        # the recursive expansion takes about 69,000
+        assert len(calls) <= 2500
+
+
 class TestMatSeries:
     def test_inverse(self, mod_d2):
         m = mod_d2.frob
@@ -45,6 +132,11 @@ class TestMatSeries:
 
 
 class TestModuleConstruction:
+    @pytest.mark.parametrize("p, cap", [(4, 6), (1, 6), (9, 6), (3, -1), (3, 65)])
+    def test_generate_rejects_bad_ring(self, p, cap):
+        with pytest.raises(ValueError, match=f"p={p}" if cap == 6 else "cap"):
+            phitau.basechange_generate(1, 0, p=p, cap=cap)
+
     def test_closed_form_frobenius(self, mod_1pt):
         assert ring.eq_to_prec(mod_1pt.frob.rows[0][0], s("1+2*t+t^{2}"))
 
@@ -137,11 +229,36 @@ class TestValuations:
         assert vt == 1
         assert abs(vt - vtd) <= phitau.equiv_constant(mod_1pt)[1]
 
+    def test_file_lattice_inverted_once(self, mod_d2, monkeypatch):
+        mod = phitau.module_from_text(phitau.module_to_text(mod_d2))
+        assert mod.lattice_inv is None
+        calls = []
+        inverse = MatSeries.inverse
+
+        def counting(m, prec=None):
+            calls.append(m)
+            return inverse(m, prec)
+
+        monkeypatch.setattr(MatSeries, "inverse", counting)
+        phitau.equiv_constant(mod, samples=5)
+        assert calls == [mod.lattice]
+        calls.clear()
+        phitau.module_sh_test(mod, 1, i_max=1)
+        assert calls == [mod.lattice]
+
     def test_lattice_valuation_invariant(self, mod_d2):
         coords = (s("t"), s("u*t^{2}"))
         vtd = phitau.v_tilde(mod_d2, coords)
         moved = phitau.module_act(mod_d2, galois.tau(2), coords)
         assert phitau.v_tilde(mod_d2, moved) == vtd
+
+
+class TestModuleSh:
+    @pytest.mark.parametrize("fn", [phitau.matrix_sh_test, phitau.module_sh_test])
+    @pytest.mark.parametrize("i_max", [0, -1])
+    def test_needs_two_levels(self, mod_d2, fn, i_max):
+        with pytest.raises(ValueError, match="i_max"):
+            fn(mod_d2, 1, i_max=i_max)
 
 
 class TestFileFormat:
