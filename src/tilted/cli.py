@@ -369,22 +369,31 @@ def _cmd_module_descend(args) -> int:
     return EXIT_OK if matches else EXIT_FAIL
 
 
+def _levels(levels):
+    return None if levels is None else [_frac(v) for v in levels]
+
+
+def _fit(fit):
+    if fit is None:
+        return None
+    plam, mu, consistent = fit
+    return {"plambda": _frac(plam), "mu": _frac(mu), "consistent": consistent}
+
+
 def _cmd_module_sh(args) -> int:
     mod = _load_module(args.file)
     reports = phitau.module_sh_test(mod, args.k, n=args.n, i_max=args.imax)
     consistent = True
     out = []
     for rep in reports:
-        tl, tm, tc = rep.tau_fit
-        wl, wm, wc = rep.tilde_fit
-        consistent = consistent and tc and wc
+        consistent = consistent and rep.tau_fit[2] and (rep.tilde_fit is None or rep.tilde_fit[2])
         out.append(
             {
                 "j": rep.j,
-                "basis_levels": [_frac(v) for v in rep.tau_levels],
-                "lattice_levels": [_frac(v) for v in rep.tilde_levels],
-                "basis_fit": {"plambda": _frac(tl), "mu": _frac(tm), "consistent": tc},
-                "lattice_fit": {"plambda": _frac(wl), "mu": _frac(wm), "consistent": wc},
+                "basis_levels": _levels(rep.tau_levels),
+                "lattice_levels": _levels(rep.tilde_levels),
+                "basis_fit": _fit(rep.tau_fit),
+                "lattice_fit": _fit(rep.tilde_fit),
             }
         )
     _emit({"schema": SCHEMA, "consistent": consistent, "vectors": out})

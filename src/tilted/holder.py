@@ -10,6 +10,7 @@ compare exactly against rational valuations.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,11 +53,6 @@ class PPow:
         return float(self.q) * p ** float(self.s)
 
 
-def c_p_power(p: int) -> Fraction:
-    """p^{c_p} = p/(p-1)."""
-    return Fraction(p, p - 1)
-
-
 class FamilyKind(enum.Enum):
     TAU = "tau"
     GAMMA = "gamma"
@@ -90,6 +86,22 @@ def default_samples(p: int):
     return tuple(range(1, p))
 
 
+def level_samples(measure, fam: SubgroupFamily, p: int, i_max: int, m_samples=None):
+    """For each level i = 0..i_max in turn, the list of (g, measure(g))
+    over the level elements g = fam.element(i, m, p), m in m_samples
+    (default 1..p-1).  Lazy: a caller that stops at a level measures no
+    later one."""
+    if m_samples is None:
+        m_samples = default_samples(p)
+    for i in range(i_max + 1):
+        yield [(g, measure(g)) for g in (fam.element(i, m, p) for m in m_samples)]
+
+
+def min_known(values):
+    """The least value that is not None; None when there is none."""
+    return min((v for v in values if v is not None), default=None)
+
+
 class Status(enum.Enum):
     PASS = "pass"
     FAIL = "fail"
@@ -115,9 +127,9 @@ class ShVerdict:
         return self.status is Status.PASS
 
 
-def _orbit_floor(x: PerfSeries, g: GroupElem, prec=None):
+def _orbit_floor(x: PerfSeries, g: GroupElem):
     """(exact val, certified floor) of (g-1)x."""
-    d = galois.act(g, x, prec) - x.truncate(ring.min_prec(x.prec, prec))
+    d = galois.act(g, x) - x.truncate(x.prec)
     return d.val(), d.val_floor()
 
 
@@ -139,34 +151,28 @@ def sh_test(
         plam = PPow.rational(plam)
     mu = Fraction(mu)
     p = x.p
-    if m_samples is None:
-        m_samples = default_samples(p)
-    if not m_samples:
+    if m_samples is not None and not m_samples:
         raise ValueError("m_samples must be nonempty")
     if i_max < 0:
         raise ValueError("need i_max >= 0 to test any level")
     margins = []
     witness = None
     inconclusive = False
-    for i in range(i_max + 1):
+    levels = level_samples(functools.partial(_orbit_floor, x), fam, p, i_max, m_samples)
+    for i, level in enumerate(levels):
         bound_i = plam.shift(i)
-        level_min = None
-        level_floor = None
-        for m in m_samples:
-            g = fam.element(i, m, p)
-            v, floor = _orbit_floor(x, g)
+        for g, (v, floor) in level:
             if v is None:
                 # difference vanished; is the bound inside certified range?
                 if floor is not None and bound_i.cmp(floor - mu, p) >= 0:
                     inconclusive = True
-                level_floor = floor if level_floor is None else min(level_floor, floor)
-                continue
-            level_min = v if level_min is None else min(level_min, v)
-            if bound_i.cmp(v - mu, p) > 0 and witness is None:
+            elif witness is None and bound_i.cmp(v - mu, p) > 0:
                 witness = (i, g)
+        level_min = min_known(v for _, (v, _) in level)
         if level_min is not None:
             margins.append(LevelMargin(i, level_min, level_min, bound_i, mu))
         else:
+            level_floor = min_known(floor for _, (_, floor) in level)
             margins.append(LevelMargin(i, None, level_floor, bound_i, mu))
     margins = tuple(margins)
     if witness is not None:
@@ -184,23 +190,11 @@ class ShEstimate:
     levels: tuple[Fraction, ...]
 
 
-def _level_minima(x, fam, i_max, m_samples=None, prec=None):
-    p = x.p
-    if m_samples is None:
-        m_samples = default_samples(p)
-    vs = []
-    for i in range(i_max + 1):
-        level_min = None
-        vanished_floor = None
-        for m in m_samples:
-            g = fam.element(i, m, p)
-            v, floor = _orbit_floor(x, g, prec)
-            if v is None:
-                vanished_floor = floor
-                continue
-            level_min = v if level_min is None else min(level_min, v)
-        vs.append((level_min, vanished_floor))
-    return vs
+def _level_minima(x, fam, i_max, m_samples=None):
+    """Least exact val((g-1)x) at each level; None where every sampled
+    difference vanished to precision."""
+    levels = level_samples(functools.partial(_orbit_floor, x), fam, x.p, i_max, m_samples)
+    return tuple(min_known(v for _, (v, _) in level) for level in levels)
 
 
 def fit_exponent(levels, p):
@@ -220,12 +214,11 @@ def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int, m_samples=None) 
     if i_max < 2:
         raise ValueError("need i_max >= 2 to fit an exponent")
     p = x.p
-    vs = _level_minima(x, fam, i_max, m_samples)
-    if all(v is None for v, _ in vs):
+    levels = _level_minima(x, fam, i_max, m_samples)
+    if all(v is None for v in levels):
         raise DegenerateOrbit("x is fixed to precision by all sampled elements")
-    if any(v is None for v, _ in vs):
+    if None in levels:
         raise PrecisionRequired("some level differences vanished to precision")
-    levels = tuple(v for v, _ in vs)
     return ShEstimate(*fit_exponent(levels, p), levels)
 
 
@@ -250,15 +243,15 @@ def nonmembership_witness(
     Margin monotonicity is decided exactly: m_{i+1} < m_i is the rational
     comparison v_{i+1} - v_i < p^lambda p^i (p-1).
     """
+    if i_max < 1:
+        raise ValueError("need i_max >= 1 to compare any two levels")
     if not isinstance(plam, PPow):
         plam = PPow.rational(plam)
     p = x.p
-    vs = _level_minima(x, fam, i_max, m_samples)
-    if any(v is None for v, _ in vs):
+    levels = _level_minima(x, fam, i_max, m_samples)
+    if None in levels:
         # fixed (or beyond precision) points cannot be refuted this way
-        levels = tuple(v for v, _ in vs if v is not None)
-        return WitnessReport(False, levels, plam, None)
-    levels = tuple(v for v, _ in vs)
+        return WitnessReport(False, tuple(v for v in levels if v is not None), plam, None)
     first_decrease = None
     strictly_decreasing = True
     for i in range(i_max):

@@ -187,11 +187,6 @@ def _minors(rows):
     return minor
 
 
-def mat_val(q: MatSeries):
-    """The matrix valuation min over entries (exact when some entry is nonzero)."""
-    return q.val_floor()
-
-
 @dataclass(frozen=True)
 class PhiTauModule:
     """dimension d, Frobenius matrix P over kappa((t)), tau-matrix over the
@@ -225,17 +220,16 @@ def _check_pure_t(mat: MatSeries):
                     )
 
 
-def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None, check=True):
+def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None):
     d = frob.d
     p, cap = frob.p, frob.cap
     _check_pure_t(frob)
     mod = PhiTauModule(d, p, cap, Fraction(prec), frob, mat_tau, lattice, lattice_inv)
-    if check:
-        # etaleness: dominant-leading determinant
-        ring.invert(frob.det(), mod.prec)
-        ok, _ = cocycle_check(mod, galois.tau(1))
-        if not ok:
-            raise PreconditionViolated("cocycle P phi(Mat tau) = Mat tau tau(P) fails")
+    # etaleness: dominant-leading determinant
+    ring.invert(frob.det(), mod.prec)
+    ok, _ = cocycle_check(mod, galois.tau(1))
+    if not ok:
+        raise PreconditionViolated("cocycle P phi(Mat tau) = Mat tau tau(P) fails")
     return mod
 
 
@@ -303,7 +297,6 @@ def basechange_generate(
     if d < 1:
         raise ValueError("dimension must be >= 1")
     rng = random.Random(seed)
-    prec = Fraction(prec)
     ident = MatSeries.identity(d, p, cap)
     b = ident
     binv = ident
@@ -318,39 +311,23 @@ def basechange_generate(
             c = rng.randrange(1, p)
             e = rng.randint(0, complexity)
             f = ring.monomial(p, cap, c, 0, e)
-            fac = [[ring.one(p, cap) if a == bcol else ring.zero(p, cap) for bcol in range(d)] for a in range(d)]
-            fac[i][j] = f
-            inv = [[ring.one(p, cap) if a == bcol else ring.zero(p, cap) for bcol in range(d)] for a in range(d)]
-            inv[i][j] = -f
-            fac_m, inv_m = MatSeries.from_rows(fac), MatSeries.from_rows(inv)
+            fac, inv = _with_entry(ident, i, j, f), _with_entry(ident, i, j, -f)
         else:
             i = rng.randrange(d)
             c = rng.randrange(1, p)
             e = rng.choice([-1, 0, 0, 1])
-            fac = [
-                [
-                    (ring.monomial(p, cap, c, 0, e) if a == i else ring.one(p, cap))
-                    if a == bcol
-                    else ring.zero(p, cap)
-                    for bcol in range(d)
-                ]
-                for a in range(d)
-            ]
-            inv = [
-                [
-                    (ring.monomial(p, cap, pow(c, -1, p), 0, -e) if a == i else ring.one(p, cap))
-                    if a == bcol
-                    else ring.zero(p, cap)
-                    for bcol in range(d)
-                ]
-                for a in range(d)
-            ]
-            fac_m, inv_m = MatSeries.from_rows(fac), MatSeries.from_rows(inv)
-        b = b * fac_m
-        binv = inv_m * binv
-    frob = binv * b.frobenius()
-    mat_tau = binv * b.act(galois.tau(1), prec)
-    return make_module(frob, mat_tau.truncate(prec), prec, lattice=binv, lattice_inv=b)
+            fac = _with_entry(ident, i, i, ring.monomial(p, cap, c, 0, e))
+            inv = _with_entry(ident, i, i, ring.monomial(p, cap, pow(c, -1, p), 0, -e))
+        b = b * fac
+        binv = inv * binv
+    return basechange_from_matrix(b, binv, prec)
+
+
+def _with_entry(m: MatSeries, i, j, x) -> MatSeries:
+    """m with entry (i, j) replaced by x."""
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = x
+    return MatSeries.from_rows(rows)
 
 
 def basechange_from_matrix(b: MatSeries, binv: MatSeries, prec) -> PhiTauModule:
@@ -413,7 +390,7 @@ def equiv_constant(module: PhiTauModule, samples=40, seed=0):
     if w is None:
         raise PreconditionViolated("module has no lattice")
     w_inv = module.lattice_inverse()
-    bound = max(-mat_val(w), -mat_val(w_inv), Fraction(0))
+    bound = max(-w.val_floor(), -w_inv.val_floor(), Fraction(0))
     best = Fraction(0)
     for _ in range(samples):
         coords = _sample_coords(module, rng)
@@ -446,7 +423,7 @@ def integral_twist(module: PhiTauModule, s: int | None = None) -> PhiTauModule:
     Mat(tau) * (1+u)^s.  The lattice basis rescales by t^{-s}.
     """
     p, cap = module.p, module.cap
-    floor = mat_val(module.frob)
+    floor = module.frob.val_floor()
     if s is None:
         s = 0
         while s * (p - 1) + floor < 0:
@@ -473,7 +450,7 @@ def integral_twist(module: PhiTauModule, s: int | None = None) -> PhiTauModule:
 def minimal_descent_radius(module: PhiTauModule) -> int:
     """Least r >= 1 with t^r P^{-1} in t * (integral matrices)."""
     p_inv = module.frob.inverse(module.prec)
-    floor = mat_val(p_inv)
+    floor = p_inv.val_floor()
     if floor is None:
         raise PreconditionViolated("P^{-1} vanishes to precision")
     r = 1
@@ -482,16 +459,20 @@ def minimal_descent_radius(module: PhiTauModule) -> int:
     return r
 
 
-def minimal_descent_level(module: PhiTauModule, r: int, l_max: int = 12) -> int:
-    """Least l with val(Mat(tau^(p^l)) - Id) >= r * val(t)."""
+MAX_DESCENT_LEVEL = 12
+MAX_DESCENT_ITERATIONS = 200
+
+
+def minimal_descent_level(module: PhiTauModule, r: int) -> int:
+    """Least l <= MAX_DESCENT_LEVEL with val(Mat(tau^(p^l)) - Id) >= r * val(t)."""
     d, p = module.d, module.p
     ident = MatSeries.identity(d, p, module.cap, module.prec)
-    for l in range(l_max + 1):
+    for l in range(MAX_DESCENT_LEVEL + 1):
         mat_g = mat_of(module, galois.tau(p**l))
         floor = (mat_g - ident).val_floor()
         if floor is None or floor >= r:
             return l
-    raise PreconditionViolated(f"no level <= {l_max} brings Mat(g) within t^{r}")
+    raise PreconditionViolated(f"no level <= {MAX_DESCENT_LEVEL} brings Mat(g) within t^{r}")
 
 
 def descend_fixed_point(
@@ -499,8 +480,6 @@ def descend_fixed_point(
     g: GroupElem,
     r: int,
     target_prec,
-    max_iter: int = 200,
-    force: bool = False,
 ) -> DescentReport:
     """Solve H = f0 + P phi(H) Q_g by fixed-point iteration, where
     Q_g = t^(r(p-1)) (g.P)^{-1} and f0 = t^(-r) (P (g.P)^{-1} - Id).
@@ -516,13 +495,13 @@ def descend_fixed_point(
     frob_mat = module.frob.truncate(prec)
 
     p_inv = frob_mat.inverse(prec)
-    pre_floor = mat_val(p_inv)
-    if not force and (pre_floor is None or r + pre_floor < 1):
+    pre_floor = p_inv.val_floor()
+    if pre_floor is None or r + pre_floor < 1:
         raise PreconditionViolated(f"t^{r} P^-1 is not in t * integral matrices")
     mat_g = mat_of(module, g, prec)
     ident = MatSeries.identity(d, p, cap, prec)
     dev = (mat_g - ident).val_floor()
-    if not force and dev is not None and dev < r:
+    if dev is not None and dev < r:
         raise PreconditionViolated(
             f"val(Mat(g) - Id) = {dev} < r = {r}; raise the level of g"
         )
@@ -531,7 +510,7 @@ def descend_fixed_point(
     gp_inv = gp.inverse(prec)
     t_pow = ring.monomial(p, cap, 1, 0, r * (p - 1))
     q_g = gp_inv.scale_series(t_pow)
-    q_val = mat_val(q_g)
+    q_val = q_g.val_floor()
     if q_val is None or q_val <= 0:
         raise PreconditionViolated("Q_g is not topologically nilpotent")
     t_neg_r = ring.monomial(p, cap, 1, 0, -r)
@@ -541,7 +520,7 @@ def descend_fixed_point(
     iterations = 0
     residual = None
     history = []
-    while iterations < max_iter:
+    while iterations < MAX_DESCENT_ITERATIONS:
         nxt = f0 + (frob_mat * x.frobenius() * q_g).truncate(prec)
         delta = nxt - x
         residual = delta.val_floor()
@@ -551,7 +530,7 @@ def descend_fixed_point(
         if delta.is_zero() or (residual is not None and residual >= target_prec):
             break
     else:
-        raise NonConvergence(f"no convergence within {max_iter} iterations")
+        raise NonConvergence(f"no convergence within {MAX_DESCENT_ITERATIONS} iterations")
     return DescentReport(
         r, x.truncate(target_prec), iterations, residual, q_val, tuple(history)
     )
@@ -564,8 +543,12 @@ def descent_matches_direct(module, g, report: DescentReport, target_prec) -> boo
     ident = MatSeries.identity(d, p, cap, module.prec)
     t_neg_r = ring.monomial(p, cap, 1, 0, -report.r)
     direct = (mat_g - ident).scale_series(t_neg_r)
-    diff = (direct - report.h).truncate(Fraction(target_prec))
-    return diff.is_zero()
+    target_prec = Fraction(target_prec)
+    # every known term of diff lies below the target, so a floor at the
+    # target says diff vanishes there; a difference known only below the
+    # target (floor = its cap) certifies nothing at it
+    floor = (direct - report.h).truncate(target_prec).val_floor()
+    return floor is None or floor >= target_prec
 
 
 # -- super-Hölder tests on modules ------------------------------------
@@ -580,27 +563,20 @@ class MatrixShReport:
     status: holder.Status
 
 
-def matrix_sh_test(
-    module: PhiTauModule, k: int, plam=None, i_max: int = 2, m_samples=None
-) -> MatrixShReport:
-    """Measure val(Mat(g) - Id) over tau-levels k+i and fit the exponent
-    of the matrix-valued orbit map.  When a target p^lambda is supplied
-    the status records whether the fitted exponent matches it."""
+def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> MatrixShReport:
+    """Measure val(Mat(g) - Id) over the tau family at base level k,
+    g = tau^(m p^(k+i)) for m = 1..p-1 and i = 0..i_max, and fit the
+    exponent of the matrix-valued orbit map.  When a target p^lambda is
+    supplied the status records whether the fitted exponent matches it."""
     if i_max < 1:
         raise ValueError("need i_max >= 1 to fit an exponent")
+    fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     p, d = module.p, module.d
-    if m_samples is None:
-        m_samples = holder.default_samples(p)
     ident = MatSeries.identity(d, p, module.cap, module.prec)
     levels = []
-    for i in range(i_max + 1):
-        vmin = None
-        for m in m_samples:
-            g = galois.tau(m * p ** (k + i))
-            floor = (mat_of(module, g) - ident).val_floor()
-            if floor is None:
-                continue
-            vmin = floor if vmin is None else min(vmin, floor)
+    samples = holder.level_samples(lambda g: (mat_of(module, g) - ident).val_floor(), fam, p, i_max)
+    for level in samples:
+        vmin = holder.min_known(v for _, v in level)
         if vmin is None:
             raise PreconditionViolated("orbit differences vanish to precision")
         levels.append(vmin)
@@ -621,62 +597,63 @@ def matrix_sh_test(
 class ModuleShBasisReport:
     j: int
     tau_levels: tuple[Fraction, ...]
-    tilde_levels: tuple[Fraction, ...]
+    tilde_levels: tuple[Fraction, ...] | None  # None: the module has no lattice
     tau_fit: tuple[Fraction, Fraction, bool]
-    tilde_fit: tuple[Fraction, Fraction, bool]
+    tilde_fit: tuple[Fraction, Fraction, bool] | None
 
 
 def module_sh_test(
-    module: PhiTauModule, k: int, n: int = 0, i_max: int = 2, m_samples=None
+    module: PhiTauModule, k: int, n: int = 0, i_max: int = 2
 ) -> tuple[ModuleShBasisReport, ...]:
     """For each basis vector (scaled by t^(1/p^n) when n >= 1), measure
     val((g-1) x) under both the basis valuation and the lattice valuation
-    across tau-levels k+i, and fit the exponents."""
+    over the tau family at base level k, g = tau^(m p^(k+i)) for
+    m = 1..p-1 and i = 0..i_max, and fit the exponents.  Without a lattice
+    the lattice levels and fit are None."""
     if i_max < 1:
         raise ValueError("need i_max >= 1 to fit an exponent")
-    p, d, cap = module.p, module.d, module.cap
-    if m_samples is None:
-        m_samples = holder.default_samples(p)
+    if n < 0:
+        raise ValueError(f"need n >= 0 to scale by t^(1/p^n), got n={n}")
+    fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
+    p, d, cap, prec = module.p, module.d, module.cap, module.prec
     scalar = (
         ring.one(p, cap)
         if n == 0
         else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
     )
+    basis = [tuple(scalar if l == j else ring.zero(p, cap) for l in range(d)) for j in range(d)]
     w_inv = module.lattice_inverse() if module.lattice is not None else None
-    reports = []
-    for j in range(d):
-        coords = tuple(
-            scalar if l == j else ring.zero(p, cap) for l in range(d)
-        )
-        tau_levels = []
-        tilde_levels = []
-        for i in range(i_max + 1):
-            vt_min = None
-            vtd_min = None
-            for m in m_samples:
-                g = galois.tau(m * p ** (k + i))
-                moved = module_act(module, g, coords)
-                diff = tuple(a - b.truncate(module.prec) for a, b in zip(moved, coords))
-                vt = v_tau(diff)
-                vtd = v_tau(w_inv.vecmul(diff)) if w_inv is not None else None
-                if vt is not None:
-                    vt_min = vt if vt_min is None else min(vt_min, vt)
-                if vtd is not None:
-                    vtd_min = vtd if vtd_min is None else min(vtd_min, vtd)
-            if vt_min is None or (w_inv is not None and vtd_min is None):
+
+    def measure(g):
+        # (v_tau, v_tilde) of (g-1) x for each basis vector x
+        mat_g = mat_of(module, g, prec)
+        out = []
+        for coords in basis:
+            moved = mat_g.vecmul(tuple(galois.act(g, c, prec) for c in coords))
+            diff = tuple(a - b.truncate(prec) for a, b in zip(moved, coords))
+            out.append((v_tau(diff), v_tau(w_inv.vecmul(diff)) if w_inv is not None else None))
+        return out
+
+    tau_levels = [[] for _ in range(d)]
+    tilde_levels = [[] for _ in range(d)]
+    for level in holder.level_samples(measure, fam, p, i_max):
+        for j in range(d):
+            vt = holder.min_known(vs[j][0] for _, vs in level)
+            vtd = holder.min_known(vs[j][1] for _, vs in level)
+            if vt is None or (w_inv is not None and vtd is None):
                 raise PreconditionViolated("orbit differences vanish to precision")
-            tau_levels.append(vt_min)
-            tilde_levels.append(vtd_min)
-        reports.append(
-            ModuleShBasisReport(
-                j,
-                tuple(tau_levels),
-                tuple(tilde_levels),
-                holder.fit_exponent(tau_levels, p),
-                holder.fit_exponent(tilde_levels, p),
-            )
+            tau_levels[j].append(vt)
+            tilde_levels[j].append(vtd)
+    return tuple(
+        ModuleShBasisReport(
+            j,
+            tuple(tau_levels[j]),
+            tuple(tilde_levels[j]) if w_inv is not None else None,
+            holder.fit_exponent(tau_levels[j], p),
+            holder.fit_exponent(tilde_levels[j], p) if w_inv is not None else None,
         )
-    return tuple(reports)
+        for j in range(d)
+    )
 
 
 # -- module file format -----------------------------------------------

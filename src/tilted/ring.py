@@ -176,17 +176,6 @@ class PerfSeries:
             return mono_val(self.terms[0][0], self.p, self.cap)
         return self.prec
 
-    def leading(self):
-        if not self.terms:
-            raise ZeroDivisor("series has no known terms")
-        return self.terms[0]
-
-    def coeff(self, mono: tuple[int, int]) -> int:
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return 0
-
     # -- arithmetic ---------------------------------------------------
 
     def _check_compatible(self, other):

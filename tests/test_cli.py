@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilted import cli, galois, phitau, ring
 from tilted.errors import ParseError
@@ -128,6 +132,13 @@ class TestShCommands:
         )
         assert code == 3 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("imax", ["0", "-1"])
+    def test_refute_without_two_levels_is_exit_3(self, capsys, imax):
+        code, out, err = run(
+            capsys, "sh-test", "t", "--plambda", "3/2", "--mu", "1", "--refute", "--imax", imax
+        )
+        assert code == 3 and out == "" and err.startswith("error:")
+
     def test_refute(self, capsys):
         code, obj = run_json(
             capsys, "sh-test", "t", "--plambda", "3/2*p^{1/2}", "--mu", "0", "--refute"
@@ -232,6 +243,24 @@ class TestModuleCommands:
         code, out, err = run(capsys, "module", "sh", module_file, "--imax", imax)
         assert code == 3 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("option", ["--k", "--n"])
+    def test_sh_negative_k_or_n_is_exit_3(self, capsys, module_file, option):
+        code, out, err = run(capsys, "module", "sh", module_file, option, "-1")
+        assert code == 3 and out == "" and err.startswith("error:")
+
+    def test_sh_without_lattice(self, capsys, module_file, tmp_path):
+        with open(module_file) as fh:
+            text = fh.read()
+        path = tmp_path / "bare.mod"
+        path.write_text(text.split("[lattice]")[0])
+        code, obj = run_json(capsys, "module", "sh", str(path))
+        _, want = run_json(capsys, "module", "sh", module_file)
+        assert code == 0 and obj["consistent"] is True
+        for vec, full in zip(obj["vectors"], want["vectors"]):
+            assert vec["lattice_levels"] is None and vec["lattice_fit"] is None
+            assert vec["basis_levels"] == full["basis_levels"]
+            assert vec["basis_fit"] == full["basis_fit"]
+
 
 class TestNewtonCommand:
     def test_elementary(self, capsys):
@@ -252,3 +281,31 @@ class TestSelftestCommand:
     def test_unknown_criterion(self, capsys):
         code, _, _ = run(capsys, "selftest", "--only", "bogus")
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def fuzz_module_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "m.mod"
+    path.write_text(phitau.module_to_text(phitau.basechange_generate(2, seed=4)))
+    return str(path)
+
+
+SMALL = st.integers(-3, 3).map(str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("module sh"), SMALL, SMALL, SMALL),
+        st.tuples(st.sampled_from(["t", "u", "t^{1/3}+u*t", "t+O(4)"]), SMALL, SMALL),
+    )
+)
+def test_dispatch_never_raises(fuzz_module_file, case):
+    if case[0] == "module sh":
+        _, k, n, imax = case
+        argv = ["module", "sh", fuzz_module_file, "--k", k, "--n", n, "--imax", imax]
+    else:
+        x, imax, k = case
+        argv = ["sh-test", x, "--plambda", "3/2", "--mu", "1", "--refute", "--imax", imax, "--k", k]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.dispatch(argv) in (0, 1, 2, 3)

@@ -139,6 +139,24 @@ class TestNonmembership:
         rep = holder.nonmembership_witness(s("u"), TAU0, PPow(CP, 1), i_max=3)
         assert not rep.refuted
 
+    @pytest.mark.parametrize("i_max", [0, -1])
+    def test_needs_two_levels(self, i_max):
+        with pytest.raises(ValueError, match="i_max"):
+            holder.nonmembership_witness(s("t"), TAU0, CP, i_max=i_max)
+
+
+class TestLevelSamples:
+    def test_lazy_by_level(self):
+        measured = []
+        levels = holder.level_samples(measured.append, TAU0, P, i_max=5)
+        first = next(levels)
+        assert [g for g, _ in first] == [TAU0.element(0, m, P) for m in (1, 2)]
+        assert measured == [g for g, _ in first]
+
+    def test_min_known(self):
+        assert holder.min_known([None, Fraction(3), None, Fraction(1, 2)]) == Fraction(1, 2)
+        assert holder.min_known([None, None]) is None
+
 
 class TestDeperfection:
     @pytest.mark.parametrize(

@@ -179,9 +179,9 @@ class TestCocycle:
 class TestTwist:
     def test_makes_integral(self):
         mod = one_by_one(s("t^{-1}+1"), 24)
-        assert phitau.mat_val(mod.frob) < 0
+        assert mod.frob.val_floor() < 0
         tw = phitau.integral_twist(mod)
-        assert phitau.mat_val(tw.frob) >= 0
+        assert tw.frob.val_floor() >= 0
         ok, _ = phitau.cocycle_check(tw, galois.tau(1))
         assert ok
 
@@ -214,6 +214,17 @@ class TestDescent:
         assert r > 1
         with pytest.raises(PreconditionViolated):
             phitau.descend_fixed_point(mod, galois.tau(1), r, 8)
+
+    def test_matches_direct_only_where_known(self):
+        # radius 9: prec 24 runs out at residual 6, so H is known only to
+        # O(6)..O(9), and nothing is certified at target 12
+        mod = phitau.integral_twist(phitau.basechange_generate(5, seed=5, p=P, prec=24))
+        r = phitau.minimal_descent_radius(mod)
+        g = galois.tau(P ** phitau.minimal_descent_level(mod, r))
+        rep = phitau.descend_fixed_point(mod, g, r, 12)
+        assert (r, rep.residual_val) == (9, 6)
+        assert not phitau.descent_matches_direct(mod, g, rep, 12)
+        assert phitau.descent_matches_direct(mod, g, rep, 6)
 
 
 class TestValuations:
@@ -259,6 +270,35 @@ class TestModuleSh:
     def test_needs_two_levels(self, mod_d2, fn, i_max):
         with pytest.raises(ValueError, match="i_max"):
             fn(mod_d2, 1, i_max=i_max)
+
+    @pytest.mark.parametrize("fn", [phitau.matrix_sh_test, phitau.module_sh_test])
+    def test_rejects_negative_base_level(self, mod_d2, fn):
+        with pytest.raises(ValueError, match="base level"):
+            fn(mod_d2, -1)
+
+    def test_rejects_negative_n(self, mod_d2):
+        with pytest.raises(ValueError, match="n >= 0"):
+            phitau.module_sh_test(mod_d2, 0, n=-1)
+
+    def test_one_mat_of_per_element(self, mod_d2, monkeypatch):
+        calls = []
+        mat_of = phitau.mat_of
+
+        def counting(module, g, prec=None):
+            calls.append(g)
+            return mat_of(module, g, prec)
+
+        monkeypatch.setattr(phitau, "mat_of", counting)
+        phitau.module_sh_test(mod_d2, 0, i_max=2)
+        # (i_max + 1) levels of p - 1 samples, shared by both basis vectors
+        assert len(calls) == 3 * (P - 1) == len(set(calls))
+
+    def test_without_lattice(self, mod_d2):
+        text = phitau.module_to_text(mod_d2).split("[lattice]")[0]
+        bare = phitau.module_from_text(text)
+        for got, want in zip(phitau.module_sh_test(bare, 0), phitau.module_sh_test(mod_d2, 0)):
+            assert (got.tau_levels, got.tau_fit) == (want.tau_levels, want.tau_fit)
+            assert got.tilde_levels is None and got.tilde_fit is None
 
 
 class TestFileFormat:
