@@ -16,6 +16,7 @@ environment variable TILTED_SEED overrides any --seed argument.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -90,7 +91,10 @@ def parse_ppow(text: str) -> PPow:
     m = _PPOW_RE.fullmatch(text.replace(" ", ""))
     if not m:
         raise ParseError(f"bad exponent {text!r}")
-    return PPow(Fraction(m.group(1)), Fraction(m.group(2) or 0))
+    try:
+        return PPow(Fraction(m.group(1)), Fraction(m.group(2) or 0))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in exponent {text!r}") from None
 
 
 def _emit(obj) -> None:
@@ -119,6 +123,17 @@ def denom_cap(text) -> int:
     return cap
 
 
+def _fraction(text) -> Fraction:
+    """The argparse type of every rational option: a bad literal, a zero
+    denominator included, is a usage error and never a traceback."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def _add_ring_args(sub, prec_default=None):
     sub.add_argument("--p", type=prime, default=3, help="the prime (default 3)")
     sub.add_argument(
@@ -126,7 +141,7 @@ def _add_ring_args(sub, prec_default=None):
         help="exponent denominator cap: denominators divide p^cap",
     )
     sub.add_argument(
-        "--prec", type=Fraction, default=prec_default,
+        "--prec", type=_fraction, default=prec_default,
         help="precision cap as a rational valuation",
     )
 
@@ -143,7 +158,11 @@ _STATUS_EXIT = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built at the first `dispatch` and reused:
+    `parse_args` returns a fresh Namespace and every default is
+    immutable, so no call sees another's arguments."""
     parser = _Parser(prog="tilted")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -166,7 +185,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--family", choices=("tau", "gamma"), default="tau")
     s.add_argument("--k", type=int, default=0, help="base subgroup level")
     s.add_argument("--plambda", required=True, help='exponent, e.g. "3/2" or "3/2*p^{1/2}"')
-    s.add_argument("--mu", type=Fraction, required=True)
+    s.add_argument("--mu", type=_fraction, required=True)
     s.add_argument("--imax", type=int, default=3)
     s.add_argument(
         "--refute", action="store_true",
@@ -202,7 +221,7 @@ def _build_parser() -> _Parser:
     s.add_argument("file")
     s.add_argument("--c", type=int, help="tau power (default: minimal adequate level)")
     s.add_argument("--r", type=int, help="radius (default: minimal adequate)")
-    s.add_argument("--target", type=Fraction, default=Fraction(12))
+    s.add_argument("--target", type=_fraction, default=Fraction(12))
 
     s = msub.add_parser("sh", help="orbit exponents of the basis vectors")
     s.add_argument("file")

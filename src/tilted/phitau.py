@@ -704,7 +704,10 @@ def module_from_text(text: str) -> PhiTauModule:
     p = int(header["p"])
     d = int(header["d"])
     cap = int(header["cap"])
-    prec = Fraction(header["prec"])
+    try:
+        prec = Fraction(header["prec"])
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad header prec={header['prec']}") from None
     if not ring.is_prime(p):
         raise ParseError(f"header p={p} is not a prime")
     if d < 1:

@@ -31,6 +31,7 @@ from .errors import (
     NonDominantLeading,
     ParseError,
     PrecisionRequired,
+    TiltedError,
     ZeroDivisor,
 )
 
@@ -391,108 +392,112 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
 
 # -- text form --------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(\d+|[ut*+^{}()/O-])")
+# Whitespace may precede every token.  Each of these patterns matches one
+# whole unit of the grammar or nothing; `(?!\d)` keeps a digit run whole
+# when the regex engine backtracks.
+_COEFF_RE = re.compile(r"\s*(\d+)(\s*\*)?")
+# groups: variable, '{', '-', numerator, denominator, a following '*';
+# the '}' is required exactly when the '{' matched
+_ATOM_RE = re.compile(
+    r"\s*([ut])"
+    r"(?:\s*\^(?:\s*(\{))?(?:\s*(-))?\s*(\d+)(?!\d)"
+    r"(?:\s*/\s*(\d+)(?!\d)|(?!\s*/))(?(2)\s*\})"
+    r"|(?!\s*\^))"
+    r"(\s*\*)?"
+)
+_PLUS_RE = re.compile(r"\s*\+")
+_NEXT_TOKEN_RE = re.compile(r"\s*(\d+|\S)")
+# the start of the whitespace before the first character that begins no
+# token, or of trailing whitespace
+_STRAY_RE = re.compile(r"(?<!\s)\s*(?:[^\s\d*+^{}()/Out-]|\Z)")
+
+_VARS = ("u", "t")
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+def _next_token(text, i):
+    """(token, position, end) of the token after i; (None, None, i) when
+    only whitespace is left."""
+    m = _NEXT_TOKEN_RE.match(text, i)
+    if m is None:
+        return None, None, i
+    return m[1], m.start(1), m.end()
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _expect(text, i, want):
+    """The end of the token `want` after i."""
+    tok, pos, end = _next_token(text, i)
+    if tok is None:
+        raise ParseError("unexpected end of input")
+    if tok != want:
+        raise ParseError(f"expected {want!r}, found {tok!r}", pos)
+    return end
 
-    def peek(self):
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
 
-    def next(self):
-        if self.i >= len(self.tokens):
-            raise ParseError("unexpected end of input")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _digits(text, i):
+    """(value, position, end) of the digit run after i."""
+    tok, pos, end = _next_token(text, i)
+    if tok is None:
+        raise ParseError("unexpected end of input")
+    if not tok.isdecimal():
+        raise ParseError(f"expected digits, found {tok!r}", pos)
+    return int(tok), pos, end
 
-    def expect(self, want):
-        tok, pos = self.next()
-        if tok != want:
-            raise ParseError(f"expected {want!r}, found {tok!r}", pos)
-        return tok
 
-    def rational(self) -> Fraction:
-        sign = 1
-        if self.peek() == "-":
-            self.next()
-            sign = -1
-        tok, pos = self.next()
-        if not tok.isdigit():
-            raise ParseError(f"expected digits, found {tok!r}", pos)
-        num = int(tok)
-        den = 1
-        if self.peek() == "/":
-            self.next()
-            tok, pos = self.next()
-            if not tok.isdigit():
-                raise ParseError(f"expected digits, found {tok!r}", pos)
-            den = int(tok)
-            if den == 0:
-                raise ParseError("zero denominator", pos)
-        return Fraction(sign * num, den)
+def _rational(text, i):
+    """(numerator, denominator, end) of the rational after i."""
+    tok, _, end = _next_token(text, i)
+    sign = 1
+    if tok == "-":
+        sign, i = -1, end
+    num, _, i = _digits(text, i)
+    den = 1
+    tok, _, end = _next_token(text, i)
+    if tok == "/":
+        den, pos, i = _digits(text, end)
+        if den == 0:
+            raise ParseError("zero denominator", pos)
+    return sign * num, den, i
 
-    def atom(self):
-        tok, pos = self.next()
-        if tok not in ("u", "t"):
-            raise ParseError(f"expected 'u' or 't', found {tok!r}", pos)
-        exp = Fraction(1)
-        if self.peek() == "^":
-            self.next()
-            if self.peek() == "{":
-                self.next()
-                exp = self.rational()
-                self.expect("}")
-            else:
-                exp = self.rational()
-        return tok, exp
 
-    def term(self, p, cap):
-        """Returns (coeff, eu, et) for one term."""
-        coeff = 1
-        eu = Fraction(0)
-        et = Fraction(0)
-        saw_anything = False
-        if self.peek() is not None and self.peek().isdigit():
-            coeff = int(self.next()[0])
-            saw_anything = True
-            if self.peek() == "*":
-                self.next()
-            elif self.peek() in ("u", "t"):
-                pos = self.tokens[self.i][1]
-                raise ParseError("missing '*' between coefficient and atom", pos)
-            else:
-                return coeff, eu, et
-        while self.peek() in ("u", "t"):
-            var, exp = self.atom()
-            saw_anything = True
-            if var == "u":
-                eu += exp
-            else:
-                et += exp
-            if self.peek() == "*":
-                self.next()
-            else:
-                break
-        if not saw_anything:
-            tok = self.peek()
-            raise ParseError(f"expected a term, found {tok!r}")
-        return coeff, eu, et
+def _atom(text, i):
+    """(variable, numerator, denominator, star, end) of the atom after i,
+    where star tells whether a '*' follows it, or None when the next
+    token is not 'u' or 't'."""
+    m = _ATOM_RE.match(text, i)
+    if m is not None:
+        var, _, minus, num, den, star = m.groups()
+        num = 1 if num is None else -int(num) if minus else int(num)
+        den = 1 if den is None else int(den)
+        if den == 0:
+            raise ParseError("zero denominator", m.start(5))
+        return var, num, den, star is not None, m.end()
+    # not an atom, or a malformed exponent: read it token by token, which
+    # raises the error at the token where it breaks
+    var, _, i = _next_token(text, i)
+    if var not in _VARS:
+        return None
+    num = den = 1
+    tok, _, end = _next_token(text, i)
+    if tok == "^":
+        tok, _, brace_end = _next_token(text, end)
+        if tok == "{":
+            num, den, i = _rational(text, brace_end)
+            i = _expect(text, i, "}")
+        else:
+            num, den, i = _rational(text, end)
+    tok, _, end = _next_token(text, i)
+    return (var, num, den, True, end) if tok == "*" else (var, num, den, False, i)
+
+
+def _cap(text, i):
+    """The rational of the O(...) whose 'O' ends at i; it must end the text."""
+    i = _expect(text, i, "(")
+    num, den, i = _rational(text, i)
+    i = _expect(text, i, ")")
+    if i != len(text):
+        tok, pos, _ = _next_token(text, i)
+        raise ParseError(f"trailing input after O(...): {tok!r}", pos)
+    return Fraction(num, den)
 
 
 def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
@@ -501,29 +506,82 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
     series := term ('+' term)* ['+' 'O(' rational ')'] | 'O(' rational ')'
     term   := coeff ['*' atom {'*' atom}] | atom {'*' atom}
     atom   := ('u'|'t') ['^' '{' rational '}']
+
+    Whitespace may come before any token but not after the last one, and
+    digits are any Unicode decimal digits.  A '*' that no atom follows is
+    dropped, so "t*" is t.
+
+    The text is read in one left-to-right scan with one compiled regex
+    per coefficient, atom and '+'.  An atom's exponent num/den goes
+    straight to its units num * p^cap / den, an int, whenever den divides
+    p^cap, and the units of a term's atoms add up per variable.  Only an
+    exponent off that lattice is kept as a Fraction, and the term's sum
+    is validated by `exponent_units`, so u^{1/2}*u^{1/2} at p = 3 is u.
+    The O(...) cap, which comes at most once, is read token by token.
+
+    Errors come as the grammar meets them, except that a character no
+    token begins with, or trailing whitespace, is reported first wherever
+    it stands; the scan looks for one only once it has failed.
     """
     check_ring(p, cap)
-    parser = _Parser(text)
+    try:
+        return _scan(text, p, cap)
+    except (TiltedError, ValueError):
+        m = _STRAY_RE.search(text)
+        if m.start() < len(text):
+            raise ParseError(f"unexpected character {text[m.start()]!r}", m.start()) from None
+        raise
+
+
+def _scan(text, p, cap):
+    if not text:
+        raise ParseError("empty series literal")
+    scale = p**cap
     acc = {}
     prec = None
-    if parser.peek() is None:
-        raise ParseError("empty series literal")
+    i = 0
     while True:
-        if parser.peek() == "O":
-            parser.next()
-            parser.expect("(")
-            prec = parser.rational()
-            parser.expect(")")
-            if parser.peek() is not None:
-                tok, pos = parser.next()
-                raise ParseError(f"trailing input after O(...): {tok!r}", pos)
+        coeff, a, b, off = 1, 0, 0, None
+        m = _COEFF_RE.match(text, i)
+        if m is None:
+            seen = more = False
+        else:
+            coeff, i, seen, more = int(m[1]), m.end(), True, m[2] is not None
+            if not more:
+                tok, pos, _ = _next_token(text, i)
+                if tok in _VARS:
+                    raise ParseError("missing '*' between coefficient and atom", pos)
+        while more or not seen:
+            atom = _atom(text, i)
+            if atom is None:
+                break
+            var, num, den, more, i = atom
+            seen = True
+            if scale % den:
+                # off the p^cap lattice: only the term's sum must be on it
+                off = off or {}
+                off[var] = off.get(var, 0) + Fraction(num, den)
+            elif var == "u":
+                a += num * (scale // den)
+            else:
+                b += num * (scale // den)
+        if not seen:
+            tok, _, end = _next_token(text, i)
+            if tok == "O":
+                prec = _cap(text, end)
+                break
+            raise ParseError(f"expected a term, found {tok!r}")
+        if off:
+            if "u" in off:
+                a = exponent_units(off["u"] + Fraction(a, scale), p, cap)
+            if "t" in off:
+                b = exponent_units(off["t"] + Fraction(b, scale), p, cap)
+        key = (a, b)
+        acc[key] = acc.get(key, 0) + coeff
+        if i == len(text):
             break
-        coeff, eu, et = parser.term(p, cap)
-        m = (exponent_units(eu, p, cap), exponent_units(et, p, cap))
-        acc[m] = acc.get(m, 0) + coeff
-        if parser.peek() is None:
-            break
-        parser.expect("+")
+        m = _PLUS_RE.match(text, i)
+        i = m.end() if m is not None else _expect(text, i, "+")
     return make_series(p, cap, acc, prec)
 
 
@@ -533,22 +591,24 @@ def _format_exp(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _format_atom(name, q: Fraction):
-    if q == 1:
-        return name
-    return f"{name}^{{{_format_exp(q)}}}"
+def _format_atom(name, a, p, cap):
+    """The atom name^(a/p^cap), its exponent in lowest terms."""
+    m, k = lowest_terms(a, p, cap)
+    if k:
+        return f"{name}^{{{m}/{p**k}}}"
+    return name if m == 1 else f"{name}^{{{m}}}"
 
 
 def format_series(x: PerfSeries) -> str:
     """Canonical text form: terms in ascending valuation order, then O(prec)."""
+    p, cap = x.p, x.cap
     parts = []
-    scale = x.p**x.cap
     for (a, b), c in x.terms:
         atoms = []
         if a:
-            atoms.append(_format_atom("u", Fraction(a, scale)))
+            atoms.append(_format_atom("u", a, p, cap))
         if b:
-            atoms.append(_format_atom("t", Fraction(b, scale)))
+            atoms.append(_format_atom("t", b, p, cap))
         if not atoms:
             parts.append(str(c))
         elif c == 1:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +264,97 @@ class TestModuleCommands:
             assert vec["lattice_levels"] is None and vec["lattice_fit"] is None
             assert vec["basis_levels"] == full["basis_levels"]
             assert vec["basis_fit"] == full["basis_fit"]
+
+
+class TestZeroDenominators:
+    """A zero denominator in any rational argument or module header is a
+    usage error (exit 3), not a ZeroDivisionError traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "t", "--prec", "1/0"],
+            ["val", "t", "--prec", "1/0"],
+            ["act", "tau", "t", "--prec", "1/0"],
+            ["sh-test", "t", "--plambda", "3/2", "--mu", "1", "--prec", "1/0"],
+            ["sh-estimate", "t", "--prec", "1/0"],
+            ["deperfect", "t", "--prec", "1/0"],
+            ["sh-test", "t", "--plambda", "3/2", "--mu", "1/0"],
+            ["sh-test", "t", "--plambda", "1/0", "--mu", "0"],
+            ["sh-test", "t", "--plambda", "3/2*p^{1/0}", "--mu", "0"],
+            ["module", "gen", "--prec", "1/0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_option_is_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("error:") and "zero denominator" in err
+
+    def test_descend_target_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "m.mod"
+        path.write_text(phitau.module_to_text(phitau.basechange_generate(1, seed=1)))
+        code, out, err = run(capsys, "module", "descend", str(path), "--target", "1/0")
+        assert code == 3 and out == "" and err.startswith("error:") and "zero denominator" in err
+
+    def test_module_header_prec_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "m.mod"
+        path.write_text("p=3 d=1 prec=1/0 cap=6\n[P]\n1\n[tau]\n1\n")
+        code, out, err = run(capsys, "module", "check", str(path))
+        assert code == 3 and out == "" and err == "error: bad header prec=1/0\n"
+
+    def test_other_bad_rational_keeps_its_message(self, capsys):
+        code, _, err = run(capsys, "eval", "t", "--prec", "abc")
+        assert code == 3 and err == "error: argument --prec: invalid Fraction value: 'abc'\n"
+
+    def test_ppow_literal(self):
+        with pytest.raises(ParseError, match="zero denominator"):
+            cli.parse_ppow("3/2*p^{1/0}")
+
+
+class TestParserReuse:
+    """`dispatch` builds its argparse tree once per process; back-to-back
+    calls must not see each other's options."""
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import tilted.cli as c; print(c._build_parser.cache_info().currsize)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out == "0\n"
+
+    def test_parser_is_built_once(self, capsys):
+        run(capsys, "eval", "t")
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_append_option_does_not_carry_over(self, capsys, tmp_path):
+        path = tmp_path / "m.mod"
+        path.write_text(phitau.module_to_text(phitau.basechange_generate(1, seed=1)))
+        _, first = run_json(capsys, "module", "check", str(path), "--c", "2")
+        _, second = run_json(capsys, "module", "check", str(path))
+        assert [c["c"] for c in first["checks"]] == [2]
+        assert [c["c"] for c in second["checks"]] == [1, 2, 3]
+
+    def test_flag_does_not_carry_over(self, capsys):
+        argv = ["sh-test", "t", "--plambda", "3/2*p^{1/2}", "--mu", "0"]
+        _, refuted = run_json(capsys, *argv, "--refute")
+        code, verdict = run_json(capsys, *argv)
+        assert "refuted" in refuted and "status" not in refuted
+        assert code == 1 and verdict["status"] == "fail" and "refuted" not in verdict
+
+    def test_selftest_selection_does_not_carry_over(self, capsys):
+        _, first = run_json(capsys, "selftest", "--only", "refutation")
+        _, second = run_json(capsys, "selftest", "--only", "deperfection")
+        assert [r["id"] for r in first["results"]] == ["refutation"]
+        assert [r["id"] for r in second["results"]] == ["deperfection"]
+
+    def test_prime_does_not_carry_over(self, capsys):
+        _, at5 = run_json(capsys, "eval", "4", "--p", "5")
+        _, at3 = run_json(capsys, "eval", "4")
+        assert (at5["series"], at3["series"]) == ("4", "1")
 
 
 class TestNewtonCommand:
