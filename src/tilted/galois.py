@@ -102,23 +102,29 @@ def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeri
     a positive one.  The nonzero binomials come from Lucas' theorem.
     """
     m, k = ring.split_exponent(r, p, cap)
-    if prec is None:
+    return _eps_pow(m, k, p, cap, ring.key_bound(prec, p, cap))
+
+
+def _eps_pow(m: int, k: int, p: int, cap: int, bound: int | None) -> PerfSeries:
+    """`eps_pow` of r = m/p^k in lowest terms, cut at the key bound
+    (None: exact)."""
+    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p
+    unit = p ** (cap - k)
+    if bound is None:
         if m < 0:
             raise PrecisionRequired("eps_pow with negative exponent needs a cap")
         if m > _EXACT_POWER_LIMIT:
             raise PrecisionRequired(f"exact expansion of (1+u)^{m} is too large")
-        bound = None
+        jmax = None
     else:
-        # j*val(v) < prec  <=>  j < bound, with val(v) = p/(p-1)/p^k
-        bound = math.ceil(Fraction(prec) * (p - 1) * p**k / p)
+        # j * unit * p < bound  <=>  j < ceil(bound / (unit * p))
+        jmax = -(-bound // (unit * p))
         modulus = 1
-        while modulus < bound:
+        while modulus < jmax:
             modulus *= p
         m %= modulus
-    # v^j = u^(j/p^k) is the monomial (j * p^(cap-k), 0)
-    unit = p ** (cap - k)
-    acc = {(j * unit, 0): c for j, c in _lucas_terms(m, p, bound)}
-    return ring.make_series(p, cap, acc, prec)
+    acc = {(j * unit * p, j * unit): c for j, c in _lucas_terms(m, p, jmax)}
+    return ring.make_series(p, cap, acc, bound)
 
 
 def eps_val_formula(m: int, p: int) -> Fraction:
@@ -134,16 +140,20 @@ def eps_val_formula(m: int, p: int) -> Fraction:
 
 
 def required_accuracy(x: PerfSeries, eff) -> int | None:
-    """Minimal N so that elements known mod p^N act correctly on x up to
-    precision eff.  Perturbing an exponent by p^N changes the action by
-    terms of valuation >= p^(N-k) * p/(p-1) with k the deepest
-    denominator in x; None means no finite N suffices (exact x)."""
+    """Minimal N so that elements known mod p^N act correctly on x below
+    the key bound eff.  Perturbing an exponent by p^N changes the action
+    by terms of valuation >= p^(N-k) * p/(p-1), of key p^(cap+1+N-k), with
+    k the deepest denominator in x; None means no finite N suffices
+    (exact x)."""
     if eff is None:
         return None
     p, cap = x.p, x.cap
-    kmax = max((ring.lowest_terms(e, p, cap)[1] for m, _ in x.terms for e in m), default=0)
+    kmax = max(
+        (ring.lowest_terms(e, p, cap)[1] for m, _ in x.terms for e in ring.mono_units(m, p)),
+        default=0,
+    )
     need = 0
-    while Fraction(p, p - 1) * Fraction(p**need, p**kmax) < eff:
+    while p ** (cap + 1 + need - kmax) < eff:
         need += 1
     return need
 
@@ -163,45 +173,50 @@ def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
         )
 
 
-def _accumulate(acc: dict, image: PerfSeries, prec):
-    """Add image's terms into acc; return the joint precision cap."""
+def _accumulate(acc: dict, image: PerfSeries, bound):
+    """Add image's terms into acc; return the joint key bound."""
     for m, c in image.terms:
         acc[m] = acc.get(m, 0) + c
-    return min_prec(prec, image.prec)
+    return min_prec(bound, image.bound)
 
 
 def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
-    prec = eff
+    bound = eff
     for m, c in x.terms:
-        eu, et = m
+        eu, et = ring.mono_units(m, p)
         if eu == 0:
             acc[m] = acc.get(m, 0) + c
             continue
         mm, k = ring.lowest_terms(eu, p, cap)
-        target = None if eff is None else eff - Fraction(et, p**cap)
-        w = eps_pow(Fraction(a, p**k), p, cap, target) - ring.one(p, cap).truncate(target)
+        # the t^et factor, of key et * (p-1), is fixed
+        t_key = et * (p - 1)
+        target = None if eff is None else eff - t_key
+        w = _eps_pow(a, k, p, cap, target) - ring.one(p, cap).cut(target)
         if mm >= 0:
             f = w**mm
         else:
-            f = ring.invert(w ** (-mm), target)
-        prec = _accumulate(acc, f.mono_shift((0, et), c), prec)
-    return ring.make_series(p, cap, acc, prec)
+            f = ring.invert(w ** (-mm), ring.bound_prec(target, p, cap))
+        bound = _accumulate(acc, f.mono_shift((t_key, 0), c), bound)
+    return ring.make_series(p, cap, acc, bound)
 
 
 def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
-    prec = eff
+    bound = eff
     for m, co in x.terms:
-        if m[1] == 0:
+        et = ring.mono_units(m, p)[1]
+        if et == 0:
             acc[m] = acc.get(m, 0) + co
             continue
-        target = None if eff is None else eff - ring.mono_val(m, p, cap)
-        factor = eps_pow(Fraction(c * m[1], p**cap), p, cap, target)
-        prec = _accumulate(acc, factor.mono_shift(m, co), prec)
-    return ring.make_series(p, cap, acc, prec)
+        # u^A t^B is fixed, so its factor (1+u)^(c*B) is needed below
+        # eff - key only
+        target = None if eff is None else eff - m[0]
+        factor = _eps_pow(*ring.lowest_terms(c * et, p, cap), p, cap, target)
+        bound = _accumulate(acc, factor.mono_shift(m, co), bound)
+    return ring.make_series(p, cap, acc, bound)
 
 
 def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
@@ -211,9 +226,9 @@ def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
     where gamma inverts a series for a negative u exponent; an exact
     input with only finite expansions yields an exact output.
     """
-    eff = min_prec(x.prec, None if prec is None else Fraction(prec))
+    eff = min_prec(x.bound, ring.key_bound(prec, x.p, x.cap))
     _check_accuracy(g, x, eff)
-    y = x.truncate(eff)
+    y = x.cut(eff)
     if g.a % x.p == 0:
         raise ValueError("gamma component must be a unit")
     if g.a != 1:
@@ -221,5 +236,5 @@ def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
     if g.c != 0:
         # gamma's images may be known to less than eff, and tau is an
         # isometry: its images are known exactly as far as y is
-        y = _apply_tau(g.c, y, y.prec)
+        y = _apply_tau(g.c, y, y.bound)
     return y

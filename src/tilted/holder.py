@@ -49,9 +49,6 @@ class PPow:
         rhs = v**b
         return (lhs > rhs) - (lhs < rhs)
 
-    def value_float(self, p: int) -> float:
-        return float(self.q) * p ** float(self.s)
-
 
 class FamilyKind(enum.Enum):
     TAU = "tau"
@@ -129,7 +126,7 @@ class ShVerdict:
 
 def _orbit_floor(x: PerfSeries, g: GroupElem):
     """(exact val, certified floor) of (g-1)x."""
-    d = galois.act(g, x) - x.truncate(x.prec)
+    d = galois.act(g, x) - x
     return d.val(), d.val_floor()
 
 
@@ -277,9 +274,12 @@ def nonmembership_witness(
 def deperfection_level(x: PerfSeries) -> int | None:
     """Least n with phi^n(x) in kappa((t)), i.e. x in phi^{-n} of the
     integer-exponent pure-t subring; None when no such n <= cap exists."""
-    if any(a for (a, _), _ in x.terms):
+    if any(a for (_, a), _ in x.terms):
         return None
-    return max((ring.lowest_terms(b, x.p, x.cap)[1] for (_, b), _ in x.terms), default=0)
+    p, cap = x.p, x.cap
+    return max(
+        (ring.lowest_terms(ring.mono_units(m, p)[1], p, cap)[1] for m, _ in x.terms), default=0
+    )
 
 
 @dataclass(frozen=True)
@@ -294,7 +294,7 @@ class GammaFixedReport:
 
 def gamma_fixed_test(x: PerfSeries, a_samples, prec) -> GammaFixedReport:
     """Check (gamma_a - 1)x vanishes below prec for all sampled a."""
-    structural = not any(a for (a, _), _ in x.terms)
+    structural = not any(a for (_, a), _ in x.terms)
     prec = Fraction(prec)
     for a in a_samples:
         d = galois.act(galois.gamma(a), x, prec) - x.truncate(prec)

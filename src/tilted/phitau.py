@@ -145,7 +145,7 @@ class MatSeries:
     def _adjugate(self, minor):
         d = self.d
         if d == 1:
-            return MatSeries.from_rows([[ring.one(self.p, self.cap).truncate(self.rows[0][0].prec)]])
+            return MatSeries.from_rows([[ring.one(self.p, self.cap).cut(self.rows[0][0].bound)]])
         full = tuple(range(d))
         cof = []
         for i in range(d):
@@ -213,7 +213,8 @@ def _check_pure_t(mat: MatSeries):
     for row in mat.rows:
         for e in row:
             scale = e.p**e.cap
-            for (a, b), _ in e.terms:
+            for m, _ in e.terms:
+                a, b = ring.mono_units(m, e.p)
                 if a or b % scale:
                     raise PreconditionViolated(
                         "Frobenius matrix must have pure-t integer exponents"
@@ -567,15 +568,24 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     """Measure val(Mat(g) - Id) over the tau family at base level k,
     g = tau^(m p^(k+i)) for m = 1..p-1 and i = 0..i_max, and fit the
     exponent of the matrix-valued orbit map.  When a target p^lambda is
-    supplied the status records whether the fitted exponent matches it."""
+    supplied the status records whether the fitted exponent matches it.
+
+    A sample counts only when a known entry term attains the difference's
+    floor; a difference whose floor is an entry's cap vanished to
+    precision, and a level of such samples raises PreconditionViolated."""
     if i_max < 1:
         raise ValueError("need i_max >= 1 to fit an exponent")
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     p, d = module.p, module.d
     ident = MatSeries.identity(d, p, module.cap, module.prec)
+
+    def measure(g):
+        diff = mat_of(module, g) - ident
+        known = v_tau(e for row in diff.rows for e in row)
+        return known if known == diff.val_floor() else None
+
     levels = []
-    samples = holder.level_samples(lambda g: (mat_of(module, g) - ident).val_floor(), fam, p, i_max)
-    for level in samples:
+    for level in holder.level_samples(measure, fam, p, i_max):
         vmin = holder.min_known(v for _, v in level)
         if vmin is None:
             raise PreconditionViolated("orbit differences vanish to precision")

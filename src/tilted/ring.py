@@ -9,15 +9,25 @@ The valuation is monomial-graded: val(u) = p/(p-1), val(t) = 1, and
 val(u^a t^b) = a*p/(p-1) + b.  Valuations are exact `Fraction`s; the
 precision "+infinity" (an exact series) is represented by ``None``.
 
-Every exponent lies in p^-D Z, so a monomial is stored as a pair of ints
-(A, B) meaning u^(A/p^D) * t^(B/p^D).  Its valuation is
-(A*p + B*(p-1)) / (p^D*(p-1)), so the integer key (A*p + B*(p-1), A)
+Every exponent lies in p^-D Z, so u^(A/p^D) * t^(B/p^D) has int units
+A and B, and its valuation is k / (p^D*(p-1)) for the int key
+k = A*p + B*(p-1).  A monomial is stored as the int pair (k, A), which
 orders monomials by valuation, ties broken by the u and then the t
-exponent.  A monomial product is integer addition, Frobenius multiplies
-both ints by p, and its inverse is exact when p divides both; a precision
-cap prec drops exactly the monomials with A*p + B*(p-1) >=
-ceil(prec*(p-1)*p^D).  Fractions appear only at the edges: valuations,
-precision caps, and the text form.
+exponent, so a sorted list of terms needs no sort key; B comes back as
+(k - A*p) / (p-1).  A monomial product is integer addition, Frobenius
+multiplies both ints by p, and its inverse is exact when p divides A and
+B, that is A and k.
+
+A precision cap is stored in the same integer lattice, as its key bound
+K = ceil(prec*(p-1)*p^D): the cap drops exactly the monomials of key
+k >= K, because every key is an integer.  So every cap rule is int
+arithmetic: a product is known below min(key0(x) + K_y, key0(y) + K_x),
+with key0 the leading key (K itself for a series with no terms), a
+monomial shift adds the monomial's key, Frobenius multiplies K by p and
+its inverse takes ceil(K/p).  A cap given off the lattice, such as
+O(1/7) at p = 3, is sharpened to K/((p-1)*p^D) = 209/1458, which cuts
+the same terms.  Fractions appear only at the edges: valuations, the
+``prec`` of a series, ``prec=`` arguments, and the text form.
 """
 
 from __future__ import annotations
@@ -39,24 +49,18 @@ DEFAULT_DENOM_CAP = 6
 # exponents are ints scaled by p^cap, so the cap bounds their size
 MAX_DENOM_CAP = 64
 
-# the monomial u^0 t^0
+# the monomial u^0 t^0, as (key, u units)
 MONO_ONE = (0, 0)
 
 
 def min_prec(a, b):
-    """Minimum of two precision caps, where None means +infinity."""
+    """Minimum of two precision caps or key bounds, where None means
+    +infinity."""
     if a is None:
         return b
     if b is None:
         return a
     return min(a, b)
-
-
-def add_prec(v, prec):
-    """v + prec with None treated as +infinity."""
-    if prec is None:
-        return None
-    return v + prec
 
 
 def is_prime(n: int) -> bool:
@@ -130,34 +134,69 @@ def lowest_terms(a: int, p: int, cap: int) -> tuple[int, int]:
     return a, k
 
 
+def mono_of(a: int, b: int, p: int) -> tuple[int, int]:
+    """The monomial u^(a/p^cap) * t^(b/p^cap) as (key, a), with the key
+    a*p + b*(p-1) its valuation times (p-1)*p^cap."""
+    return (a * p + b * (p - 1), a)
+
+
+def mono_units(m, p: int) -> tuple[int, int]:
+    """The exponent units (A, B) of the monomial m = (key, A)."""
+    return m[1], (m[0] - m[1] * p) // (p - 1)
+
+
 def mono_val(m, p: int, cap: int) -> Fraction:
-    """Valuation of the monomial (A, B): A/p^cap * p/(p-1) + B/p^cap."""
-    return Fraction(m[0] * p + m[1] * (p - 1), p**cap * (p - 1))
+    """Valuation of the monomial (key, A): key / ((p-1)*p^cap)."""
+    return Fraction(m[0], p**cap * (p - 1))
 
 
-def _key_bound(prec: Fraction, p: int, cap: int) -> int:
-    """ceil(prec * (p-1) * p^cap): a monomial is below prec exactly when
-    its key A*p + B*(p-1) is below this bound."""
-    return -(-prec.numerator * (p - 1) * p**cap // prec.denominator)
+def _ceil_key(num: int, den: int, p: int, cap: int) -> int:
+    """ceil(num/den * (p-1) * p^cap) for den > 0."""
+    return -(-num * (p - 1) * p**cap // den)
+
+
+def key_bound(prec, p: int, cap: int) -> int | None:
+    """The key bound K = ceil(prec * (p-1) * p^cap) of a precision cap
+    (None, +infinity, stays None): a monomial is below prec exactly when
+    its key is below K."""
+    if prec is None:
+        return None
+    if not isinstance(prec, (int, Fraction)):
+        prec = Fraction(prec)
+    return _ceil_key(prec.numerator, prec.denominator, p, cap)
+
+
+def bound_prec(bound: int | None, p: int, cap: int) -> Fraction | None:
+    """The precision cap bound / ((p-1)*p^cap) of a key bound."""
+    if bound is None:
+        return None
+    return Fraction(bound, (p - 1) * p**cap)
 
 
 @dataclass(frozen=True)
 class PerfSeries:
     """A sparse series over F_p, known modulo terms of valuation >= prec.
 
-    ``terms`` holds ((A, B), coeff) pairs for the monomials
-    u^(A/p^cap) * t^(B/p^cap), sorted by the integer key
-    (A*p + B*(p-1), A): ascending valuation, ties broken by the (eu, et)
-    lexicographic order.  This is the canonical form used for equality,
-    hashing and formatting.
+    ``terms`` holds ((key, A), coeff) pairs for the monomials
+    u^(A/p^cap) * t^(B/p^cap) of key A*p + B*(p-1), sorted: ascending
+    valuation, ties broken by the (eu, et) lexicographic order.  ``bound``
+    is the cap as an int key bound: every monomial of key >= bound is
+    unknown, and None means the series is exact.  The two are the
+    canonical form used for equality, hashing and formatting; ``prec`` is
+    derived from ``bound``.
     """
 
     p: int
     cap: int
-    prec: Fraction | None
+    bound: int | None
     terms: tuple[tuple[tuple[int, int], int], ...]
 
     # -- basic queries ------------------------------------------------
+
+    @property
+    def prec(self) -> Fraction | None:
+        """The precision cap bound / ((p-1)*p^cap), None for +infinity."""
+        return bound_prec(self.bound, self.p, self.cap)
 
     def is_zero(self):
         return not self.terms
@@ -177,6 +216,13 @@ class PerfSeries:
             return mono_val(self.terms[0][0], self.p, self.cap)
         return self.prec
 
+    def key_floor(self) -> int | None:
+        """`val_floor` as a key: the leading key, the key bound for a
+        series with no known terms, None for the exact zero."""
+        if self.terms:
+            return self.terms[0][0][0]
+        return self.bound
+
     # -- arithmetic ---------------------------------------------------
 
     def _check_compatible(self, other):
@@ -185,11 +231,10 @@ class PerfSeries:
 
     def __add__(self, other):
         self._check_compatible(other)
-        prec = min_prec(self.prec, other.prec)
         acc = dict(self.terms)
         for m, c in other.terms:
             acc[m] = acc.get(m, 0) + c
-        return make_series(self.p, self.cap, acc, prec)
+        return make_series(self.p, self.cap, acc, min_prec(self.bound, other.bound))
 
     def __neg__(self):
         return self.scale(self.p - 1)
@@ -201,34 +246,35 @@ class PerfSeries:
         """Multiply by a scalar in F_p."""
         c %= self.p
         if c == 0:
-            return PerfSeries(self.p, self.cap, self.prec, ())
+            return PerfSeries(self.p, self.cap, self.bound, ())
         if c == 1:
             return self
         return PerfSeries(
-            self.p, self.cap, self.prec, tuple((m, (a * c) % self.p) for m, a in self.terms)
+            self.p, self.cap, self.bound, tuple((m, (a * c) % self.p) for m, a in self.terms)
         )
 
     def __mul__(self, other):
         self._check_compatible(other)
-        prec = min_prec(
-            add_prec_of(self, other.prec),
-            add_prec_of(other, self.prec),
+        # the product is known below key0(x) + K_y and key0(y) + K_x
+        bound = min_prec(
+            _plus(self.key_floor(), other.bound),
+            _plus(other.key_floor(), self.bound),
         )
         acc = {}
         get = acc.get
-        for (a1, b1), c1 in self.terms:
-            for (a2, b2), c2 in other.terms:
-                m = (a1 + a2, b1 + b2)
+        for (k1, a1), c1 in self.terms:
+            for (k2, a2), c2 in other.terms:
+                m = (k1 + k2, a1 + a2)
                 acc[m] = get(m, 0) + c1 * c2
-        return make_series(self.p, self.cap, acc, prec)
+        return make_series(self.p, self.cap, acc, bound)
 
     def mono_shift(self, mono: tuple[int, int], coeff: int = 1):
-        """Multiply by a single monomial coeff * mono (coeff a unit)."""
+        """Multiply by a single monomial coeff * mono (coeff a unit), mono
+        a (key, A) pair."""
         coeff %= self.p
-        prec = add_prec(mono_val(mono, self.p, self.cap), self.prec)
-        da, db = mono
-        acc = {(a + da, b + db): c * coeff for (a, b), c in self.terms}
-        return make_series(self.p, self.cap, acc, prec)
+        dk, da = mono
+        acc = {(k + dk, a + da): c * coeff for (k, a), c in self.terms}
+        return make_series(self.p, self.cap, acc, _plus(dk, self.bound))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -246,10 +292,14 @@ class PerfSeries:
 
     def truncate(self, prec: Fraction | None):
         """Forget everything of valuation >= prec."""
-        newprec = min_prec(self.prec, prec)
-        if newprec == self.prec:
+        return self.cut(key_bound(prec, self.p, self.cap))
+
+    def cut(self, bound: int | None):
+        """Forget every monomial of key >= bound (None: nothing)."""
+        newbound = min_prec(self.bound, bound)
+        if newbound == self.bound:
             return self
-        return make_series(self.p, self.cap, dict(self.terms), newprec)
+        return make_series(self.p, self.cap, dict(self.terms), newbound)
 
     # -- presentation -------------------------------------------------
 
@@ -260,39 +310,29 @@ class PerfSeries:
         return f"PerfSeries(p={self.p}, {format_series(self)!r})"
 
 
-def add_prec_of(x: PerfSeries, prec):
-    """val(x) + prec, the contribution of x's value to a product's cap."""
-    if prec is None:
+def _plus(k, bound):
+    """k + bound, None when either is None."""
+    if k is None or bound is None:
         return None
-    v = x.val_floor()
-    if v is None:
-        return None
-    return v + prec
+    return k + bound
 
 
-def make_series(p, cap, termdict, prec=None) -> PerfSeries:
-    """Normalize a {(A, B): coeff} mapping into canonical form."""
-    pm1 = p - 1
-    if prec is None:
+def make_series(p, cap, termdict, bound=None) -> PerfSeries:
+    """Normalize a {(key, A): coeff} mapping into canonical form, dropping
+    the monomials of key >= bound (an int key bound; None: exact)."""
+    if bound is None:
         items = [(m, c % p) for m, c in termdict.items() if c % p]
     else:
-        if type(prec) is not Fraction:
-            prec = Fraction(prec)
-        bound = _key_bound(prec, p, cap)
-        items = [
-            (m, c % p)
-            for m, c in termdict.items()
-            if c % p and m[0] * p + m[1] * pm1 < bound
-        ]
-    items.sort(key=lambda mc: (mc[0][0] * p + mc[0][1] * pm1, mc[0][0]))
-    return PerfSeries(p, cap, prec, tuple(items))
+        items = [(m, c % p) for m, c in termdict.items() if c % p and m[0] < bound]
+    items.sort()
+    return PerfSeries(p, cap, bound, tuple(items))
 
 
 # -- constructors -----------------------------------------------------
 
 
 def zero(p, cap=DEFAULT_DENOM_CAP, prec=None):
-    return make_series(p, cap, {}, prec)
+    return make_series(p, cap, {}, key_bound(prec, p, cap))
 
 
 def one(p, cap=DEFAULT_DENOM_CAP):
@@ -305,8 +345,8 @@ def constant(c, p, cap=DEFAULT_DENOM_CAP):
 
 def monomial(p, cap, coeff, eu, et, prec=None):
     """coeff * u^eu * t^et with rational exponents."""
-    m = (exponent_units(eu, p, cap), exponent_units(et, p, cap))
-    return make_series(p, cap, {m: coeff}, prec)
+    m = mono_of(exponent_units(eu, p, cap), exponent_units(et, p, cap), p)
+    return make_series(p, cap, {m: coeff}, key_bound(prec, p, cap))
 
 
 def u_var(p, cap=DEFAULT_DENOM_CAP):
@@ -323,23 +363,24 @@ def t_var(p, cap=DEFAULT_DENOM_CAP):
 def frobenius(x: PerfSeries) -> PerfSeries:
     """Scale all exponents by p; coefficients are fixed since kappa = F_p."""
     p = x.p
-    acc = {(a * p, b * p): c for (a, b), c in x.terms}
-    prec = None if x.prec is None else x.prec * p
-    return make_series(p, x.cap, acc, prec)
+    acc = {(k * p, a * p): c for (k, a), c in x.terms}
+    return make_series(p, x.cap, acc, None if x.bound is None else x.bound * p)
 
 
 def frobenius_inv(x: PerfSeries) -> PerfSeries:
-    """Scale all exponents by 1/p.  Raises CapExceeded at the denominator cap."""
+    """Scale all exponents by 1/p.  Raises CapExceeded at the denominator
+    cap.  The key bound K becomes ceil(K/p): a key >= K scales to one
+    >= K/p, and keys are ints."""
     p, cap = x.p, x.cap
     acc = {}
-    for (a, b), c in x.terms:
-        for e in (a, b):
-            if e % p:
-                q = Fraction(e, p ** (cap + 1))
-                raise CapExceeded(f"exponent {q} needs denominator p^{cap + 1} > p^{cap}")
-        acc[(a // p, b // p)] = c
-    prec = None if x.prec is None else Fraction(x.prec, p)
-    return make_series(p, cap, acc, prec)
+    for m, c in x.terms:
+        k, a = m
+        # with p | A, p | B exactly when p | k
+        if a % p or k % p:
+            q = Fraction(a if a % p else mono_units(m, p)[1], p ** (cap + 1))
+            raise CapExceeded(f"exponent {q} needs denominator p^{cap + 1} > p^{cap}")
+        acc[(k // p, a // p)] = c
+    return make_series(p, cap, acc, None if x.bound is None else -(-x.bound // p))
 
 
 # -- inversion --------------------------------------------------------
@@ -358,36 +399,38 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
         raise ZeroDivisor("cannot invert a series with no known terms")
     lead_m, lead_c = x.terms[0]
     p, cap = x.p, x.cap
-    lead_v = mono_val(lead_m, p, cap)
-    if len(x.terms) > 1 and mono_val(x.terms[1][0], p, cap) == lead_v:
+    lead_k = lead_m[0]
+    if len(x.terms) > 1 and x.terms[1][0][0] == lead_k:
         raise NonDominantLeading(
-            f"two monomials share the minimal valuation {lead_v}"
+            f"two monomials share the minimal valuation {mono_val(lead_m, p, cap)}"
         )
     inv_m = (-lead_m[0], -lead_m[1])
     inv_c = pow(lead_c, -1, p)
     # determined precision of the inverse: prec(x) - 2*val(x)
-    determined = None if x.prec is None else x.prec - 2 * lead_v
-    target = min_prec(determined, None if prec is None else Fraction(prec))
-    tail = make_series(p, cap, dict(x.terms[1:]), x.prec)
-    if tail.is_zero() and tail.prec is None:
+    determined = None if x.bound is None else x.bound - 2 * lead_k
+    target = min_prec(determined, key_bound(prec, p, cap))
+    tail = make_series(p, cap, dict(x.terms[1:]), x.bound)
+    if tail.is_zero() and tail.bound is None:
         return make_series(p, cap, {inv_m: inv_c}, target)
     if target is None:
         raise PrecisionRequired("inverting a unit with a tail needs a finite cap")
-    # x = lead * (1 + y) with val(y) > 0; 1/x = (1/lead) * sum (-y)^j
-    y = tail.mono_shift(inv_m, inv_c).truncate(target + lead_v)
-    y_v = y.val_floor()
-    acc = one(p, cap).truncate(target + lead_v)
-    if y_v is not None:
-        power = one(p, cap).truncate(target + lead_v)
+    # x = lead * (1 + y) with val(y) > 0; 1/x = (1/lead) * sum (-y)^j,
+    # with y and its powers needed below target + val(x)
+    top = target + lead_k
+    y = tail.mono_shift(inv_m, inv_c).cut(top)
+    y_k = y.key_floor()
+    acc = one(p, cap).cut(top)
+    if y_k is not None:
+        power = one(p, cap).cut(top)
         neg_y = -y
-        j_v = Fraction(0)
-        while j_v < target + lead_v:
-            power = (power * neg_y).truncate(target + lead_v)
+        j_k = 0
+        while j_k < top:
+            power = (power * neg_y).cut(top)
             if power.is_zero():
                 break
             acc = acc + power
-            j_v += y_v
-    return acc.mono_shift(inv_m, inv_c).truncate(target)
+            j_k += y_k
+    return acc.mono_shift(inv_m, inv_c).cut(target)
 
 
 # -- text form --------------------------------------------------------
@@ -490,14 +533,15 @@ def _atom(text, i):
 
 
 def _cap(text, i):
-    """The rational of the O(...) whose 'O' ends at i; it must end the text."""
+    """(numerator, denominator) of the O(...) whose 'O' ends at i; it must
+    end the text."""
     i = _expect(text, i, "(")
     num, den, i = _rational(text, i)
     i = _expect(text, i, ")")
     if i != len(text):
         tok, pos, _ = _next_token(text, i)
         raise ParseError(f"trailing input after O(...): {tok!r}", pos)
-    return Fraction(num, den)
+    return num, den
 
 
 def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
@@ -517,7 +561,9 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
     p^cap, and the units of a term's atoms add up per variable.  Only an
     exponent off that lattice is kept as a Fraction, and the term's sum
     is validated by `exponent_units`, so u^{1/2}*u^{1/2} at p = 3 is u.
-    The O(...) cap, which comes at most once, is read token by token.
+    The O(...) cap, which comes at most once, is read token by token and
+    goes straight to its key bound, so a cap off the key lattice is
+    sharpened: O(1/7) at p = 3 reads as O(209/1458).
 
     Errors come as the grammar meets them, except that a character no
     token begins with, or trailing whitespace, is reported first wherever
@@ -538,7 +584,7 @@ def _scan(text, p, cap):
         raise ParseError("empty series literal")
     scale = p**cap
     acc = {}
-    prec = None
+    bound = None
     i = 0
     while True:
         coeff, a, b, off = 1, 0, 0, None
@@ -568,7 +614,7 @@ def _scan(text, p, cap):
         if not seen:
             tok, _, end = _next_token(text, i)
             if tok == "O":
-                prec = _cap(text, end)
+                bound = _ceil_key(*_cap(text, end), p, cap)
                 break
             raise ParseError(f"expected a term, found {tok!r}")
         if off:
@@ -576,13 +622,13 @@ def _scan(text, p, cap):
                 a = exponent_units(off["u"] + Fraction(a, scale), p, cap)
             if "t" in off:
                 b = exponent_units(off["t"] + Fraction(b, scale), p, cap)
-        key = (a, b)
+        key = mono_of(a, b, p)
         acc[key] = acc.get(key, 0) + coeff
         if i == len(text):
             break
         m = _PLUS_RE.match(text, i)
         i = m.end() if m is not None else _expect(text, i, "+")
-    return make_series(p, cap, acc, prec)
+    return make_series(p, cap, acc, bound)
 
 
 def _format_exp(q: Fraction) -> str:
@@ -603,7 +649,8 @@ def format_series(x: PerfSeries) -> str:
     """Canonical text form: terms in ascending valuation order, then O(prec)."""
     p, cap = x.p, x.cap
     parts = []
-    for (a, b), c in x.terms:
+    for m, c in x.terms:
+        a, b = mono_units(m, p)
         atoms = []
         if a:
             atoms.append(_format_atom("u", a, p, cap))
@@ -615,7 +662,7 @@ def format_series(x: PerfSeries) -> str:
             parts.append("*".join(atoms))
         else:
             parts.append(f"{c}*" + "*".join(atoms))
-    if x.prec is not None:
+    if x.bound is not None:
         parts.append(f"O({_format_exp(x.prec)})")
     if not parts:
         return "0"

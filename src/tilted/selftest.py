@@ -389,6 +389,9 @@ def check_linear_closure():
     rng = random.Random(9)
     scale = p**ring.DEFAULT_DENOM_CAP
 
+    def t_units(x):
+        return [ring.mono_units(m, p)[1] for m, _ in x.terms]
+
     def poly():
         acc = ring.zero(p)
         for _ in range(rng.randint(1, 3)):
@@ -403,14 +406,14 @@ def check_linear_closure():
         j = rng.randint(0, 3)
         f = ring.monomial(p, ring.DEFAULT_DENOM_CAP, rng.randrange(1, p), 0, j)
         z = f * x + y
-        moving = [Fraction(b, scale) for (_, b), _ in z.terms if b]
+        moving = [Fraction(b, scale) for b in t_units(z) if b]
         if not moving:
             continue
         trials += 1
         mu = min(moving)
         naive = min(
-            [j + Fraction(b, scale) for (_, b), _ in x.terms if j + Fraction(b, scale) != 0]
-            + [Fraction(b, scale) for (_, b), _ in y.terms if b]
+            [j + Fraction(b, scale) for b in t_units(x) if j + Fraction(b, scale) != 0]
+            + [Fraction(b, scale) for b in t_units(y) if b]
         )
         ck.check(mu >= naive, f"trial={trials}: bookkeeping bound {naive} > {mu}")
         verdict = holder.sh_test(z, fam, cp, mu, i_max=3)

@@ -39,6 +39,12 @@ GOLDEN = [
         '"levels": ["5/18", "11/18", "29/18", "83/18"]}\n',
     ),
     (["deperfect", "t^{1/9}"], '{"schema": 1, "level": 2}\n'),
+    # a cap off the key lattice prints sharpened to ceil(prec*(p-1)*p^cap)
+    # / ((p-1)*p^cap), which cuts the same terms: 1/7 -> 209/1458 at p = 3
+    (
+        ["eval", "u + t + O(1/7)", "--p", "3"],
+        '{"schema": 1, "series": "O(209/1458)", "val": null, "prec": "209/1458"}\n',
+    ),
     (
         ["newton", "--p", "3", "--eK", "2", "--n", "1"],
         '{"schema": 1, "elementary": true, "slope": "-10/9", "expected_slope": "-10/9", '

@@ -11,7 +11,15 @@ import pytest
 
 from tilted import ring
 from tilted.errors import CapExceeded, ParseError
-from tilted.ring import DEFAULT_DENOM_CAP, PerfSeries, check_ring, exponent_units, make_series
+from tilted.ring import (
+    DEFAULT_DENOM_CAP,
+    PerfSeries,
+    check_ring,
+    exponent_units,
+    key_bound,
+    make_series,
+    mono_of,
+)
 
 # -- the oracle parser ------------------------------------------------
 
@@ -143,12 +151,12 @@ def oracle_parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> Perf
                 raise ParseError(f"trailing input after O(...): {tok!r}", pos)
             break
         coeff, eu, et = parser.term(p, cap)
-        m = (exponent_units(eu, p, cap), exponent_units(et, p, cap))
+        m = mono_of(exponent_units(eu, p, cap), exponent_units(et, p, cap), p)
         acc[m] = acc.get(m, 0) + coeff
         if parser.peek() is None:
             break
         parser.expect("+")
-    return make_series(p, cap, acc, prec)
+    return make_series(p, cap, acc, key_bound(prec, p, cap))
 
 
 
@@ -340,12 +348,13 @@ def test_format_parse_round_trip(p, cap):
     rng = random.Random(f"round-trip-{p}-{cap}")
     scale = p**cap
     for _ in range(200):
-        acc = {
+        units = {
             (rng.randint(-3 * scale, 3 * scale), rng.randint(-3 * scale, 3 * scale)): rng.randint(1, p - 1)
             for _ in range(rng.randint(0, 5))
         }
+        acc = {mono_of(a, b, p): c for (a, b), c in units.items()}
         prec = rng.choice([None, Fraction(rng.randint(-9, 40), rng.choice([1, 2, 3, p]))])
-        x = make_series(p, cap, acc, prec)
+        x = make_series(p, cap, acc, key_bound(prec, p, cap))
         text = ring.format_series(x)
         assert ring.parse_series(text, p, cap) == x
         assert ring.format_series(oracle_parse_series(text, p, cap)) == text

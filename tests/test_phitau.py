@@ -276,6 +276,14 @@ class TestModuleSh:
         with pytest.raises(ValueError, match="base level"):
             fn(mod_d2, -1)
 
+    def test_cap_is_not_a_level(self):
+        # Mat(tau^25) = 1 + O(17): the difference at level 2 is only a cap
+        mod = phitau.basechange_generate(1, seed=0, p=5, prec=18)
+        assert str(phitau.mat_of(mod, galois.tau(25)).rows[0][0]) == "1 + O(17)"
+        assert phitau.matrix_sh_test(mod, 0, i_max=1).levels == (Fraction(5, 4), Fraction(25, 4))
+        with pytest.raises(PreconditionViolated, match="vanish to precision"):
+            phitau.matrix_sh_test(mod, 0, i_max=2)
+
     def test_rejects_negative_n(self, mod_d2):
         with pytest.raises(ValueError, match="n >= 0"):
             phitau.module_sh_test(mod_d2, 0, n=-1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from tilted import ring
+from tilted import galois, ring
 from tilted.errors import (
     CapExceeded,
     NonDominantLeading,
@@ -203,3 +203,25 @@ def test_cap_out_of_range_rejected(cap):
 def test_is_prime():
     assert [n for n in range(30) if ring.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert ring.is_prime(2**61 - 1) and not ring.is_prime(3215031751)
+
+
+def test_capped_arithmetic_builds_no_fraction(monkeypatch):
+    # caps are int key bounds: products, sums, Frobenius, monomial shifts
+    # and the tau-action on capped series are int arithmetic throughout
+    x = s("2*u^{-1/3}*t^{2/9} + t + u*t^{-1} + O(7)")
+    y = s("1 + u^{1/9} + 2*t^{4/3} + O(5)")
+    z = s("O(3/2)")
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    w = (x * y + z) * x - y * z
+    w = ring.frobenius_inv(ring.frobenius(w)) * x.mono_shift(ring.mono_of(-3**CAP, 2 * 3**CAP, P), 2)
+    w = galois.act(galois.tau(5), w) + galois.act(galois.tau(-2), w * y)
+    monkeypatch.undo()
+    assert built == []
+    assert w.terms and w.bound is not None

@@ -7,6 +7,7 @@ ints scaled by p^cap.  Each operation compares the canonical text and
 the precision cap.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -211,6 +212,67 @@ def test_frobenius_inv_against_oracle(p, cap):
     assert raised  # the cap check is exercised
 
 
+# caps off the key lattice at some of the primes
+OFF_LATTICE = (Fraction(1, 7), Fraction(2, 5), Fraction(3, 11))
+
+
+def _random_off(rng, p, cap):
+    x = _random(rng, p, cap)
+    if x.prec is None:
+        return x
+    return x.like(x.terms, rng.randint(0, 8) + rng.choice(OFF_LATTICE))
+
+
+def _sharpened(got, want, bound=None):
+    """got has want's terms, and its cap is want's rounded up to the key
+    lattice, bound = ceil(prec * (p-1) * p^cap), or the given bound when
+    that is sharper."""
+    p, cap = want.p, want.cap
+    scale = p**cap
+    units = {ring.mono_units(m, p): c for m, c in got.terms}
+    assert {(Fraction(a, scale), Fraction(b, scale)): c for (a, b), c in units.items()} == want.terms
+    if want.prec is None:
+        assert got.bound is None
+    else:
+        ceil = math.ceil(want.prec * (p - 1) * scale)
+        assert got.bound == (ceil if bound is None else bound)
+        assert got.bound >= ceil and got.prec >= want.prec
+
+
+@pytest.mark.parametrize("p,cap", CASES)
+def test_off_lattice_caps_against_oracle(p, cap):
+    rng = random.Random(f"off-lattice-{p}-{cap}")
+    for _ in range(30):
+        x, y = _random_off(rng, p, cap), _random_off(rng, p, cap)
+        lx, ly = ring.parse_series(str(x), p, cap), ring.parse_series(str(y), p, cap)
+        _sharpened(lx, x)
+        # O(a) * O(b) is known below K_a + K_b >= ceil(a + b)
+        both = None if lx.terms or ly.terms or None in (lx.bound, ly.bound) else lx.bound + ly.bound
+        _sharpened(lx * ly, x * y, both)
+        _sharpened(lx + ly, x + y)
+        _sharpened(lx - ly, x + -y)
+        m = (Fraction(rng.randint(-3, 3), p), Fraction(rng.randint(-3, 3), p**2))
+        _sharpened(lx.mono_shift(ring.mono_of(m[0] * p**cap, m[1] * p**cap, p)), x.shift(m, 1))
+        prec = rng.randint(-2, 8) + rng.choice(OFF_LATTICE)
+        _sharpened(lx.truncate(prec), x.truncate(prec))
+        _sharpened(ring.zero(p, cap, prec), x.like({}, prec))
+        # Frobenius multiplies the bound by p, at least ceil(p*prec*...)
+        _sharpened(ring.frobenius(lx), x.frobenius(), None if lx.bound is None else p * lx.bound)
+        got = _outcome(lambda: ring.frobenius_inv(lx))
+        want = _outcome(x.frobenius_inv)
+        if isinstance(want, O):
+            _sharpened(got, want)
+        else:
+            assert got is want is CapExceeded
+        inv_prec = rng.randint(-4, 8) + rng.choice(OFF_LATTICE) if rng.random() < 0.8 else None
+        got = _outcome(lambda: ring.invert(lx, inv_prec))
+        want = _outcome(lambda: x.invert(inv_prec))
+        if isinstance(want, O):
+            _sharpened(got, want)
+        else:
+            assert got is want
+
+
 def test_sort_key_matches_valuation_order():
     # four monomials of valuation 1, ordered by their u exponent
     p = 3
@@ -229,6 +291,8 @@ def test_precision_threshold_is_exact():
 
 
 def test_mono_val_reads_ints():
-    assert ring.mono_val((3, -9), 3, 2) == Fraction(1, 2) - 1
+    assert ring.mono_of(3, -9, 3) == (-9, 3)
+    assert ring.mono_units((-9, 3), 3) == (3, -9)
+    assert ring.mono_val((-9, 3), 3, 2) == Fraction(1, 2) - 1
     assert ring.lowest_terms(18, 3, 4) == (2, 2)
     assert ring.exponent_units(Fraction(2, 9), 3, 4) == 18

@@ -63,8 +63,10 @@ def oracle_matrix_sh_test(module, k, plam=None, i_max=2):
         vmin = None
         for m in holder.default_samples(p):
             g = galois.tau(m * p ** (k + i))
-            floor = (phitau.mat_of(module, g) - ident).val_floor()
-            if floor is None:
+            diff = phitau.mat_of(module, g) - ident
+            floor = diff.val_floor()
+            known = [e.val() for row in diff.rows for e in row if e.terms]
+            if floor is None or floor not in known:
                 continue
             vmin = floor if vmin is None else min(vmin, floor)
         if vmin is None:
