@@ -68,29 +68,6 @@ def inverse(g: GroupElem, p: int, nacc: int = 24) -> GroupElem:
     return GroupElem(c, ainv, new_nacc)
 
 
-def _lucas_terms(m: int, p: int, bound: int | None) -> list[tuple[int, int]]:
-    """The pairs (j, C(m, j) mod p) with C(m, j) != 0 mod p and j < bound
-    (None: no bound), for m >= 0.
-
-    By Lucas' theorem these are the j whose base-p digits are each at
-    most the matching digit of m, and C(m, j) is the product of the
-    digit binomials.  Digits are added from the least significant up, so
-    a partial j at or above the bound is final and can be dropped.
-    """
-    terms = [(0, 1)] if bound is None or bound > 0 else []
-    place = 1
-    while m:
-        m, digit = divmod(m, p)
-        terms = [
-            (j + i * place, c * math.comb(digit, i) % p)
-            for i in range(digit + 1)
-            for j, c in terms
-            if bound is None or j + i * place < bound
-        ]
-        place *= p
-    return terms
-
-
 def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeries:
     """(1+u)^r for r in Z[1/p], computed as (1 + v)^m for r = m/p^k and
     v = u^(1/p^k).
@@ -105,11 +82,16 @@ def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeri
     return _eps_pow(m, k, p, cap, ring.key_bound(prec, p, cap))
 
 
-def _eps_pow(m: int, k: int, p: int, cap: int, bound: int | None) -> PerfSeries:
-    """`eps_pow` of r = m/p^k in lowest terms, cut at the key bound
-    (None: exact)."""
-    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p
-    unit = p ** (cap - k)
+def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tuple[int, int]]:
+    """The nonzero terms of (1+v)^m, v = u^(1/p^k), whose key lies below
+    the key bound (None: all of them), as pairs (j, C(m, j) mod p) for
+    the terms C(m, j) v^j, with m reduced mod p^N as in `eps_pow`.
+
+    By Lucas' theorem these are the j whose base-p digits are each at
+    most the matching digit of m, and C(m, j) is the product of the
+    digit binomials.  Digits are added from the least significant up, so
+    a partial j at or above the bound is final and can be dropped.
+    """
     if bound is None:
         if m < 0:
             raise PrecisionRequired("eps_pow with negative exponent needs a cap")
@@ -117,13 +99,33 @@ def _eps_pow(m: int, k: int, p: int, cap: int, bound: int | None) -> PerfSeries:
             raise PrecisionRequired(f"exact expansion of (1+u)^{m} is too large")
         jmax = None
     else:
-        # j * unit * p < bound  <=>  j < ceil(bound / (unit * p))
-        jmax = -(-bound // (unit * p))
+        # v^j = u^(j/p^k) has key j * p^(cap-k) * p, below the bound
+        # exactly when j < ceil(bound / p^(cap-k+1))
+        jmax = -(-bound // p ** (cap - k + 1))
         modulus = 1
         while modulus < jmax:
             modulus *= p
         m %= modulus
-    acc = {(j * unit * p, j * unit): c for j, c in _lucas_terms(m, p, jmax)}
+    terms = [(0, 1)] if jmax is None or jmax > 0 else []
+    place = 1
+    while m:
+        m, digit = divmod(m, p)
+        terms = [
+            (j + i * place, c * math.comb(digit, i) % p)
+            for i in range(digit + 1)
+            for j, c in terms
+            if jmax is None or j + i * place < jmax
+        ]
+        place *= p
+    return terms
+
+
+def _eps_pow(m: int, k: int, p: int, cap: int, bound: int | None) -> PerfSeries:
+    """`eps_pow` of r = m/p^k in lowest terms, cut at the key bound
+    (None: exact)."""
+    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p
+    unit = p ** (cap - k)
+    acc = {(j * unit * p, j * unit): c for j, c in _eps_terms(m, k, p, cap, bound)}
     return ring.make_series(p, cap, acc, bound)
 
 
@@ -173,21 +175,15 @@ def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
         )
 
 
-def _accumulate(acc: dict, image: PerfSeries, bound):
-    """Add image's terms into acc; return the joint key bound."""
-    for m, c in image.terms:
-        acc[m] = acc.get(m, 0) + c
-    return min_prec(bound, image.bound)
-
-
 def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
+    get = acc.get
     bound = eff
     for m, c in x.terms:
         eu, et = ring.mono_units(m, p)
         if eu == 0:
-            acc[m] = acc.get(m, 0) + c
+            acc[m] = get(m, 0) + c
             continue
         mm, k = ring.lowest_terms(eu, p, cap)
         # the t^et factor, of key et * (p-1), is fixed
@@ -198,25 +194,35 @@ def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
             f = w**mm
         else:
             f = ring.invert(w ** (-mm), ring.bound_prec(target, p, cap))
-        bound = _accumulate(acc, f.mono_shift((t_key, 0), c), bound)
+        # the image c * f * t^et: f's terms shifted by the t factor's key
+        for (fk, fa), fc in f.terms:
+            mono = (fk + t_key, fa)
+            acc[mono] = get(mono, 0) + fc * c
+        if f.bound is not None:
+            bound = min_prec(bound, f.bound + t_key)
     return ring.make_series(p, cap, acc, bound)
 
 
 def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
-    bound = eff
+    get = acc.get
     for m, co in x.terms:
         et = ring.mono_units(m, p)[1]
         if et == 0:
-            acc[m] = acc.get(m, 0) + co
+            acc[m] = get(m, 0) + co
             continue
         # u^A t^B is fixed, so its factor (1+u)^(c*B) is needed below
-        # eff - key only
-        target = None if eff is None else eff - m[0]
-        factor = _eps_pow(*ring.lowest_terms(c * et, p, cap), p, cap, target)
-        bound = _accumulate(acc, factor.mono_shift(m, co), bound)
-    return ring.make_series(p, cap, acc, bound)
+        # eff - key only, and each of its terms v^j lands on the
+        # monomial shifted by v^j's key and u units
+        key, units = m
+        mm, k = ring.lowest_terms(c * et, p, cap)
+        unit = p ** (cap - k)
+        for j, cj in _eps_terms(mm, k, p, cap, None if eff is None else eff - key):
+            ju = j * unit
+            mono = (key + ju * p, units + ju)
+            acc[mono] = get(mono, 0) + cj * co
+    return ring.make_series(p, cap, acc, eff)
 
 
 def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:

@@ -63,29 +63,13 @@ class MatSeries:
         )
 
     def __mul__(self, other):
-        d = self.d
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = None
-                for l in range(d):
-                    term = self.rows[i][l] * other.rows[l][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return MatSeries.from_rows(out)
+        cols = tuple(zip(*other.rows))
+        return MatSeries.from_rows(
+            [[ring.dot(zip(row, col)) for col in cols] for row in self.rows]
+        )
 
     def vecmul(self, coords):
-        d = self.d
-        out = []
-        for i in range(d):
-            acc = None
-            for l in range(d):
-                term = self.rows[i][l] * coords[l]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        return tuple(ring.dot([(x, coords[l]) for l, x in enumerate(row)]) for row in self.rows)
 
     def scale_series(self, s: PerfSeries):
         return self.map(lambda e: s * e)
@@ -119,8 +103,9 @@ class MatSeries:
         Every minor is computed once (`_minors`).  The rows of each minor
         are a suffix of 0..d-1, so there are 2^d minors and
         d 2^(d-1) - d series products, against about (e-1) d! for the
-        plain recursion.  Nothing is divided, so the O(.) caps are those
-        of the plain recursion exactly.
+        plain recursion, and each minor's products are summed by one
+        `ring.dot`, normalized once.  Nothing is divided, so the O(.) caps
+        are those of the plain recursion exactly.
         """
         full = tuple(range(self.d))
         return _minors(self.rows)(full, full)
@@ -129,14 +114,16 @@ class MatSeries:
         """Transposed cofactor matrix.  Cofactor (i, j) is the minor on
         rows != i and columns != j, expanded as in `det`, and the cofactors
         share their minors: 810 series products at d = 6 and 5,544 at
-        d = 8, against 7,380 and 554,176 for the plain recursion."""
+        d = 8, against 7,380 and 554,176 for the plain recursion.  Each
+        minor is one normalization (`ring.dot`)."""
         return self._adjugate(_minors(self.rows))
 
     def inverse(self, prec=None):
         """adj(M) det(M)^{-1} to prec.  The determinant's first-row minors
         are the cofactors (0, j), so det and adjugate share one table: the
         minors take 816 series products at d = 6 and 5,552 at d = 8,
-        against 8,616 and 623,456 for the plain recursion."""
+        against 8,616 and 623,456 for the plain recursion.  Each minor is
+        one normalization (`ring.dot`)."""
         minor = _minors(self.rows)
         full = tuple(range(self.d))
         detinv = ring.invert(minor(full, full), prec)
@@ -164,7 +151,8 @@ class MatSeries:
 def _minors(rows):
     """minor(R, C): the determinant of the submatrix on row tuple R and
     column tuple C, expanded along R's first row; memoized, so that each
-    minor costs one product per column once its own minors are known."""
+    minor costs one product per column once its own minors are known.
+    Each minor is one alternating `ring.dot`, normalized once."""
     table = {}
 
     def minor(r, c):
@@ -175,12 +163,10 @@ def _minors(rows):
             val = rows[r[0]][c[0]]
         else:
             top, rest = rows[r[0]], r[1:]
-            val = None
-            for k, col in enumerate(c):
-                term = top[col] * minor(rest, c[:k] + c[k + 1 :])
-                if k % 2 == 1:
-                    term = -term
-                val = term if val is None else val + term
+            val = ring.dot(
+                [(top[col], minor(rest, c[:k] + c[k + 1 :])) for k, col in enumerate(c)],
+                alternating=True,
+            )
         table[key] = val
         return val
 

@@ -28,11 +28,19 @@ its inverse takes ceil(K/p).  A cap given off the lattice, such as
 O(1/7) at p = 3, is sharpened to K/((p-1)*p^D) = 209/1458, which cuts
 the same terms.  Fractions appear only at the edges: valuations, the
 ``prec`` of a series, ``prec=`` arguments, and the text form.
+
+Every product goes through one kernel, `dot`, which forms a sum of
+products x_1*y_1 + ... + x_n*y_n in one dict and normalizes it once,
+under the least of the products' bounds.  Its terms and cap are those of
+the chained ``*`` and ``+``: each product keeps every key below its own
+bound, so below the least one, and coefficients add mod p either way.
+A product x*y is the one-pair `dot`.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -254,19 +262,7 @@ class PerfSeries:
         )
 
     def __mul__(self, other):
-        self._check_compatible(other)
-        # the product is known below key0(x) + K_y and key0(y) + K_x
-        bound = min_prec(
-            _plus(self.key_floor(), other.bound),
-            _plus(other.key_floor(), self.bound),
-        )
-        acc = {}
-        get = acc.get
-        for (k1, a1), c1 in self.terms:
-            for (k2, a2), c2 in other.terms:
-                m = (k1 + k2, a1 + a2)
-                acc[m] = get(m, 0) + c1 * c2
-        return make_series(self.p, self.cap, acc, bound)
+        return dot(((self, other),))
 
     def mono_shift(self, mono: tuple[int, int], coeff: int = 1):
         """Multiply by a single monomial coeff * mono (coeff a unit), mono
@@ -299,7 +295,9 @@ class PerfSeries:
         newbound = min_prec(self.bound, bound)
         if newbound == self.bound:
             return self
-        return make_series(self.p, self.cap, dict(self.terms), newbound)
+        # the terms are sorted by key: keep the prefix below the bound
+        end = bisect_left(self.terms, newbound, key=_lead_key)
+        return PerfSeries(self.p, self.cap, newbound, self.terms[:end])
 
     # -- presentation -------------------------------------------------
 
@@ -315,6 +313,49 @@ def _plus(k, bound):
     if k is None or bound is None:
         return None
     return k + bound
+
+
+def _lead_key(term):
+    return term[0][0]
+
+
+def dot(pairs, alternating=False) -> PerfSeries:
+    """The sum of products x_1*y_1 + ... + x_n*y_n over the (x, y) pairs,
+    or the alternating sum x_1*y_1 - x_2*y_2 + ... with ``alternating``,
+    as in a cofactor expansion; at least one pair is needed.
+
+    Every term product goes into one dict, normalized once by
+    `make_series` under the least of the products' key bounds
+    min(key0(x) + K_y, key0(y) + K_x).  The terms and cap are exactly
+    those of the chained products and sums: each product keeps every key
+    below its own bound, and coefficients add mod p either way.
+    """
+    acc = {}
+    get = acc.get
+    bound = None
+    p = cap = None
+    sign = 1
+    for x, y in pairs:
+        if p is None:
+            p, cap = x.p, x.cap
+        if x.p != p or y.p != p or x.cap != cap or y.cap != cap:
+            raise ValueError("series have different p or denominator cap")
+        # this product is known below key0(x) + K_y and key0(y) + K_x
+        kx, ky = x.key_floor(), y.key_floor()
+        if kx is not None and y.bound is not None:
+            bound = min_prec(bound, kx + y.bound)
+        if ky is not None and x.bound is not None:
+            bound = min_prec(bound, ky + x.bound)
+        for (k1, a1), c1 in x.terms:
+            c1 *= sign
+            for (k2, a2), c2 in y.terms:
+                m = (k1 + k2, a1 + a2)
+                acc[m] = get(m, 0) + c1 * c2
+        if alternating:
+            sign = -sign
+    if p is None:
+        raise ValueError("dot needs at least one pair")
+    return make_series(p, cap, acc, bound)
 
 
 def make_series(p, cap, termdict, bound=None) -> PerfSeries:
@@ -419,9 +460,8 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
     top = target + lead_k
     y = tail.mono_shift(inv_m, inv_c).cut(top)
     y_k = y.key_floor()
-    acc = one(p, cap).cut(top)
+    acc = power = one(p, cap).cut(top)
     if y_k is not None:
-        power = one(p, cap).cut(top)
         neg_y = -y
         j_k = 0
         while j_k < top:
