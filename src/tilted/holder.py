@@ -83,15 +83,13 @@ def default_samples(p: int):
     return tuple(range(1, p))
 
 
-def level_samples(measure, fam: SubgroupFamily, p: int, i_max: int, m_samples=None):
+def level_samples(measure, fam: SubgroupFamily, p: int, i_max: int):
     """For each level i = 0..i_max in turn, the list of (g, measure(g))
-    over the level elements g = fam.element(i, m, p), m in m_samples
-    (default 1..p-1).  Lazy: a caller that stops at a level measures no
-    later one."""
-    if m_samples is None:
-        m_samples = default_samples(p)
+    over the level elements g = fam.element(i, m, p), m = 1..p-1.  Lazy:
+    a caller that stops at a level measures no later one."""
+    samples = default_samples(p)
     for i in range(i_max + 1):
-        yield [(g, measure(g)) for g in (fam.element(i, m, p) for m in m_samples)]
+        yield [(g, measure(g)) for g in (fam.element(i, m, p) for m in samples)]
 
 
 def min_known(values):
@@ -131,12 +129,7 @@ def _orbit_floor(x: PerfSeries, g: GroupElem):
 
 
 def sh_test(
-    x: PerfSeries,
-    fam: SubgroupFamily,
-    plam: PPow | Fraction,
-    mu,
-    i_max: int,
-    m_samples=None,
+    x: PerfSeries, fam: SubgroupFamily, plam: PPow | Fraction, mu, i_max: int
 ) -> ShVerdict:
     """Check val((g-1)x) >= p^lambda p^i + mu on sampled level elements.
 
@@ -148,14 +141,12 @@ def sh_test(
         plam = PPow.rational(plam)
     mu = Fraction(mu)
     p = x.p
-    if m_samples is not None and not m_samples:
-        raise ValueError("m_samples must be nonempty")
     if i_max < 0:
         raise ValueError("need i_max >= 0 to test any level")
     margins = []
     witness = None
     inconclusive = False
-    levels = level_samples(functools.partial(_orbit_floor, x), fam, p, i_max, m_samples)
+    levels = level_samples(functools.partial(_orbit_floor, x), fam, p, i_max)
     for i, level in enumerate(levels):
         bound_i = plam.shift(i)
         for g, (v, floor) in level:
@@ -187,10 +178,10 @@ class ShEstimate:
     levels: tuple[Fraction, ...]
 
 
-def _level_minima(x, fam, i_max, m_samples=None):
+def _level_minima(x, fam, i_max):
     """Least exact val((g-1)x) at each level; None where every sampled
     difference vanished to precision."""
-    levels = level_samples(functools.partial(_orbit_floor, x), fam, x.p, i_max, m_samples)
+    levels = level_samples(functools.partial(_orbit_floor, x), fam, x.p, i_max)
     return tuple(min_known(v for _, (v, _) in level) for level in levels)
 
 
@@ -205,13 +196,13 @@ def fit_exponent(levels, p):
     return plam_hat, mu_hat, consistent
 
 
-def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int, m_samples=None) -> ShEstimate:
+def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int) -> ShEstimate:
     """Fit (p^lambda, mu) from measured margins: consecutive level minima
     satisfy v_{i+1} - v_i = p^lambda p^i (p-1) for a true exponent."""
     if i_max < 2:
         raise ValueError("need i_max >= 2 to fit an exponent")
     p = x.p
-    levels = _level_minima(x, fam, i_max, m_samples)
+    levels = _level_minima(x, fam, i_max)
     if all(v is None for v in levels):
         raise DegenerateOrbit("x is fixed to precision by all sampled elements")
     if None in levels:
@@ -231,7 +222,7 @@ class WitnessReport:
 
 
 def nonmembership_witness(
-    x: PerfSeries, fam: SubgroupFamily, plam: PPow | Fraction, i_max: int, m_samples=None
+    x: PerfSeries, fam: SubgroupFamily, plam: PPow | Fraction, i_max: int
 ) -> WitnessReport:
     """Refute membership at exponent p^lambda by exhibiting margins
     m_i = v_i - p^lambda p^i that decrease strictly and at a worsening
@@ -245,7 +236,7 @@ def nonmembership_witness(
     if not isinstance(plam, PPow):
         plam = PPow.rational(plam)
     p = x.p
-    levels = _level_minima(x, fam, i_max, m_samples)
+    levels = _level_minima(x, fam, i_max)
     if None in levels:
         # fixed (or beyond precision) points cannot be refuted this way
         return WitnessReport(False, tuple(v for v in levels if v is not None), plam, None)
@@ -281,26 +272,3 @@ def deperfection_level(x: PerfSeries) -> int | None:
         (ring.lowest_terms(ring.mono_units(m, p)[1], p, cap)[1] for m, _ in x.terms), default=0
     )
 
-
-@dataclass(frozen=True)
-class GammaFixedReport:
-    fixed: bool
-    structural: bool  # no monomial involves u at all
-    witness: int | None = None  # failing sample a
-
-    def __bool__(self):
-        return self.fixed
-
-
-def gamma_fixed_test(x: PerfSeries, a_samples, prec) -> GammaFixedReport:
-    """Check (gamma_a - 1)x vanishes below prec for all sampled a."""
-    structural = not any(a for (_, a), _ in x.terms)
-    prec = Fraction(prec)
-    for a in a_samples:
-        d = galois.act(galois.gamma(a), x, prec) - x.truncate(prec)
-        floor = d.val_floor()
-        if floor is not None and floor >= prec:
-            continue
-        if not d.is_zero():
-            return GammaFixedReport(False, structural, a)
-    return GammaFixedReport(True, structural)

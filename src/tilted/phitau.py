@@ -17,7 +17,7 @@ from . import galois, holder, ring
 from .errors import NonConvergence, ParseError, PreconditionViolated
 from .galois import GroupElem
 from .holder import PPow
-from .ring import PerfSeries, min_prec
+from .ring import PerfSeries
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,7 @@ class MatSeries:
 
     def val_floor(self):
         """min over entries of the certified valuation bound."""
-        floor = None
-        for row in self.rows:
-            for e in row:
-                v = e.val_floor()
-                if v is not None:
-                    floor = v if floor is None else min(floor, v)
-        return floor
+        return holder.min_known(e.val_floor() for row in self.rows for e in row)
 
     def is_zero(self):
         return all(e.is_zero() for row in self.rows for e in row)
@@ -223,21 +217,22 @@ def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None):
 # -- cocycle ----------------------------------------------------------
 
 
-def mat_of(module: PhiTauModule, g: GroupElem, prec=None) -> MatSeries:
-    """Matrix of tau^c gamma_a on the module basis.
+def mat_of(module: PhiTauModule, g: GroupElem) -> MatSeries:
+    """Matrix of tau^c gamma_a on the module basis, to the module's
+    precision.
 
     Only the tau component contributes: Mat(gamma_a) = Id by the
     invariance condition in the module definition.  Composite powers use
     the cocycle Mat(tau^(m+n)) = Mat(tau^m) * tau^m(Mat(tau^n)) with a
     square-and-multiply addition chain.
     """
-    prec = min_prec(prec, module.prec)
+    prec = module.prec
     c = g.c
     d, p, cap = module.d, module.p, module.cap
     if c == 0:
         return MatSeries.identity(d, p, cap, prec)
     if c < 0:
-        pos = mat_of(module, galois.tau(-c), prec)
+        pos = mat_of(module, galois.tau(-c))
         return pos.act(galois.tau(c), prec).inverse(prec)
     base = module.mat_tau.truncate(prec)
     bits = bin(c)[2:]
@@ -253,10 +248,11 @@ def mat_of(module: PhiTauModule, g: GroupElem, prec=None) -> MatSeries:
     return acc
 
 
-def cocycle_check(module: PhiTauModule, g: GroupElem, prec=None):
-    """Residual of P phi(Mat(g)) - Mat(g) (g.P); returns (ok, floor)."""
-    prec = min_prec(prec, module.prec)
-    mat_g = mat_of(module, g, prec)
+def cocycle_check(module: PhiTauModule, g: GroupElem):
+    """Residual of P phi(Mat(g)) - Mat(g) (g.P) to the module's
+    precision; returns (ok, floor)."""
+    prec = module.prec
+    mat_g = mat_of(module, g)
     lhs = module.frob.truncate(prec) * mat_g.frobenius()
     rhs = mat_g * module.frob.act(g, prec)
     resid = (lhs - rhs).truncate(prec)
@@ -278,8 +274,6 @@ def basechange_generate(
     kappa[t, 1/t] as a product of elementary and unit-diagonal factors,
     then P = B^{-1} phi(B), Mat(tau) = B^{-1} tau(B), lattice W = B^{-1}.
     """
-    if not ring.is_prime(p):
-        raise ValueError(f"p must be a prime, got p={p}")
     ring.check_ring(p, cap)
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -330,16 +324,7 @@ def basechange_from_matrix(b: MatSeries, binv: MatSeries, prec) -> PhiTauModule:
 def v_tau(coords) -> Fraction | None:
     """min of coordinate valuations; None marks an all-unknown vector
     (bounded below by the precision caps)."""
-    floor = None
-    exact = False
-    for c in coords:
-        v = c.val()
-        if v is not None:
-            floor = v if floor is None else min(floor, v)
-            exact = True
-    if exact:
-        return floor
-    return None
+    return holder.min_known(c.val() for c in coords)
 
 
 def v_tilde(module: PhiTauModule, coords) -> Fraction | None:
@@ -348,11 +333,11 @@ def v_tilde(module: PhiTauModule, coords) -> Fraction | None:
     return v_tau(w_inv.vecmul(coords))
 
 
-def module_act(module: PhiTauModule, g: GroupElem, coords, prec=None):
-    """Semilinear action on coordinates: Mat(g) . (g applied entrywise)."""
-    prec = min_prec(prec, module.prec)
-    acted = tuple(galois.act(g, c, prec) for c in coords)
-    return mat_of(module, g, prec).vecmul(acted)
+def module_act(module: PhiTauModule, g: GroupElem, coords):
+    """Semilinear action on coordinates, Mat(g) . (g applied entrywise),
+    to the module's precision."""
+    acted = tuple(galois.act(g, c, module.prec) for c in coords)
+    return mat_of(module, g).vecmul(acted)
 
 
 def _sample_coords(module, rng):
@@ -399,11 +384,11 @@ class DescentReport:
     iterations: int
     residual_val: Fraction | None
     q_val: Fraction
-    residual_history: tuple = ()
+    residual_history: tuple
 
 
-def integral_twist(module: PhiTauModule, s: int | None = None) -> PhiTauModule:
-    """Rescale the basis by t^s so that P becomes integral.
+def integral_twist(module: PhiTauModule) -> PhiTauModule:
+    """Rescale the basis by t^s, s >= 0 least, so that P becomes integral.
 
     On the twisted basis P' = t^(s(p-1)) P, and Mat'(tau^c) picks up the
     unit scalar tau^c(t^s) t^{-s} = eps^(cs); for the generator this is
@@ -411,10 +396,9 @@ def integral_twist(module: PhiTauModule, s: int | None = None) -> PhiTauModule:
     """
     p, cap = module.p, module.cap
     floor = module.frob.val_floor()
-    if s is None:
-        s = 0
-        while s * (p - 1) + floor < 0:
-            s += 1
+    s = 0
+    while s * (p - 1) + floor < 0:
+        s += 1
     if s == 0:
         return module
     t_up = ring.monomial(p, cap, 1, 0, s * (p - 1))
@@ -478,14 +462,14 @@ def descend_fixed_point(
     target_prec = Fraction(target_prec)
     p, d, cap = module.p, module.d, module.cap
     prec = module.prec
-    t_series = ring.t_var(p, cap)
     frob_mat = module.frob.truncate(prec)
 
-    p_inv = frob_mat.inverse(prec)
-    pre_floor = p_inv.val_floor()
+    # g acts isometrically, so (g.P)^{-1} = g(P^{-1}) has the floor of P^{-1}
+    gp_inv = frob_mat.act(g, prec).inverse(prec)
+    pre_floor = gp_inv.val_floor()
     if pre_floor is None or r + pre_floor < 1:
         raise PreconditionViolated(f"t^{r} P^-1 is not in t * integral matrices")
-    mat_g = mat_of(module, g, prec)
+    mat_g = mat_of(module, g)
     ident = MatSeries.identity(d, p, cap, prec)
     dev = (mat_g - ident).val_floor()
     if dev is not None and dev < r:
@@ -493,8 +477,6 @@ def descend_fixed_point(
             f"val(Mat(g) - Id) = {dev} < r = {r}; raise the level of g"
         )
 
-    gp = frob_mat.act(g, prec)
-    gp_inv = gp.inverse(prec)
     t_pow = ring.monomial(p, cap, 1, 0, r * (p - 1))
     q_g = gp_inv.scale_series(t_pow)
     q_val = q_g.val_floor()
@@ -553,14 +535,18 @@ class MatrixShReport:
 def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> MatrixShReport:
     """Measure val(Mat(g) - Id) over the tau family at base level k,
     g = tau^(m p^(k+i)) for m = 1..p-1 and i = 0..i_max, and fit the
-    exponent of the matrix-valued orbit map.  When a target p^lambda is
-    supplied the status records whether the fitted exponent matches it.
+    exponent of the matrix-valued orbit map, all to the module's precision.
+    When a target p^lambda = q p^s (a `PPow`, or a rational q) is supplied,
+    the status records whether the fitted exponent equals it, compared
+    exactly by `PPow.cmp`; a target <= 0 raises ValueError.
 
     A sample counts only when a known entry term attains the difference's
     floor; a difference whose floor is an entry's cap vanished to
     precision, and a level of such samples raises PreconditionViolated."""
     if i_max < 1:
         raise ValueError("need i_max >= 1 to fit an exponent")
+    if plam is not None and not isinstance(plam, PPow):
+        plam = PPow.rational(plam)
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     p, d = module.p, module.d
     ident = MatSeries.identity(d, p, module.cap, module.prec)
@@ -579,13 +565,10 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
     if plam is None:
         status = holder.Status.PASS if consistent else holder.Status.INCONCLUSIVE
+    elif consistent and plam.cmp(plam_hat, p) == 0:
+        status = holder.Status.PASS
     else:
-        plam = plam.q * Fraction(p) ** plam.s if isinstance(plam, PPow) else Fraction(plam)
-        status = (
-            holder.Status.PASS
-            if consistent and plam_hat == plam
-            else holder.Status.FAIL
-        )
+        status = holder.Status.FAIL
     return MatrixShReport(tuple(levels), plam_hat, mu_hat, consistent, status)
 
 
@@ -622,7 +605,7 @@ def module_sh_test(
 
     def measure(g):
         # (v_tau, v_tilde) of (g-1) x for each basis vector x
-        mat_g = mat_of(module, g, prec)
+        mat_g = mat_of(module, g)
         out = []
         for coords in basis:
             moved = mat_g.vecmul(tuple(galois.act(g, c, prec) for c in coords))

@@ -98,11 +98,10 @@ def is_prime(n: int) -> bool:
 
 
 def check_ring(p, cap):
-    """Reject a p below 2, for which exponents and coefficients mean
-    nothing, and a cap outside 0..MAX_DENOM_CAP (primality is left to
-    the entry points)."""
-    if p < 2:
-        raise ValueError(f"p must be a prime >= 2, got {p}")
+    """Reject a p that is not a prime, for which F_p and the exponents
+    p^-D Z mean nothing, and a cap outside 0..MAX_DENOM_CAP."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime, got p={p}")
     if not 0 <= cap <= MAX_DENOM_CAP:
         raise ValueError(f"denominator cap must be in 0..{MAX_DENOM_CAP}, got {cap}")
 
@@ -373,14 +372,17 @@ def make_series(p, cap, termdict, bound=None) -> PerfSeries:
 
 
 def zero(p, cap=DEFAULT_DENOM_CAP, prec=None):
+    check_ring(p, cap)
     return make_series(p, cap, {}, key_bound(prec, p, cap))
 
 
 def one(p, cap=DEFAULT_DENOM_CAP):
+    check_ring(p, cap)
     return make_series(p, cap, {MONO_ONE: 1})
 
 
 def constant(c, p, cap=DEFAULT_DENOM_CAP):
+    check_ring(p, cap)
     return make_series(p, cap, {MONO_ONE: c})
 
 

@@ -171,6 +171,15 @@ def check_newton_hulls():
     return ck.result()
 
 
+def _one_plus_t(p, prec):
+    """The base-change module of B = 1 + t, with B^{-1} known to prec."""
+    b = ring.one(p) + ring.t_var(p)
+    binv = ring.invert(b, prec)
+    return phitau.basechange_from_matrix(
+        phitau.MatSeries.from_rows([[b]]), phitau.MatSeries.from_rows([[binv]]), prec
+    )
+
+
 # -- 6: cocycle identity on generated modules -------------------------
 
 
@@ -186,9 +195,7 @@ def check_cocycle_family():
             ck.check(ok, f"cocycle seed={seed} d={d} c={c}")
     # closed form for B = 1 + t: P = (1+t)^(p-1), Mat(tau)(1+t) = 1 + eps t
     one = ring.one(p)
-    b = phitau.MatSeries.from_rows([[one + ring.t_var(p)]])
-    binv = phitau.MatSeries.from_rows([[ring.invert(one + ring.t_var(p), 20)]])
-    mod = phitau.basechange_from_matrix(b, binv, 20)
+    mod = _one_plus_t(p, 20)
     ck.check(
         ring.eq_to_prec(mod.frob.rows[0][0], ring.parse_series("1+2*t+t^{2}", p)),
         "closed-form Frobenius",
@@ -235,12 +242,9 @@ def check_descent():
             f"seed={seed} d={d} descent != direct",
         )
     # closed form: B = 1+t gives H = u (1+t)^{-1} at r = 1
-    one = ring.one(p)
-    b = phitau.MatSeries.from_rows([[one + ring.t_var(p)]])
-    binv = phitau.MatSeries.from_rows([[ring.invert(one + ring.t_var(p), 24)]])
-    mod = phitau.basechange_from_matrix(b, binv, 24)
+    mod = _one_plus_t(p, 24)
     rep = phitau.descend_fixed_point(mod, galois.tau(1), 1, target)
-    want = ring.u_var(p) * ring.invert(one + ring.t_var(p), target)
+    want = ring.u_var(p) * ring.invert(ring.one(p) + ring.t_var(p), target)
     ck.check(
         ring.eq_to_prec(rep.h.rows[0][0], want.truncate(target)),
         "closed-form descent",
@@ -309,10 +313,7 @@ def check_module_exponents():
             ck.check(abs(tm - wm) <= bound, f"d={d} j={rep.j}: offsets too far apart")
     # a scalar t^(1/p) moves one level lower: the coordinate branch
     # (g-1) t^(1/p) dominates and scales the exponent by 1/p
-    one = ring.one(p)
-    b = phitau.MatSeries.from_rows([[one + ring.t_var(p)]])
-    binv = phitau.MatSeries.from_rows([[ring.invert(one + ring.t_var(p), 50)]])
-    mod = phitau.basechange_from_matrix(b, binv, 50)
+    mod = _one_plus_t(p, 50)
     rep = phitau.module_sh_test(mod, 0, n=1, i_max=2)[0]
     ck.check(rep.tau_fit[2], "shifted coordinate fit inconsistent")
     ck.check(rep.tau_fit[0] == cp / p, f"shifted exponent {rep.tau_fit[0]} != {cp / p}")
@@ -323,9 +324,9 @@ def check_module_exponents():
 # -- 10: group coherence ----------------------------------------------
 
 
-def _random_series(rng, p, n_terms=3):
+def _random_series(rng, p):
     acc = None
-    for _ in range(rng.randint(1, n_terms)):
+    for _ in range(rng.randint(1, 3)):
         coeff = rng.randrange(1, p)
         eu = Fraction(rng.randint(0, 2), p ** rng.randint(0, 2))
         et = Fraction(rng.randint(-2, 4), p ** rng.randint(0, 2))

@@ -100,8 +100,9 @@ class TestShTest:
             holder.sh_test(s("t"), TAU0, CP, 1, -1)
 
     def test_rejects_bad_samples(self):
+        # a multiplier divisible by p is not a level element
         with pytest.raises(ValueError):
-            holder.sh_test(s("t"), TAU0, CP, 1, 2, m_samples=[3])
+            TAU0.element(0, 3, P)
 
 
 class TestShEstimate:
@@ -174,13 +175,3 @@ class TestDeperfection:
     def test_u_blocks(self):
         assert holder.deperfection_level(s("u+t")) is None
 
-
-class TestGammaFixed:
-    def test_pure_t_is_fixed(self):
-        rep = holder.gamma_fixed_test(s("t^{2}+2*t^{1/3}"), (4, 7), 12)
-        assert rep.fixed and rep.structural
-
-    def test_u_moves(self):
-        rep = holder.gamma_fixed_test(s("u"), (4, 7), 12)
-        assert not rep.fixed
-        assert rep.witness == 4

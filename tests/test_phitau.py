@@ -1,9 +1,12 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
-from tilted import galois, phitau, ring
+from tilted import cli, galois, phitau, ring
 from tilted.errors import ParseError, PreconditionViolated
+from tilted.holder import PPow, Status
 from tilted.phitau import MatSeries
 
 P = 3
@@ -228,6 +231,40 @@ class TestDescent:
         assert not phitau.descent_matches_direct(mod, g, rep, 12)
         assert phitau.descent_matches_direct(mod, g, rep, 6)
 
+    def test_inverts_p_once(self, mod_d2, tmp_path, monkeypatch):
+        path = tmp_path / "mod.txt"
+        path.write_text(phitau.module_to_text(mod_d2))
+        calls = []
+        inverse = MatSeries.inverse
+
+        def counting(m, prec=None):
+            calls.append(m)
+            return inverse(m, prec)
+
+        monkeypatch.setattr(MatSeries, "inverse", counting)
+        # the radius inverts P, the descent only g.P
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.dispatch(["module", "descend", str(path)]) == 0
+        assert len(calls) == 2
+        mod = phitau.integral_twist(mod_d2)
+        r = phitau.minimal_descent_radius(mod)
+        g = galois.tau(P ** phitau.minimal_descent_level(mod, r))
+        calls.clear()
+        phitau.descend_fixed_point(mod, g, r, 10)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_acted_inverse_keeps_floor(self, p, d):
+        # the radius precondition reads its floor off (g.P)^{-1}
+        for seed in range(3):
+            mod = phitau.integral_twist(phitau.basechange_generate(d, seed=seed, p=p, prec=24))
+            frob = mod.frob.truncate(mod.prec)
+            floor = frob.inverse(mod.prec).val_floor()
+            for c in (1, 2, p, -1):
+                acted = frob.act(galois.tau(c), mod.prec)
+                assert acted.inverse(mod.prec).val_floor() == floor
+
 
 class TestValuations:
     def test_gap_bound_attained(self):
@@ -286,6 +323,21 @@ class TestModuleSh:
         with pytest.raises(PreconditionViolated, match="vanish to precision"):
             phitau.matrix_sh_test(mod, 0, i_max=2)
 
+    def test_target_compares_exactly(self):
+        # the fit is 3/2; q sqrt(3) with q = float(sqrt(3)/2) is not 3/2
+        mod = phitau.basechange_generate(1, seed=3, p=P, prec=50)
+        near = PPow(Fraction(0.8660254037844387), Fraction(1, 2))
+        rep = phitau.matrix_sh_test(mod, 0, plam=near, i_max=2)
+        assert rep.plam_hat == Fraction(3, 2) and near.cmp(rep.plam_hat, P) == 1
+        assert rep.status is Status.FAIL
+        rep = phitau.matrix_sh_test(mod, 0, plam=PPow(Fraction(1, 2), 1), i_max=2)
+        assert rep.status is Status.PASS
+
+    @pytest.mark.parametrize("plam", [0, Fraction(-3, 2)])
+    def test_rejects_nonpositive_target(self, mod_d2, plam):
+        with pytest.raises(ValueError, match="q > 0"):
+            phitau.matrix_sh_test(mod_d2, 0, plam=plam)
+
     def test_rejects_negative_n(self, mod_d2):
         with pytest.raises(ValueError, match="n >= 0"):
             phitau.module_sh_test(mod_d2, 0, n=-1)
@@ -294,9 +346,9 @@ class TestModuleSh:
         calls = []
         mat_of = phitau.mat_of
 
-        def counting(module, g, prec=None):
+        def counting(module, g):
             calls.append(g)
-            return mat_of(module, g, prec)
+            return mat_of(module, g)
 
         monkeypatch.setattr(phitau, "mat_of", counting)
         phitau.module_sh_test(mod_d2, 0, i_max=2)

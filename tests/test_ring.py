@@ -194,6 +194,23 @@ def test_p_below_two_rejected(p):
         ring.monomial(p, 2, 1, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ring.one(4),
+        lambda: ring.zero(9),
+        lambda: ring.constant(1, 6),
+        lambda: ring.parse_series("t", 4),
+        lambda: ring.monomial(4, 6, 1, 0, 1),
+        lambda: galois.eps_pow(1, 4),
+    ],
+    ids=["one", "zero", "constant", "parse_series", "monomial", "eps_pow"],
+)
+def test_composite_p_rejected(build):
+    with pytest.raises(ValueError, match="p="):
+        build()
+
+
 @pytest.mark.parametrize("cap", [-1, ring.MAX_DENOM_CAP + 1])
 def test_cap_out_of_range_rejected(cap):
     with pytest.raises(ValueError):
