@@ -223,29 +223,70 @@ def mat_of(module: PhiTauModule, g: GroupElem) -> MatSeries:
 
     Only the tau component contributes: Mat(gamma_a) = Id by the
     invariance condition in the module definition.  Composite powers use
-    the cocycle Mat(tau^(m+n)) = Mat(tau^m) * tau^m(Mat(tau^n)) with a
-    square-and-multiply addition chain.
+    the cocycle Mat(tau^(a+b)) = Mat(tau^a) * tau^a(Mat(tau^b)) along the
+    base-p digits of c: level i holds Mat(tau^(e p^i)) for the digits
+    e = 1..p-1, each raised by square-and-multiply from Mat(tau^(p^i)),
+    and the step e = p is the next level's generator.  In characteristic
+    p, (1+u)^(p^i) = 1 + u^(p^i), so Mat(tau^(p^i)) - Id gains valuation
+    at every level and tau^(e p^i) acts on an entry through a sparse
+    Lucas expansion; a binary chain's Mat(tau^2), Mat(tau^4), ... gain
+    neither.  The digits combine from the lowest level up, and a negative
+    c inverts tau^c applied to Mat(tau^(-c)).
+
+    When Mat(tau) is integral and known to the module's precision, any
+    chain gives the same series; where an entry has negative valuation,
+    each product lowers the O(.) caps by its factors' leading terms, so
+    the caps depend on the chain.
     """
-    prec = module.prec
-    c = g.c
-    d, p, cap = module.d, module.p, module.cap
-    if c == 0:
-        return MatSeries.identity(d, p, cap, prec)
-    if c < 0:
-        pos = mat_of(module, galois.tau(-c))
-        return pos.act(galois.tau(c), prec).inverse(prec)
-    base = module.mat_tau.truncate(prec)
-    bits = bin(c)[2:]
-    acc = base
-    n = 1
-    for bit in bits[1:]:
-        acc = acc * acc.act(galois.tau(n), prec)
-        n *= 2
-        if bit == "1":
-            acc = acc * base.act(galois.tau(n), prec)
-            n += 1
-        acc = acc.truncate(prec)
-    return acc
+    return _TauChain(module).mat(g.c)
+
+
+class _TauChain:
+    """Mat(tau^c) for the c asked of one call.  The level matrices
+    Mat(tau^(e p^i)) are memoized by (i, e), so a sweep over
+    tau^(m p^(k+i)) builds each level once, from the level below."""
+
+    def __init__(self, module: PhiTauModule):
+        self.module = module
+        self.units = {(0, 1): module.mat_tau.truncate(module.prec)}
+
+    def _compose(self, mat_a, a, mat_b):
+        """Mat(tau^(a+b)) = Mat(tau^a) * tau^a(Mat(tau^b))."""
+        prec = self.module.prec
+        return (mat_a * mat_b.act(galois.tau(a), prec)).truncate(prec)
+
+    def unit(self, i, e):
+        """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply."""
+        key = (i, e)
+        if key not in self.units:
+            p = self.module.p
+            if e == 1:
+                val = self.unit(i - 1, p)
+            elif e % 2:
+                val = self._compose(self.unit(i, e - 1), (e - 1) * p**i, self.unit(i, 1))
+            else:
+                half = self.unit(i, e // 2)
+                val = self._compose(half, e // 2 * p**i, half)
+            self.units[key] = val
+        return self.units[key]
+
+    def mat(self, c):
+        """Mat(tau^c), to the module's precision."""
+        mod = self.module
+        if c == 0:
+            return MatSeries.identity(mod.d, mod.p, mod.cap, mod.prec)
+        if c < 0:
+            return self.mat(-c).act(galois.tau(c), mod.prec).inverse(mod.prec)
+        # acc = Mat(tau^n) for n the digits of c below level i
+        acc = None
+        i = 0
+        while c:
+            c, e = divmod(c, mod.p)
+            if e:
+                high = self.unit(i, e)
+                acc = high if acc is None else self._compose(high, e * mod.p**i, acc)
+            i += 1
+        return acc
 
 
 def cocycle_check(module: PhiTauModule, g: GroupElem):
@@ -435,11 +476,14 @@ MAX_DESCENT_ITERATIONS = 200
 
 
 def minimal_descent_level(module: PhiTauModule, r: int) -> int:
-    """Least l <= MAX_DESCENT_LEVEL with val(Mat(tau^(p^l)) - Id) >= r * val(t)."""
+    """Least l <= MAX_DESCENT_LEVEL with val(Mat(tau^(p^l)) - Id) >= r * val(t).
+    One chain serves every level, so Mat(tau^(p^(l+1))) comes from
+    level l's matrices."""
     d, p = module.d, module.p
     ident = MatSeries.identity(d, p, module.cap, module.prec)
+    chain = _TauChain(module)
     for l in range(MAX_DESCENT_LEVEL + 1):
-        mat_g = mat_of(module, galois.tau(p**l))
+        mat_g = chain.mat(p**l)
         floor = (mat_g - ident).val_floor()
         if floor is None or floor >= r:
             return l
@@ -536,6 +580,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     """Measure val(Mat(g) - Id) over the tau family at base level k,
     g = tau^(m p^(k+i)) for m = 1..p-1 and i = 0..i_max, and fit the
     exponent of the matrix-valued orbit map, all to the module's precision.
+    One chain builds every Mat(g), each level from the one below.
     When a target p^lambda = q p^s (a `PPow`, or a rational q) is supplied,
     the status records whether the fitted exponent equals it, compared
     exactly by `PPow.cmp`; a target <= 0 raises ValueError.
@@ -550,9 +595,10 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     p, d = module.p, module.d
     ident = MatSeries.identity(d, p, module.cap, module.prec)
+    chain = _TauChain(module)
 
     def measure(g):
-        diff = mat_of(module, g) - ident
+        diff = chain.mat(g.c) - ident
         known = v_tau(e for row in diff.rows for e in row)
         return known if known == diff.val_floor() else None
 
@@ -587,8 +633,9 @@ def module_sh_test(
     """For each basis vector (scaled by t^(1/p^n) when n >= 1), measure
     val((g-1) x) under both the basis valuation and the lattice valuation
     over the tau family at base level k, g = tau^(m p^(k+i)) for
-    m = 1..p-1 and i = 0..i_max, and fit the exponents.  Without a lattice
-    the lattice levels and fit are None."""
+    m = 1..p-1 and i = 0..i_max, and fit the exponents.  One chain builds
+    every Mat(g), each level from the one below.  Without a lattice the
+    lattice levels and fit are None."""
     if i_max < 1:
         raise ValueError("need i_max >= 1 to fit an exponent")
     if n < 0:
@@ -602,10 +649,11 @@ def module_sh_test(
     )
     basis = [tuple(scalar if l == j else ring.zero(p, cap) for l in range(d)) for j in range(d)]
     w_inv = module.lattice_inverse() if module.lattice is not None else None
+    chain = _TauChain(module)
 
     def measure(g):
         # (v_tau, v_tilde) of (g-1) x for each basis vector x
-        mat_g = mat_of(module, g)
+        mat_g = chain.mat(g.c)
         out = []
         for coords in basis:
             moved = mat_g.vecmul(tuple(galois.act(g, c, prec) for c in coords))

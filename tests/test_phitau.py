@@ -73,6 +73,19 @@ def oracle_inverse(det, adj, prec):
     return adj.scale_series(ring.invert(det, prec)).truncate(prec)
 
 
+def count_products(monkeypatch):
+    """The list that every matrix product from now on appends to."""
+    calls = []
+    mul = MatSeries.__mul__
+
+    def counting(a, b):
+        calls.append(a)
+        return mul(a, b)
+
+    monkeypatch.setattr(MatSeries, "__mul__", counting)
+    return calls
+
+
 def text(m):
     return [[(str(e), e.prec) for e in row] for row in m.rows]
 
@@ -209,6 +222,15 @@ class TestDescent:
         pairs = zip(rep.residual_history, rep.residual_history[1:])
         assert all(b - a >= rep.q_val for a, b in pairs if a is not None and b is not None)
 
+    def test_levels_share_one_chain(self, monkeypatch):
+        mod = phitau.integral_twist(phitau.basechange_generate(2, seed=5, p=P, prec=24))
+        r = phitau.minimal_descent_radius(mod)
+        calls = count_products(monkeypatch)
+        level = phitau.minimal_descent_level(mod, r)
+        # Mat(tau^(3^(l+1))) from Mat(tau^(3^l)): a square and a product
+        assert level >= 2
+        assert len(calls) == 2 * level
+
     def test_rejects_small_radius(self, mod_1pt):
         with pytest.raises(PreconditionViolated):
             phitau.descend_fixed_point(mod_1pt, galois.tau(1), 0, 8)
@@ -342,18 +364,14 @@ class TestModuleSh:
         with pytest.raises(ValueError, match="n >= 0"):
             phitau.module_sh_test(mod_d2, 0, n=-1)
 
-    def test_one_mat_of_per_element(self, mod_d2, monkeypatch):
-        calls = []
-        mat_of = phitau.mat_of
-
-        def counting(module, g):
-            calls.append(g)
-            return mat_of(module, g)
-
-        monkeypatch.setattr(phitau, "mat_of", counting)
-        phitau.module_sh_test(mod_d2, 0, i_max=2)
-        # (i_max + 1) levels of p - 1 samples, shared by both basis vectors
-        assert len(calls) == 3 * (P - 1) == len(set(calls))
+    @pytest.mark.parametrize("fn", [phitau.matrix_sh_test, phitau.module_sh_test])
+    def test_one_chain_per_sweep(self, mod_d2, fn, monkeypatch):
+        calls = count_products(monkeypatch)
+        fn(mod_d2, 0, i_max=2)
+        # tau^(m 3^i), m = 1, 2, i = 0..2: Mat(tau^2) from Mat(tau), then
+        # each level's generator and its double from the level below; one
+        # Mat(g) per element took 15 products
+        assert len(calls) == 5
 
     def test_without_lattice(self, mod_d2):
         text = phitau.module_to_text(mod_d2).split("[lattice]")[0]
