@@ -11,12 +11,11 @@ from tilted import (
     basechange_from_matrix,
     basechange_generate,
     cocycle_check,
+    descend,
     descend_fixed_point,
     equiv_constant,
     galois,
-    integral_twist,
     module_to_text,
-    phitau,
     ring,
 )
 
@@ -50,13 +49,16 @@ print("  iterations:", rep.iterations, " gain per step >=", rep.q_val)
 print("  H =", rep.h.rows[0][0])
 print("  closed form u/(1+t):", ring.u_var(p) * ring.invert(one + ring.t_var(p), 12))
 
-# Modules with non-integral P are rescaled first; the twist multiplies
-# Mat(tau) by the unit (1+u)^s and leaves the cocycle intact.
-tilted_mod = integral_twist(mod)
-r = phitau.minimal_descent_radius(tilted_mod)
-level = phitau.minimal_descent_level(tilted_mod, r)
-rep = descend_fixed_point(tilted_mod, galois.tau(p**level), r, 10)
+# `descend` rescales a module with non-integral P first (the twist
+# multiplies Mat(tau) by the unit (1+u)^s and leaves the cocycle intact),
+# then picks the least radius r and level l, g = tau^(3^l), and checks H
+# against Mat(g) computed directly.
+rep, matches = descend(mod, 10)
+if not rep.reached:
+    raise SystemExit(f"descent stopped at residual {rep.residual_val} < target 10")
+level = 0  # rep.c = 3^level, for the printout
+while p**level < rep.c:
+    level += 1
 print()
 print(f"generated module: radius {rep.r}, tau^(3^{level}), {rep.iterations} iterations")
-print("matches Mat(g) computed directly:",
-      phitau.descent_matches_direct(tilted_mod, galois.tau(p**level), rep, 10))
+print("matches Mat(g) computed directly:", matches)

@@ -357,27 +357,19 @@ def _cmd_module_check(args) -> int:
 
 
 def _cmd_module_descend(args) -> int:
-    mod = phitau.integral_twist(_load_module(args.file))
-    r = args.r if args.r is not None else phitau.minimal_descent_radius(mod)
-    if args.c is not None:
-        g = galois.tau(args.c)
-    else:
-        level = phitau.minimal_descent_level(mod, r)
-        g = galois.tau(mod.p**level)
-    rep = phitau.descend_fixed_point(mod, g, r, args.target)
-    if rep.residual_val is not None and rep.residual_val < args.target:
+    rep, matches = phitau.descend(_load_module(args.file), args.target, r=args.r, c=args.c)
+    if not rep.reached:
         # the module's precision ran out first: H is known only below the
         # residual, so nothing is certified at the target
         raise NonConvergence(
             f"descent stopped at residual {_frac(rep.residual_val)} < target "
             f"{_frac(args.target)} after {rep.iterations} iterations"
         )
-    matches = phitau.descent_matches_direct(mod, g, rep, args.target)
     _emit(
         {
             "schema": SCHEMA,
             "r": rep.r,
-            "c": g.c,
+            "c": rep.c,
             "iterations": rep.iterations,
             "q_val": _frac(rep.q_val),
             "residual": _frac(rep.residual_val),

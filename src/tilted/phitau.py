@@ -9,12 +9,13 @@ which gives every downstream computation a built-in oracle.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import galois, holder, ring
-from .errors import NonConvergence, ParseError, PreconditionViolated
+from .errors import DegenerateOrbit, NonConvergence, ParseError, PreconditionViolated
 from .galois import GroupElem
 from .holder import PPow
 from .ring import PerfSeries
@@ -368,6 +369,13 @@ def v_tau(coords) -> Fraction | None:
     return holder.min_known(c.val() for c in coords)
 
 
+def _certified_val(diff: MatSeries) -> Fraction | None:
+    """val(diff) when a known entry term attains its floor, else None: a
+    floor that only an O(.) cap sets vanished to precision."""
+    known = v_tau(e for row in diff.rows for e in row)
+    return known if known == diff.val_floor() else None
+
+
 def v_tilde(module: PhiTauModule, coords) -> Fraction | None:
     """Valuation after re-expressing the vector in the lattice basis."""
     w_inv = module.lattice_inverse()
@@ -420,12 +428,46 @@ def equiv_constant(module: PhiTauModule, samples=40, seed=0):
 
 @dataclass(frozen=True)
 class DescentReport:
+    """H with Mat(tau^c) = Id + t^r H, to the target or to the residual
+    where the module's precision ran out.  `reached` says which: the last
+    residual is None (the step was exactly zero) or at least the target."""
+
     r: int
     h: MatSeries
     iterations: int
     residual_val: Fraction | None
     q_val: Fraction
     residual_history: tuple
+    c: int
+    reached: bool
+
+
+def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport, bool]:
+    """Recover Mat(tau^c) = Id + t^r H on the integral twist of `module`
+    to `target`, and check H against Mat(tau^c) - Id directly; returns
+    (report, matches_direct).
+
+    r defaults to the least adequate radius and c to p^l for the least
+    adequate level l.  P is inverted once: the radius reads its floor, and
+    the fixed point takes (g.P)^{-1} as g(P^{-1}).  One chain serves the
+    level search, the fixed point and the direct check.  A target <= 0 or
+    an r < 1 raises ValueError.
+    """
+    target = Fraction(target)
+    if target <= 0:
+        raise ValueError(f"need target > 0, got {target}")
+    if r is not None and r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    module = integral_twist(module)
+    p_inv = _p_inverse(module)
+    r = _least_radius(p_inv) if r is None else r
+    _check_radius(p_inv, r)
+    chain = _TauChain(module)
+    if c is None:
+        c = module.p ** _least_level(chain, r)
+    mat_g = chain.mat(c)
+    rep = _fixed_point(module, galois.tau(c), r, target, p_inv, mat_g)
+    return rep, _matches_direct(module, mat_g, rep, target)
 
 
 def integral_twist(module: PhiTauModule) -> PhiTauModule:
@@ -459,16 +501,27 @@ def integral_twist(module: PhiTauModule) -> PhiTauModule:
     )
 
 
+def _p_inverse(module: PhiTauModule) -> MatSeries:
+    prec = module.prec
+    return module.frob.truncate(prec).inverse(prec)
+
+
 def minimal_descent_radius(module: PhiTauModule) -> int:
     """Least r >= 1 with t^r P^{-1} in t * (integral matrices)."""
-    p_inv = module.frob.inverse(module.prec)
+    return _least_radius(_p_inverse(module))
+
+
+def _least_radius(p_inv: MatSeries) -> int:
     floor = p_inv.val_floor()
     if floor is None:
         raise PreconditionViolated("P^{-1} vanishes to precision")
-    r = 1
-    while Fraction(r) + floor < 1:
-        r += 1
-    return r
+    return max(1, math.ceil(1 - floor))
+
+
+def _check_radius(p_inv: MatSeries, r: int):
+    floor = p_inv.val_floor()
+    if floor is None or r + floor < 1:
+        raise PreconditionViolated(f"t^{r} P^-1 is not in t * integral matrices")
 
 
 MAX_DESCENT_LEVEL = 12
@@ -476,18 +529,32 @@ MAX_DESCENT_ITERATIONS = 200
 
 
 def minimal_descent_level(module: PhiTauModule, r: int) -> int:
-    """Least l <= MAX_DESCENT_LEVEL with val(Mat(tau^(p^l)) - Id) >= r * val(t).
-    One chain serves every level, so Mat(tau^(p^(l+1))) comes from
-    level l's matrices."""
-    d, p = module.d, module.p
-    ident = MatSeries.identity(d, p, module.cap, module.prec)
-    chain = _TauChain(module)
+    """Least l <= MAX_DESCENT_LEVEL with val(Mat(tau^(p^l)) - Id) >= r * val(t)."""
+    return _least_level(_TauChain(module), r)
+
+
+def _least_level(chain: _TauChain, r: int) -> int:
+    """The level search on one chain, so Mat(tau^(p^(l+1))) comes from
+    level l's matrices, and Mat(tau^(p^l)) stays in the chain."""
+    p = chain.module.p
     for l in range(MAX_DESCENT_LEVEL + 1):
-        mat_g = chain.mat(p**l)
-        floor = (mat_g - ident).val_floor()
-        if floor is None or floor >= r:
+        if _deviation(chain.module, chain.mat(p**l), p**l, r) is None:
             return l
     raise PreconditionViolated(f"no level <= {MAX_DESCENT_LEVEL} brings Mat(g) within t^{r}")
+
+
+def _deviation(module: PhiTauModule, mat_g: MatSeries, c: int, r: int) -> Fraction | None:
+    """None when val(Mat(tau^c) - Id) >= r is certified, else that
+    valuation, attained by a known term.  A floor below r that only an
+    O(.) cap sets vanished to precision and raises DegenerateOrbit: the
+    rule by which `matrix_sh_test` drops a sample."""
+    diff = mat_g - MatSeries.identity(module.d, module.p, module.cap, module.prec)
+    floor = diff.val_floor()
+    if floor is None or floor >= r:
+        return None
+    if _certified_val(diff) is None:
+        raise DegenerateOrbit(f"Mat(tau^{c}) - Id vanishes to precision below t^{r}")
+    return floor
 
 
 def descend_fixed_point(
@@ -496,6 +563,13 @@ def descend_fixed_point(
     r: int,
     target_prec,
 ) -> DescentReport:
+    """`descend`'s fixed point for a given g and r on an integral module."""
+    p_inv = _p_inverse(module)
+    _check_radius(p_inv, r)
+    return _fixed_point(module, g, r, target_prec, p_inv, mat_of(module, g))
+
+
+def _fixed_point(module, g, r, target_prec, p_inv, mat_g) -> DescentReport:
     """Solve H = f0 + P phi(H) Q_g by fixed-point iteration, where
     Q_g = t^(r(p-1)) (g.P)^{-1} and f0 = t^(-r) (P (g.P)^{-1} - Id).
 
@@ -508,15 +582,10 @@ def descend_fixed_point(
     prec = module.prec
     frob_mat = module.frob.truncate(prec)
 
-    # g acts isometrically, so (g.P)^{-1} = g(P^{-1}) has the floor of P^{-1}
-    gp_inv = frob_mat.act(g, prec).inverse(prec)
-    pre_floor = gp_inv.val_floor()
-    if pre_floor is None or r + pre_floor < 1:
-        raise PreconditionViolated(f"t^{r} P^-1 is not in t * integral matrices")
-    mat_g = mat_of(module, g)
-    ident = MatSeries.identity(d, p, cap, prec)
-    dev = (mat_g - ident).val_floor()
-    if dev is not None and dev < r:
+    # g is a ring automorphism, so (g.P)^{-1} = g(P^{-1}), with the floor of P^{-1}
+    gp_inv = p_inv.act(g, prec)
+    dev = _deviation(module, mat_g, g.c, r)
+    if dev is not None:
         raise PreconditionViolated(
             f"val(Mat(g) - Id) = {dev} < r = {r}; raise the level of g"
         )
@@ -527,6 +596,7 @@ def descend_fixed_point(
     if q_val is None or q_val <= 0:
         raise PreconditionViolated("Q_g is not topologically nilpotent")
     t_neg_r = ring.monomial(p, cap, 1, 0, -r)
+    ident = MatSeries.identity(d, p, cap, prec)
     f0 = ((frob_mat * gp_inv) - ident).scale_series(t_neg_r)
 
     x = f0
@@ -544,15 +614,19 @@ def descend_fixed_point(
             break
     else:
         raise NonConvergence(f"no convergence within {MAX_DESCENT_ITERATIONS} iterations")
+    reached = residual is None or residual >= target_prec
     return DescentReport(
-        r, x.truncate(target_prec), iterations, residual, q_val, tuple(history)
+        r, x.truncate(target_prec), iterations, residual, q_val, tuple(history), g.c, reached
     )
 
 
 def descent_matches_direct(module, g, report: DescentReport, target_prec) -> bool:
     """Oracle: t^{-r} (Mat(g) - Id) equals the recovered H to target."""
+    return _matches_direct(module, mat_of(module, g), report, target_prec)
+
+
+def _matches_direct(module, mat_g, report: DescentReport, target_prec) -> bool:
     p, cap, d = module.p, module.cap, module.d
-    mat_g = mat_of(module, g)
     ident = MatSeries.identity(d, p, cap, module.prec)
     t_neg_r = ring.monomial(p, cap, 1, 0, -report.r)
     direct = (mat_g - ident).scale_series(t_neg_r)
@@ -598,9 +672,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     chain = _TauChain(module)
 
     def measure(g):
-        diff = chain.mat(g.c) - ident
-        known = v_tau(e for row in diff.rows for e in row)
-        return known if known == diff.val_floor() else None
+        return _certified_val(chain.mat(g.c) - ident)
 
     levels = []
     for level in holder.level_samples(measure, fam, p, i_max):

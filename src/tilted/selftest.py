@@ -209,22 +209,21 @@ def check_cocycle_family():
 # -- 7: fixed-point descent -------------------------------------------
 
 
+# (seed, d): eight modules at d = 1, 2, then one at each d = 4, 5, 6
+DESCENT_CASES = [(seed, 1 + seed % 2) for seed in (0, 1, 2, 5, 8, 13, 21, 34)] + [
+    (d + 1, d) for d in (4, 5, 6)
+]
+
+
 def check_descent():
     ck = _Checker()
     p = 3
     target = Fraction(12)
-    # eight modules at d = 1, 2, then one at each d = 4, 5, 6
-    cases = [(seed, 1 + seed % 2) for seed in (0, 1, 2, 5, 8, 13, 21, 34)]
-    cases += [(d + 1, d) for d in (4, 5, 6)]
-    for seed, d in cases:
-        mod = phitau.integral_twist(
-            phitau.basechange_generate(d, seed=seed, complexity=2, p=p, prec=24)
+    for seed, d in DESCENT_CASES:
+        rep, matches = phitau.descend(
+            phitau.basechange_generate(d, seed=seed, complexity=2, p=p, prec=24), target
         )
-        r = phitau.minimal_descent_radius(mod)
-        level = phitau.minimal_descent_level(mod, r)
-        g = galois.tau(p**level)
-        rep = phitau.descend_fixed_point(mod, g, r, target)
-        ck.check(rep.residual_val is None or rep.residual_val >= target, f"seed={seed} d={d} short")
+        ck.check(rep.reached, f"seed={seed} d={d} short")
         gains = [
             b - a
             for a, b in zip(rep.residual_history, rep.residual_history[1:])
@@ -237,10 +236,7 @@ def check_descent():
             while first + limit * rep.q_val < target:
                 limit += 1
             ck.check(rep.iterations <= limit + 1, f"seed={seed} d={d} too many iterations")
-        ck.check(
-            phitau.descent_matches_direct(mod, g, rep, target),
-            f"seed={seed} d={d} descent != direct",
-        )
+        ck.check(matches, f"seed={seed} d={d} descent != direct")
     # closed form: B = 1+t gives H = u (1+t)^{-1} at r = 1
     mod = _one_plus_t(p, 24)
     rep = phitau.descend_fixed_point(mod, galois.tau(1), 1, target)

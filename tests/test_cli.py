@@ -236,6 +236,35 @@ class TestModuleCommands:
         assert code == 2 and out == ""
         assert err.startswith("inconclusive:") and "residual 11 < target 12" in err
 
+    @pytest.mark.parametrize(
+        "option", [["--target", "0"], ["--target", "-3"], ["--r", "0"], ["--r", "-2"]], ids=" ".join
+    )
+    def test_descend_out_of_range_is_exit_3(self, capsys, module_file, option):
+        # val(H) >= 0 always holds, so a target <= 0 would certify nothing
+        code, out, err = run(capsys, "module", "descend", module_file, *option)
+        assert code == 3 and out == "" and err.startswith("error:")
+
+    @pytest.fixture
+    def seed5_file(self, tmp_path, capsys):
+        # Mat(tau^27) - Id has floor 23, an O(.) cap no known term attains
+        path = tmp_path / "m5.mod"
+        code, _ = run_json(capsys, "module", "gen", "--d", "2", "--seed", "5", "--out", str(path))
+        assert code == 0
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "option", [["--r", "24"], ["--r", "30"], ["--c", "27", "--r", "30"]], ids=" ".join
+    )
+    def test_descend_vanished_to_precision_is_exit_2(self, capsys, seed5_file, option):
+        code, out, err = run(capsys, "module", "descend", seed5_file, *option)
+        assert code == 2 and out == ""
+        assert err.startswith("inconclusive:") and "vanishes to precision" in err
+
+    def test_descend_known_term_below_radius_is_exit_1(self, capsys, seed5_file):
+        code, out, err = run(capsys, "module", "descend", seed5_file, "--c", "9", "--r", "30")
+        assert code == 1 and out == ""
+        assert err == "failed: val(Mat(g) - Id) = 27/2 < r = 30; raise the level of g\n"
+
     def test_sh(self, capsys, module_file):
         code, obj = run_json(capsys, "module", "sh", module_file)
         assert code == 0 and obj["consistent"] is True

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tilted import cli, galois, phitau, ring
+from tilted import cli, galois, phitau, ring, selftest
 from tilted.errors import ParseError, PreconditionViolated
 from tilted.holder import PPow, Status
 from tilted.phitau import MatSeries
@@ -264,10 +264,10 @@ class TestDescent:
             return inverse(m, prec)
 
         monkeypatch.setattr(MatSeries, "inverse", counting)
-        # the radius inverts P, the descent only g.P
+        # P^-1 gives the radius, and g(P^-1) = (g.P)^-1 serves the descent
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.dispatch(["module", "descend", str(path)]) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
         mod = phitau.integral_twist(mod_d2)
         r = phitau.minimal_descent_radius(mod)
         g = galois.tau(P ** phitau.minimal_descent_level(mod, r))
@@ -278,14 +278,102 @@ class TestDescent:
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_acted_inverse_keeps_floor(self, p, d):
-        # the radius precondition reads its floor off (g.P)^{-1}
+        # the descent takes (g.P)^{-1} as g(P^{-1}) and reads the radius
+        # precondition's floor off it
         for seed in range(3):
             mod = phitau.integral_twist(phitau.basechange_generate(d, seed=seed, p=p, prec=24))
             frob = mod.frob.truncate(mod.prec)
-            floor = frob.inverse(mod.prec).val_floor()
+            p_inv = frob.inverse(mod.prec)
+            floor = p_inv.val_floor()
             for c in (1, 2, p, -1):
-                acted = frob.act(galois.tau(c), mod.prec)
-                assert acted.inverse(mod.prec).val_floor() == floor
+                g = galois.tau(c)
+                acted = frob.act(g, mod.prec).inverse(mod.prec)
+                assert acted.val_floor() == floor
+                assert formatted(p_inv.act(g, mod.prec)) == formatted(acted)
+
+
+def formatted(m):
+    return [[ring.format_series(e) for e in row] for row in m.rows]
+
+
+def spread_module():
+    """B = diag(t^-1, t^2, 1, 1): descent radius 7, and prec 24 runs out
+    at residual 11, short of target 12."""
+    exps = (-1, 2, 0, 0)
+
+    def diag(sign):
+        return MatSeries.from_rows(
+            [
+                [
+                    ring.monomial(P, CAP, 1, 0, sign * exps[a]) if a == b else ring.zero(P, CAP)
+                    for b in range(4)
+                ]
+                for a in range(4)
+            ]
+        )
+
+    return phitau.basechange_from_matrix(diag(1), diag(-1), 24)
+
+
+def five_calls(mod, target):
+    """The descent assembled from the public steps, each with its own
+    inverse of P and its own chain."""
+    tw = phitau.integral_twist(mod)
+    r = phitau.minimal_descent_radius(tw)
+    g = galois.tau(P ** phitau.minimal_descent_level(tw, r))
+    rep = phitau.descend_fixed_point(tw, g, r, target)
+    return rep, phitau.descent_matches_direct(tw, g, rep, target)
+
+
+def summary(rep, matches):
+    return (
+        rep.r,
+        rep.c,
+        rep.iterations,
+        rep.residual_history,
+        rep.residual_val,
+        rep.reached,
+        rep.q_val,
+        formatted(rep.h),
+        matches,
+    )
+
+
+class TestDescend:
+    @pytest.mark.parametrize("case", selftest.DESCENT_CASES + ["spread"], ids=str)
+    def test_matches_five_calls(self, case):
+        if case == "spread":
+            mod = spread_module()
+        else:
+            seed, d = case
+            mod = phitau.basechange_generate(d, seed=seed, p=P, prec=24)
+        assert summary(*phitau.descend(mod, 12)) == summary(*five_calls(mod, 12))
+
+    def test_reached(self):
+        rep, matches = phitau.descend(spread_module(), 12)
+        assert (rep.r, rep.residual_val, rep.reached) == (7, 11, False)
+        rep, matches = phitau.descend(spread_module(), 11)
+        assert rep.reached and matches
+
+    def test_one_inverse_one_chain(self, monkeypatch):
+        mod = phitau.basechange_generate(2, seed=5, p=P, prec=24)
+        inverses, composes = [], []
+        inverse, compose = MatSeries.inverse, phitau._TauChain._compose
+
+        def counting_inverse(m, prec=None):
+            inverses.append(m)
+            return inverse(m, prec)
+
+        def counting_compose(chain, *args):
+            composes.append(args)
+            return compose(chain, *args)
+
+        monkeypatch.setattr(MatSeries, "inverse", counting_inverse)
+        monkeypatch.setattr(phitau._TauChain, "_compose", counting_compose)
+        rep, matches = phitau.descend(mod, 12)
+        assert (rep.r, rep.c, matches) == (5, 9, True)
+        # the five calls take 2 inversions and 12 compositions
+        assert (len(inverses), len(composes)) == (1, 4)
 
 
 class TestValuations:
