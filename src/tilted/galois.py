@@ -110,6 +110,10 @@ def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tupl
     place = 1
     while m:
         m, digit = divmod(m, p)
+        if not digit:
+            # C(0, 0) = 1: a zero digit leaves every term as it is
+            place *= p
+            continue
         terms = [
             (j + i * place, c * math.comb(digit, i) % p)
             for i in range(digit + 1)

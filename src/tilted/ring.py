@@ -498,6 +498,10 @@ _STRAY_RE = re.compile(r"(?<!\s)\s*(?:[^\s\d*+^{}()/Out-]|\Z)")
 
 _VARS = ("u", "t")
 
+# `format_series`'s own shape: one atom of a term, and the O(...) part
+_CANON_ATOM_RE = re.compile(r"([ut])(?:\^\{(-?\d+)(?:/(\d+))?\})?")
+_CANON_CAP_RE = re.compile(r"O\((-?\d+)(?:/(\d+))?\)")
+
 
 def _next_token(text, i):
     """(token, position, end) of the token after i; (None, None, i) when
@@ -597,7 +601,16 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
     digits are any Unicode decimal digits.  A '*' that no atom follows is
     dropped, so "t*" is t.
 
-    The text is read in one left-to-right scan with one compiled regex
+    A literal in the shape `format_series` writes is read by splitting:
+    terms joined by exactly " + ", each `c`, `atoms` or `c*atoms` with
+    the atoms `u` or `t` and an optional `^{n}` or `^{n/d}` joined by
+    '*', no other whitespace, and an optional last part `O(q)`.  Each
+    distinct atom text is matched and converted once per call.  The
+    reader gives up on anything else, on an exponent off the p^cap
+    lattice, a zero denominator, or a digit run too long for `int`, and
+    the scanner below then reads the text; it reports every error.
+
+    The scanner reads the text left to right with one compiled regex
     per coefficient, atom and '+'.  An atom's exponent num/den goes
     straight to its units num * p^cap / den, an int, whenever den divides
     p^cap, and the units of a term's atoms add up per variable.  Only an
@@ -612,6 +625,9 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
     it stands; the scan looks for one only once it has failed.
     """
     check_ring(p, cap)
+    x = _read_canonical(text, p, cap)
+    if x is not None:
+        return x
     try:
         return _scan(text, p, cap)
     except (TiltedError, ValueError):
@@ -619,6 +635,55 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
         if m.start() < len(text):
             raise ParseError(f"unexpected character {text[m.start()]!r}", m.start()) from None
         raise
+
+
+def _read_canonical(text, p, cap):
+    """The series of a literal in `format_series`'s shape, equal to what
+    `_scan` reads from it, or None for any text the split reader does
+    not take; it never raises."""
+    scale = p**cap
+    parts = text.split(" + ")
+    bound = None
+    atoms = {}
+    acc = {}
+    get = acc.get
+    try:
+        if parts[-1][:1] == "O":
+            m = _CANON_CAP_RE.fullmatch(parts.pop())
+            if m is None:
+                return None
+            den = 1 if m[2] is None else int(m[2])
+            if not den:
+                return None
+            bound = _ceil_key(int(m[1]), den, p, cap)
+        for part in parts:
+            factors = part.split("*")
+            coeff = 1
+            if factors[0].isdecimal():
+                coeff = int(factors.pop(0))
+            key = units = 0
+            for f in factors:
+                atom = atoms.get(f)
+                if atom is None:
+                    m = _CANON_ATOM_RE.fullmatch(f)
+                    if m is None:
+                        return None
+                    var, num, den = m.groups()
+                    num = 1 if num is None else int(num)
+                    den = 1 if den is None else int(den)
+                    if not den or scale % den:
+                        return None
+                    a = num * (scale // den)
+                    # (key, u units) of the atom, as `mono_of` adds them up
+                    atom = atoms[f] = (a * p, a) if var == "u" else (a * (p - 1), 0)
+                key += atom[0]
+                units += atom[1]
+            mono = (key, units)
+            acc[mono] = get(mono, 0) + coeff
+    except ValueError:
+        # int() refuses a digit run past its limit
+        return None
+    return make_series(p, cap, acc, bound)
 
 
 def _scan(text, p, cap):
@@ -690,14 +755,17 @@ def _format_atom(name, a, p, cap):
 def format_series(x: PerfSeries) -> str:
     """Canonical text form: terms in ascending valuation order, then O(prec)."""
     p, cap = x.p, x.cap
+    texts = {}  # (name, units) -> atom text, each formatted once
     parts = []
     for m, c in x.terms:
         a, b = mono_units(m, p)
         atoms = []
-        if a:
-            atoms.append(_format_atom("u", a, p, cap))
-        if b:
-            atoms.append(_format_atom("t", b, p, cap))
+        for atom in (("u", a), ("t", b)):
+            if atom[1]:
+                s = texts.get(atom)
+                if s is None:
+                    s = texts[atom] = _format_atom(*atom, p, cap)
+                atoms.append(s)
         if not atoms:
             parts.append(str(c))
         elif c == 1:

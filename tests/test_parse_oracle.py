@@ -8,8 +8,11 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import series_strategy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tilted import ring
+from tilted import phitau, ring
 from tilted.errors import CapExceeded, ParseError
 from tilted.ring import (
     DEFAULT_DENOM_CAP,
@@ -315,6 +318,14 @@ def test_random_malformed_literals(p, cap):
         "t + %",
         "t %",
         "t^{1/2187} + %",
+        # one step off the canonical " + "-joined shape, and its edges
+        "u+t",
+        "2 * u^{1/3}",
+        "t + O(24) ",
+        "u + O(24) + t",
+        "O(24)",
+        "u^{1/2}*u^{1/2} + O(3)",
+        "0",
     ],
 )
 @pytest.mark.parametrize("p", [2, 3])
@@ -358,3 +369,59 @@ def test_format_parse_round_trip(p, cap):
         text = ring.format_series(x)
         assert ring.parse_series(text, p, cap) == x
         assert ring.format_series(oracle_parse_series(text, p, cap)) == text
+
+
+def test_digit_limit_outcomes():
+    # a digit run int() refuses sends the text on to the scanner, whose
+    # check for a stray character still comes first
+    with pytest.raises(ParseError, match=re.escape("unexpected character '§' (at position 5004)")):
+        ring.parse_series("1" * 5000 + " + u§", 3)
+    with pytest.raises(ValueError, match=re.escape("Exceeds the limit (4300 digits)")) as info:
+        ring.parse_series("1" * 5000, 3)
+    assert type(info.value) is ValueError
+
+
+# -- the canonical reader ---------------------------------------------
+# Every literal `format_series` writes is read by the split reader alone:
+# the scanner is made to fail, and the text must still read back exactly.
+
+
+def _scan_unreachable(text, p, cap):
+    raise AssertionError(f"the scanner read {text!r}")
+
+
+def assert_reads_back(x):
+    text = ring.format_series(x)
+    assert ring.parse_series(text, x.p, x.cap) == x, text
+
+
+CANONICAL_SERIES = st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.sampled_from([None, Fraction(7, 2), Fraction(-2, 3)]).flatmap(
+        lambda prec: series_strategy(p=p, prec=prec)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(CANONICAL_SERIES)
+@example(ring.zero(3))
+@example(ring.constant(4, 5))
+@example(ring.zero(2, prec=Fraction(-5, 2)))
+@example(ring.monomial(5, 6, 3, Fraction(-1, 25), Fraction(2, 5)))
+def test_canonical_literals_skip_the_scanner(x):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ring, "_scan", _scan_unreachable)
+        assert_reads_back(x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_module_entries_skip_the_scanner(d, seed, monkeypatch):
+    module = phitau.basechange_generate(d, seed)
+    lines = phitau.module_to_text(module).splitlines()
+    mats = [m for m in (module.frob, module.mat_tau, module.lattice) if m is not None]
+    entries = [e for mat in mats for row in mat.rows for e in row]
+    assert [ring.format_series(e) for e in entries] == [ln for ln in lines[1:] if not ln.startswith("[")]
+    monkeypatch.setattr(ring, "_scan", _scan_unreachable)
+    for e in entries:
+        assert_reads_back(e)
