@@ -15,6 +15,7 @@ checks per call that N is large enough for the requested precision.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,21 @@ def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeri
     return _eps_pow(m, k, p, cap, ring.key_bound(prec, p, cap))
 
 
+def check_exact_power(m: int) -> None:
+    """Refuse the exact expansion of (1+v)^m when it cannot be made: a
+    negative m needs a precision cap, and an m above the limit has too
+    many terms."""
+    if m < 0:
+        raise PrecisionRequired("eps_pow with negative exponent needs a cap")
+    if m > _EXACT_POWER_LIMIT:
+        try:
+            power = f"(1+u)^{m}"
+        except ValueError:
+            # m has more digits than sys.get_int_max_str_digits() prints
+            power = f"(1+u)^m, m of more than {sys.get_int_max_str_digits()} digits,"
+        raise PrecisionRequired(f"exact expansion of {power} is too large")
+
+
 def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tuple[int, int]]:
     """The nonzero terms of (1+v)^m, v = u^(1/p^k), whose key lies below
     the key bound (None: all of them), as pairs (j, C(m, j) mod p) for
@@ -93,10 +109,7 @@ def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tupl
     a partial j at or above the bound is final and can be dropped.
     """
     if bound is None:
-        if m < 0:
-            raise PrecisionRequired("eps_pow with negative exponent needs a cap")
-        if m > _EXACT_POWER_LIMIT:
-            raise PrecisionRequired(f"exact expansion of (1+u)^{m} is too large")
+        check_exact_power(m)
         jmax = None
     else:
         # v^j = u^(j/p^k) has key j * p^(cap-k) * p, below the bound

@@ -123,9 +123,46 @@ class ShVerdict:
 
 
 def _orbit_floor(x: PerfSeries, g: GroupElem):
-    """(exact val, certified floor) of (g-1)x."""
-    d = galois.act(g, x) - x
-    return d.val(), d.val_floor()
+    """(exact val, certified floor) of (g-1)x.
+
+    For an exact tau^c, c != 0, the answer is read off x's terms.  tau^c
+    fixes u and sends t^B to eps^(cB) t^B, eps = 1+u, so
+    (tau^c - 1)x = sum over B of t^B f_B (eps^(cB) - 1), with f_B the
+    column of x's terms in t^B.  Columns of distinct B share no
+    monomial, so nothing cancels between them; the valuation is
+    multiplicative, so a column's valuation is that of its leading term
+    plus val(eps^(cB) - 1) = p^(v_p(n)) p/(p-1) / p^k for cB = n/p^k in
+    lowest terms (`eps_val_formula`), which is the key shift
+    p^(v_p(n)) p^(cap-k+1).  So val((tau^c - 1)x) is the least
+    key + shift over the terms with B != 0, known when it lies below
+    x's key bound; otherwise (None, x.prec), as for an x with no term
+    that moves.  An exact x refuses the same expansions as the action,
+    in the same term order.  Every other g acts and subtracts.
+    """
+    if g.a != 1 or g.nacc is not None or not g.c:
+        d = galois.act(g, x) - x
+        return d.val(), d.val_floor()
+    p, cap, bound = x.p, x.cap, x.bound
+    least = None
+    for m, _ in x.terms:
+        key, b = m[0], ring.mono_units(m, p)[1]
+        if not b:
+            continue
+        n, k = ring.lowest_terms(g.c * b, p, cap)
+        if bound is None:
+            galois.check_exact_power(n)
+        # each factor p of n multiplies the shift by p, which matters
+        # only until the term reaches the bound
+        shift = p ** (cap - k + 1)
+        while n % p == 0 and (bound is None or key + shift < bound):
+            n //= p
+            shift *= p
+        if bound is None or key + shift < bound:
+            least = ring.min_prec(least, key + shift)
+    if least is None:
+        return None, x.prec
+    val = Fraction(least, (p - 1) * p**cap)
+    return val, val
 
 
 def sh_test(

@@ -10,18 +10,20 @@ P = 3
 CAP = 6
 
 
-def series_strategy(p=P, cap=4, max_terms=4, prec=None):
-    """Random series with exponents in Z[1/p] of bounded denominator."""
+def series_strategy(p=P, cap=CAP, max_terms=4, prec=None):
+    """Random series in the ring of denominator cap p^cap, with exponents
+    in Z[1/p] of denominator at most p^min(2, cap)."""
+    deepest = min(2, cap)
 
     @st.composite
     def build(draw):
         n = draw(st.integers(0, max_terms))
-        acc = ring.zero(p, CAP, prec)
+        acc = ring.zero(p, cap, prec)
         for _ in range(n):
             coeff = draw(st.integers(1, p - 1))
-            eu = Fraction(draw(st.integers(0, 4)), p ** draw(st.integers(0, 2)))
-            et = Fraction(draw(st.integers(-3, 5)), p ** draw(st.integers(0, 2)))
-            acc = acc + ring.monomial(p, CAP, coeff, eu, et, prec)
+            eu = Fraction(draw(st.integers(0, 4)), p ** draw(st.integers(0, deepest)))
+            et = Fraction(draw(st.integers(-3, 5)), p ** draw(st.integers(0, deepest)))
+            acc = acc + ring.monomial(p, cap, coeff, eu, et, prec)
         return acc
 
     return build()

@@ -386,6 +386,38 @@ class TestParserReuse:
         assert (at5["series"], at3["series"]) == ("4", "1")
 
 
+class TestModuleEntryPoint:
+    """``python -m tilted`` in a fresh process, which a hang cannot stall:
+    the orbit sweeps refuse expansions too large to make, and print
+    exponents too long for str() by their size, at exit 2 in well under
+    the timeout."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sh-test", "t", "--plambda", "3/2", "--mu", "1", "--imax", "1000000"],
+             "exact expansion of (1+u)^118098 is too large"),
+            (["sh-test", "t", "--plambda", "3/2", "--mu", "1", "--k", "1000000"],
+             "exact expansion of (1+u)^m, m of more than 4300 digits, is too large"),
+            (["sh-estimate", "t", "--k", "1000000"],
+             "exact expansion of (1+u)^m, m of more than 4300 digits, is too large"),
+            (["sh-test", "t^{-1}", "--plambda", "3/2", "--mu", "1", "--imax", "3"],
+             "eps_pow with negative exponent needs a cap"),
+        ],
+    )
+    def test_refusals_exit_2(self, argv, message):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "tilted", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        message = message.replace("4300", str(sys.get_int_max_str_digits()))
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", f"inconclusive: {message}\n")
+
+
 class TestNewtonCommand:
     def test_elementary(self, capsys):
         code, obj = run_json(capsys, "newton", "--p", "5", "--eK", "1", "--n", "1")

@@ -6,10 +6,14 @@ failure the same exception type and message."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilted import galois, holder, phitau, ring
 from tilted.errors import PreconditionViolated
 from tilted.holder import FamilyKind, LevelMargin, PPow, ShVerdict, Status, SubgroupFamily
+
+from conftest import series_strategy
 
 # -- the oracle loops -------------------------------------------------
 
@@ -150,6 +154,62 @@ def test_sh_test_matches_loops(p, kind):
         assert outcome(holder.sh_test, x, fam, plam, mu, i_max) == outcome(
             oracle_sh_test, x, fam, plam, mu, i_max
         )
+
+
+@st.composite
+def tau_orbit_cases(draw):
+    """(x, tau^c): x exact or capped on the key lattice, so that a
+    term's shifted key can land exactly on the bound, and c = +-m p^j
+    with j below, near and far beyond the denominator cap."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cap = draw(st.sampled_from([0, 1, 2, 4, 6]))
+    prec = draw(
+        st.none()
+        | st.builds(
+            lambda n, e: Fraction(n, (p - 1) * p**e), st.integers(-3, 40 * p), st.integers(0, 2)
+        )
+    )
+    x = draw(series_strategy(p=p, cap=cap, prec=prec))
+    m = draw(st.integers(1, 3 * p))
+    j = draw(st.sampled_from([0, 1, 2, cap, cap + 1, cap + 3, 20, 45]))
+    sign = draw(st.sampled_from([1, -1]))
+    return x, galois.tau(sign * m * p**j)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tau_orbit_cases())
+# t + O(3) at p = 2: (tau - 1)t leads with u*t, of key 192, exactly the bound
+@example((ring.parse_series("t + O(3)", 2, 6), galois.tau(1)))
+@example((ring.parse_series("u*t^{-1} + t^{2}", 3, 2), galois.tau(-1)))
+@example((ring.parse_series("u + t", 5, 2), galois.tau(5**20)))
+@example((ring.parse_series("u^{2} + O(4)", 7, 1), galois.tau(3)))
+def test_tau_orbit_floor_matches_act(case):
+    x, g = case
+    assert outcome(holder._orbit_floor, x, g) == outcome(oracle_orbit_floor, x, g)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("text", ["t", "u*t^{1/3} + t^{2} + O(12)", "u^{2}*t^{-1} + O(9)"])
+def test_tau_sweeps_do_not_act(text, monkeypatch):
+    x = ring.parse_series(text, 3, 6)
+    acts = _counting(monkeypatch, galois, "act")
+    expansions = _counting(monkeypatch, galois, "_eps_terms")
+    for i_max in (1, 3):
+        holder.sh_test(x, SubgroupFamily(FamilyKind.TAU, 1), Fraction(3, 2), 0, i_max)
+    assert (len(acts), len(expansions)) == (0, 0)
+    holder.sh_test(x, SubgroupFamily(FamilyKind.GAMMA, 1), Fraction(3, 2), 0, 1)
+    assert len(acts) == 2 * 2
 
 
 def _modules(p):
