@@ -54,10 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _frac(q) -> str | None:
-    if q is None:
-        return None
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    return None if q is None else str(Fraction(q))
 
 
 def _ppow(b: PPow) -> str:

@@ -661,7 +661,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
 
     A sample counts only when a known entry term attains the difference's
     floor; a difference whose floor is an entry's cap vanished to
-    precision, and a level of such samples raises PreconditionViolated."""
+    precision, and a level of such samples raises DegenerateOrbit."""
     if i_max < 1:
         raise ValueError("need i_max >= 1 to fit an exponent")
     if plam is not None and not isinstance(plam, PPow):
@@ -678,7 +678,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     for level in holder.level_samples(measure, fam, p, i_max):
         vmin = holder.min_known(v for _, v in level)
         if vmin is None:
-            raise PreconditionViolated("orbit differences vanish to precision")
+            raise DegenerateOrbit("orbit differences vanish to precision")
         levels.append(vmin)
     plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
     if plam is None:
@@ -707,7 +707,8 @@ def module_sh_test(
     over the tau family at base level k, g = tau^(m p^(k+i)) for
     m = 1..p-1 and i = 0..i_max, and fit the exponents.  One chain builds
     every Mat(g), each level from the one below.  Without a lattice the
-    lattice levels and fit are None."""
+    lattice levels and fit are None.  A level at which some basis vector's
+    difference vanishes to precision raises DegenerateOrbit."""
     if i_max < 1:
         raise ValueError("need i_max >= 1 to fit an exponent")
     if n < 0:
@@ -740,7 +741,7 @@ def module_sh_test(
             vt = holder.min_known(vs[j][0] for _, vs in level)
             vtd = holder.min_known(vs[j][1] for _, vs in level)
             if vt is None or (w_inv is not None and vtd is None):
-                raise PreconditionViolated("orbit differences vanish to precision")
+                raise DegenerateOrbit("orbit differences vanish to precision")
             tau_levels[j].append(vt)
             tilde_levels[j].append(vtd)
     return tuple(

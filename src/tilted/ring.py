@@ -477,20 +477,7 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
 
 # -- text form --------------------------------------------------------
 
-# Whitespace may precede every token.  Each of these patterns matches one
-# whole unit of the grammar or nothing; `(?!\d)` keeps a digit run whole
-# when the regex engine backtracks.
-_COEFF_RE = re.compile(r"\s*(\d+)(\s*\*)?")
-# groups: variable, '{', '-', numerator, denominator, a following '*';
-# the '}' is required exactly when the '{' matched
-_ATOM_RE = re.compile(
-    r"\s*([ut])"
-    r"(?:\s*\^(?:\s*(\{))?(?:\s*(-))?\s*(\d+)(?!\d)"
-    r"(?:\s*/\s*(\d+)(?!\d)|(?!\s*/))(?(2)\s*\})"
-    r"|(?!\s*\^))"
-    r"(\s*\*)?"
-)
-_PLUS_RE = re.compile(r"\s*\+")
+# a token is a digit run or one other character, after any whitespace
 _NEXT_TOKEN_RE = re.compile(r"\s*(\d+|\S)")
 # the start of the whitespace before the first character that begins no
 # token, or of trailing whitespace
@@ -552,16 +539,6 @@ def _atom(text, i):
     """(variable, numerator, denominator, star, end) of the atom after i,
     where star tells whether a '*' follows it, or None when the next
     token is not 'u' or 't'."""
-    m = _ATOM_RE.match(text, i)
-    if m is not None:
-        var, _, minus, num, den, star = m.groups()
-        num = 1 if num is None else -int(num) if minus else int(num)
-        den = 1 if den is None else int(den)
-        if den == 0:
-            raise ParseError("zero denominator", m.start(5))
-        return var, num, den, star is not None, m.end()
-    # not an atom, or a malformed exponent: read it token by token, which
-    # raises the error at the token where it breaks
     var, _, i = _next_token(text, i)
     if var not in _VARS:
         return None
@@ -608,16 +585,16 @@ def parse_series(text: str, p: int, cap: int = DEFAULT_DENOM_CAP) -> PerfSeries:
     distinct atom text is matched and converted once per call.  The
     reader gives up on anything else, on an exponent off the p^cap
     lattice, a zero denominator, or a digit run too long for `int`, and
-    the scanner below then reads the text; it reports every error.
+    the scanner below then reads the text; it reports every error.  On a
+    text both read, the two give the same series and differ only in speed.
 
-    The scanner reads the text left to right with one compiled regex
-    per coefficient, atom and '+'.  An atom's exponent num/den goes
-    straight to its units num * p^cap / den, an int, whenever den divides
-    p^cap, and the units of a term's atoms add up per variable.  Only an
-    exponent off that lattice is kept as a Fraction, and the term's sum
-    is validated by `exponent_units`, so u^{1/2}*u^{1/2} at p = 3 is u.
-    The O(...) cap, which comes at most once, is read token by token and
-    goes straight to its key bound, so a cap off the key lattice is
+    The scanner reads the text left to right, token by token.  An atom's
+    exponent num/den goes straight to its units num * p^cap / den, an
+    int, whenever den divides p^cap, and the units of a term's atoms add
+    up per variable.  Only an exponent off that lattice is kept as a
+    Fraction, and the term's sum is validated by `exponent_units`, so
+    u^{1/2}*u^{1/2} at p = 3 is u.  The O(...) cap, which comes at most
+    once, goes straight to its key bound, so a cap off the key lattice is
     sharpened: O(1/7) at p = 3 reads as O(209/1458).
 
     Errors come as the grammar meets them, except that a character no
@@ -695,15 +672,15 @@ def _scan(text, p, cap):
     i = 0
     while True:
         coeff, a, b, off = 1, 0, 0, None
-        m = _COEFF_RE.match(text, i)
-        if m is None:
-            seen = more = False
-        else:
-            coeff, i, seen, more = int(m[1]), m.end(), True, m[2] is not None
-            if not more:
-                tok, pos, _ = _next_token(text, i)
-                if tok in _VARS:
-                    raise ParseError("missing '*' between coefficient and atom", pos)
+        seen = more = False
+        tok, _, end = _next_token(text, i)
+        if tok is not None and tok.isdecimal():
+            coeff, i, seen = int(tok), end, True
+            tok, pos, end = _next_token(text, i)
+            if tok == "*":
+                i, more = end, True
+            elif tok in _VARS:
+                raise ParseError("missing '*' between coefficient and atom", pos)
         while more or not seen:
             atom = _atom(text, i)
             if atom is None:
@@ -733,15 +710,8 @@ def _scan(text, p, cap):
         acc[key] = acc.get(key, 0) + coeff
         if i == len(text):
             break
-        m = _PLUS_RE.match(text, i)
-        i = m.end() if m is not None else _expect(text, i, "+")
+        i = _expect(text, i, "+")
     return make_series(p, cap, acc, bound)
-
-
-def _format_exp(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _format_atom(name, a, p, cap):
@@ -773,7 +743,7 @@ def format_series(x: PerfSeries) -> str:
         else:
             parts.append(f"{c}*" + "*".join(atoms))
     if x.bound is not None:
-        parts.append(f"O({_format_exp(x.prec)})")
+        parts.append(f"O({x.prec})")
     if not parts:
         return "0"
     return " + ".join(parts)

@@ -294,6 +294,22 @@ class TestModuleCommands:
             assert vec["basis_levels"] == full["basis_levels"]
             assert vec["basis_fit"] == full["basis_fit"]
 
+    def test_sh_vanished_to_precision_is_exit_2(self, capsys, tmp_path):
+        # a basis vector that tau fixes to precision refutes nothing, so
+        # `module sh` is inconclusive there: over the generated grid every
+        # run passes or exits 2, and `--d 1 --seed 1` (P = 1) exits 2
+        path = str(tmp_path / "m.mod")
+        codes = {}
+        for d in range(1, 7):
+            for seed in range(10):
+                run(capsys, "module", "gen", "--d", str(d), "--seed", str(seed), "--out", path)
+                code, out, err = run(capsys, "module", "sh", path)
+                assert code in (0, 2), (d, seed, err)
+                if code == 2:
+                    assert out == "" and err.startswith("inconclusive:"), (d, seed, err)
+                codes[d, seed] = code
+        assert codes[1, 1] == 2 and set(codes.values()) == {0, 2}
+
 
 class TestZeroDenominators:
     """A zero denominator in any rational argument or module header is a

@@ -326,6 +326,13 @@ def test_random_malformed_literals(p, cap):
         "O(24)",
         "u^{1/2}*u^{1/2} + O(3)",
         "0",
+        # coefficients, atoms and '+' with whitespace, signs, denominators
+        # and non-ASCII digits inside them
+        "t^{3}/9",
+        "t^3/9",
+        "u^-3*t",
+        "2 *\tt ^ 2 + 1",
+        "٣ * u^{٣}",
     ],
 )
 @pytest.mark.parametrize("p", [2, 3])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tilted import cli, galois, phitau, ring, selftest
-from tilted.errors import ParseError, PreconditionViolated
+from tilted.errors import DegenerateOrbit, ParseError, PreconditionViolated
 from tilted.holder import PPow, Status
 from tilted.phitau import MatSeries
 
@@ -430,7 +430,7 @@ class TestModuleSh:
         mod = phitau.basechange_generate(1, seed=0, p=5, prec=18)
         assert str(phitau.mat_of(mod, galois.tau(25)).rows[0][0]) == "1 + O(17)"
         assert phitau.matrix_sh_test(mod, 0, i_max=1).levels == (Fraction(5, 4), Fraction(25, 4))
-        with pytest.raises(PreconditionViolated, match="vanish to precision"):
+        with pytest.raises(DegenerateOrbit, match="vanish to precision"):
             phitau.matrix_sh_test(mod, 0, i_max=2)
 
     def test_target_compares_exactly(self):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilted import galois, holder, phitau, ring
-from tilted.errors import PreconditionViolated
+from tilted.errors import DegenerateOrbit
 from tilted.holder import FamilyKind, LevelMargin, PPow, ShVerdict, Status, SubgroupFamily
 
 from conftest import series_strategy
@@ -74,7 +74,7 @@ def oracle_matrix_sh_test(module, k, plam=None, i_max=2):
                 continue
             vmin = floor if vmin is None else min(vmin, floor)
         if vmin is None:
-            raise PreconditionViolated("orbit differences vanish to precision")
+            raise DegenerateOrbit("orbit differences vanish to precision")
         levels.append(vmin)
     plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
     if plam is None:
@@ -109,7 +109,7 @@ def oracle_module_sh_test(module, k, n=0, i_max=2):
                 if vtd is not None:
                     vtd_min = vtd if vtd_min is None else min(vtd_min, vtd)
             if vt_min is None or vtd_min is None:
-                raise PreconditionViolated("orbit differences vanish to precision")
+                raise DegenerateOrbit("orbit differences vanish to precision")
             tau_levels.append(vt_min)
             tilde_levels.append(vtd_min)
         reports.append(
@@ -229,6 +229,6 @@ def test_module_sweeps_match_loops(p):
             assert got == outcome(oracle_matrix_sh_test, mod, k, plam=plam, i_max=i_max)
             got = outcome(phitau.module_sh_test, mod, k, n=n, i_max=i_max)
             assert got == outcome(oracle_module_sh_test, mod, k, n=n, i_max=i_max)
-            seen.add(got.startswith("PreconditionViolated"))
+            seen.add(got.startswith("DegenerateOrbit"))
     # both reports and vanishing levels were compared
     assert seen == {True, False}
