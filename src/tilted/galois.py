@@ -101,12 +101,15 @@ def check_exact_power(m: int) -> None:
 def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tuple[int, int]]:
     """The nonzero terms of (1+v)^m, v = u^(1/p^k), whose key lies below
     the key bound (None: all of them), as pairs (j, C(m, j) mod p) for
-    the terms C(m, j) v^j, with m reduced mod p^N as in `eps_pow`.
+    the terms C(m, j) v^j, with m reduced mod p^N as in `eps_pow`, in
+    ascending order of j.
 
     By Lucas' theorem these are the j whose base-p digits are each at
     most the matching digit of m, and C(m, j) is the product of the
     digit binomials.  Digits are added from the least significant up, so
-    a partial j at or above the bound is final and can be dropped.
+    a partial j at or above the bound is final and can be dropped; each
+    new digit i at place p^n puts j + i*p^n after every j < p^n, which
+    keeps the j ascending.
     """
     if bound is None:
         check_exact_power(m)
@@ -224,20 +227,33 @@ def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
     get = acc.get
+    # u^A t^B is fixed, so its factor (1+u)^(c*B) is needed below
+    # eff - key only.  Every term of one t-column shares that factor, and
+    # the terms come sorted by key: the column's first term needs the most
+    # of it, and its expansion serves the column's later terms
+    columns = {}
     for m, co in x.terms:
         et = ring.mono_units(m, p)[1]
         if et == 0:
             acc[m] = get(m, 0) + co
             continue
-        # u^A t^B is fixed, so its factor (1+u)^(c*B) is needed below
-        # eff - key only, and each of its terms v^j lands on the
-        # monomial shifted by v^j's key and u units
         key, units = m
-        mm, k = ring.lowest_terms(c * et, p, cap)
-        unit = p ** (cap - k)
-        for j, cj in _eps_terms(mm, k, p, cap, None if eff is None else eff - key):
+        column = columns.get(et)
+        if column is None:
+            mm, k = ring.lowest_terms(c * et, p, cap)
+            column = columns[et] = (
+                p ** (cap - k),
+                _eps_terms(mm, k, p, cap, None if eff is None else eff - key),
+            )
+        unit, terms = column
+        for j, cj in terms:
+            # v^j lands on the monomial shifted by its key and u units
             ju = j * unit
-            mono = (key + ju * p, units + ju)
+            jkey = key + ju * p
+            if eff is not None and jkey >= eff:
+                # j ascend: every later v^j lies at or above eff too
+                break
+            mono = (jkey, units + ju)
             acc[mono] = get(mono, 0) + cj * co
     return ring.make_series(p, cap, acc, eff)
 

@@ -28,6 +28,11 @@ class PPow:
     s: Fraction = Fraction(0)
 
     def __post_init__(self):
+        # store int or float fields as Fraction (the class is frozen)
+        for name in ("q", "s"):
+            value = getattr(self, name)
+            if not isinstance(value, Fraction):
+                object.__setattr__(self, name, Fraction(value))
         if self.q <= 0:
             raise ValueError(f"p^lambda = q * p^s needs q > 0, got q = {self.q}")
 
@@ -40,13 +45,25 @@ class PPow:
         return PPow(self.q, self.s + i)
 
     def cmp(self, v, p: int) -> int:
-        """Sign of (q * p^s) - v for a rational v."""
+        """Sign of (q * p^s) - v for a rational v.
+
+        With q = qn/qd, v = vn/vd > 0 and s = e + r/b, 0 <= r < b, this
+        is the sign of (qn * vd * p^e)^b * p^r - (vn * qd)^b, compared on
+        integers, with p^|e| moved to the right-hand side when e < 0.
+        """
         v = Fraction(v)
         if v <= 0:
             return 1
-        a, b = self.s.numerator, self.s.denominator
-        lhs = self.q**b * (Fraction(p) ** a)
-        rhs = v**b
+        b = self.s.denominator
+        e, r = divmod(self.s.numerator, b)
+        lhs = self.q.numerator * v.denominator
+        rhs = v.numerator * self.q.denominator
+        if e >= 0:
+            lhs *= p**e
+        else:
+            rhs *= p**-e
+        lhs = lhs**b * p**r
+        rhs = rhs**b
         return (lhs > rhs) - (lhs < rhs)
 
 

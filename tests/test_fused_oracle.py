@@ -340,6 +340,111 @@ def test_gamma_on_several_u_terms_is_sum_of_single_term_actions():
         assert view(got) == view(oracle_act(g, x))
 
 
+def dense_columns(rng, p, cap, kind):
+    """5 to 30 terms u^(j/p^2) * t^B spread over one or two t-columns."""
+    prec = None if kind == "exact" else Fraction(rng.randint(2, 12), rng.choice([1, p]))
+    columns = [ring.exponent_units(Fraction(rng.randint(-3, 5), p ** rng.randint(0, 2)), p, cap)]
+    if rng.random() < 0.5:
+        columns.append(columns[0] + p ** (cap - rng.randint(0, 2)))
+    unit = p ** (cap - 2)
+    acc = {}
+    for i, j in enumerate(rng.sample(range(-(p**2), 6 * p**2 + 10), rng.randint(5, 30))):
+        acc[ring.mono_of(j * unit, columns[i % len(columns)], p)] = rng.randint(1, p - 1)
+    return make_series(p, cap, acc, ring.key_bound(prec, p, cap))
+
+
+def stops_early(c, x, eff):
+    """Whether a t-column's last term keeps fewer terms of the column's
+    expansion (1+u)^(c*B) than its first term, whose key is least."""
+    if eff is None:
+        return False
+    p, cap = x.p, x.cap
+    keys = {}
+    for m, _ in x.terms:
+        et = ring.mono_units(m, p)[1]
+        if et:
+            keys.setdefault(et, []).append(m[0])
+    for et, ks in keys.items():
+        mm, k = ring.lowest_terms(c * et, p, cap)
+        expansion = galois._eps_terms(mm, k, p, cap, eff - ks[0])
+        if any(ks[-1] + j * p ** (cap - k + 1) >= eff for j, _ in expansion):
+            return True
+    return False
+
+
+TAU_POWERS = {p: sorted({*range(-3, 4), p, 2 * p + 1}) for p in (2, 3, 5, 7)}
+
+
+@pytest.mark.parametrize("p, cap", RINGS)
+def test_tau_on_dense_columns_matches_chained(p, cap):
+    rng = random.Random(4000 + 10 * p + cap)
+    early = 0
+    for _ in range(30):
+        x = dense_columns(rng, p, cap, rng.choice(("exact", "capped")))
+        prec = rng.choice([None, Fraction(rng.randint(1, 10))])
+        for c in TAU_POWERS[p]:
+            g = galois.tau(c)
+            want = _act_or_error(oracle_act, g, x, prec)
+            assert _act_or_error(galois.act, g, x, prec) == want, (c, str(x), prec)
+            early += stops_early(c, x, min_prec(x.bound, ring.key_bound(prec, p, cap)))
+    # the column's later terms did cut the shared expansion short
+    assert early > 0
+
+
+@pytest.mark.parametrize("p, cap", RINGS)
+def test_tau_on_gamma_images_matches_chained(p, cap):
+    # gamma_a maps u^e t^B to a series in u times t^B: one dense t-column
+    rng = random.Random(5000 + 10 * p + cap)
+    units = [a for a in (2, p + 1, 2 * p + 1) if a % p]
+    for _ in range(12):
+        seed = ring.zero(p, cap)
+        for _ in range(rng.randint(1, 2)):
+            eu = Fraction(rng.randint(1, 4), p ** rng.randint(0, 2))
+            et = Fraction(rng.randint(-2, 4), p ** rng.randint(0, 2))
+            seed = seed + ring.monomial(p, cap, 1, eu, et)
+        prec = rng.choice([None, Fraction(rng.randint(6, 14))])
+        x = galois.act(galois.gamma(rng.choice(units)), seed, prec)
+        for c in TAU_POWERS[p]:
+            for g in (galois.tau(c), galois.GroupElem(c, rng.choice(units))):
+                want = _act_or_error(oracle_act, g, x, prec)
+                assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
+
+
+@pytest.mark.parametrize(
+    "c, refused", [(-1, "negative exponent"), (3, "(1+u)^150000 "), (4, "(1+u)^200000 ")]
+)
+def test_tau_refuses_the_first_exact_column(c, refused):
+    # u^(-30000)*t^(50000) has the least key, so its column's power is
+    # refused, although the t^(40000) column is refused on its own too
+    p, cap = 2, 2
+    x = ring.parse_series("t^{40000} + u^{5}*t^{40000} + u^{-30000}*t^{50000} + u*t^{50000}", p, cap)
+    want = _act_or_error(oracle_act, galois.tau(c), x, None)
+    assert want.startswith("PrecisionRequired") and refused in want
+    assert _act_or_error(galois.act, galois.tau(c), x, None) == want
+    alone = ring.parse_series("t^{40000} + u^{5}*t^{40000}", p, cap)
+    want = _act_or_error(oracle_act, galois.tau(c), alone, None)
+    assert want.startswith("PrecisionRequired") and (c < 0 or f"(1+u)^{40000 * c} " in want)
+    assert _act_or_error(galois.act, galois.tau(c), alone, None) == want
+
+
+def test_eps_terms_ascend():
+    # `_apply_tau` stops a column's later terms at the first j past their
+    # own bound, which needs the j in ascending order
+    rng = random.Random(11)
+    for _ in range(600):
+        p = rng.choice((2, 3, 5, 7))
+        cap = rng.randint(0, 6)
+        k = rng.randint(0, cap)
+        if rng.random() < 0.3:
+            m, bound = rng.randint(0, 5000), None
+        else:
+            m, bound = rng.randint(-(10**6), 10**6), rng.randint(-10, 40 * p ** (cap + 1))
+        js = [j for j, _ in galois._eps_terms(m, k, p, cap, bound)]
+        assert all(a < b for a, b in zip(js, js[1:])), (m, k, p, cap, bound)
+        want = oracle_eps_pow(m, k, p, cap, bound)
+        assert [j * p ** (cap - k) for j in js] == [a for (_, a), _ in want.terms]
+
+
 # -- cost --------------------------------------------------------------
 
 
@@ -376,3 +481,23 @@ def test_tau_action_normalizes_once(series_count):
     assert len(series_count) == 1
     assert view(y) == view(oracle_act(galois.tau(5), x))
     assert view(z) == view(oracle_act(galois.tau(-2), x, 6))
+
+
+def test_tau_action_expands_once_per_column(monkeypatch):
+    calls = []
+    inner = galois._eps_terms
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(galois, "_eps_terms", counting)
+    p, cap = 3, 6
+    # three moving t-columns (t^1: 3 terms, t^{2}: 2, t^{-1/9}: 1) and the fixed u^{1/3}
+    text = "t + u*t + u^{4/3}*t + 2*t^{2} + u^{2}*t^{2} + u^{1/3}*t^{-1/9} + u^{1/3} + O(12)"
+    x = ring.parse_series(text, p, cap)
+    for prec in (None, 6):
+        calls.clear()
+        y = galois.act(galois.tau(5), x, prec)
+        assert len(calls) == 3
+        assert view(y) == view(oracle_act(galois.tau(5), x, prec))

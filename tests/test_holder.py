@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,54 @@ class TestPPow:
     def test_nonpositive_values(self):
         assert PPow.rational(1).cmp(-1, P) > 0
         assert PPow.rational(1).cmp(0, P) > 0
+
+    def test_fields_become_fractions(self):
+        # int and float fields are stored as Fraction, so cmp can read
+        # their numerators and denominators
+        for b in (PPow(3, 1), PPow(1.5), PPow(Fraction(3, 2), 0.5), PPow(2.0, -1)):
+            assert type(b.q) is Fraction and type(b.s) is Fraction
+        assert PPow(Fraction(3, 2), 0.5).cmp(Fraction(5, 2), P) == 1
+        assert PPow(Fraction(3, 2), 0.5) == PPow(Fraction(3, 2), Fraction(1, 2))
+        assert PPow(1.5).cmp(2.5, P) == -1
+        assert PPow(1.5).cmp(1.5, P) == 0
+        assert PPow(3, 1).cmp(9.0, P) == 0
+        assert PPow(2.0, -1).cmp(0.75, P) < 0
+        with pytest.raises(ValueError):
+            PPow(-0.5)
+
+
+def oracle_cmp(self: PPow, v, p: int) -> int:
+    """Sign of (q * p^s) - v on Fraction powers: the earlier `PPow.cmp`,
+    kept verbatim."""
+    v = Fraction(v)
+    if v <= 0:
+        return 1
+    a, b = self.s.numerator, self.s.denominator
+    lhs = self.q**b * (Fraction(p) ** a)
+    rhs = v**b
+    return (lhs > rhs) - (lhs < rhs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ppow_cmp_matches_fraction_powers(p):
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(1500):
+        q = Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        sexp = Fraction(rng.randint(-15, 15), rng.randint(1, 6))
+        b = PPow(q, sexp)
+        if rng.random() < 0.2:
+            v = Fraction(rng.randint(-30, 0), rng.randint(1, 9))
+        elif sexp.denominator == 1 and rng.random() < 0.5:
+            # v = q * p^s itself, and its nearest neighbours
+            nudge = rng.choice([0, 0, Fraction(1, 10**9), -Fraction(1, 10**9)])
+            v = q * Fraction(p) ** sexp.numerator + nudge
+        else:
+            v = Fraction(rng.randint(1, 10**4), rng.randint(1, 10**3))
+        got = b.cmp(v, p)
+        assert got == oracle_cmp(b, v, p), (q, sexp, v, p)
+        seen.add(got)
+    assert seen == {-1, 0, 1}
 
 
 def value_float(b: PPow, p: int) -> float:
