@@ -4,9 +4,16 @@ Subcommands: eval, val, act, sh-test, sh-estimate, deperfect,
 module (gen | check | descend | sh), newton, selftest.
 
 Exit codes: 0 on success or a passing test, 1 when a test fails or a
-counterexample is found, 2 when the result is inconclusive or limited
-by precision (including an exponent beyond the denominator cap), 3 on
-usage or parse errors.
+counterexample is found, 2 when the result is inconclusive, 3 on usage
+or parse errors.  Exit 2 is the `errors.Inconclusive` family: a cap, a
+precision or a group accuracy ran out before anything was certified or
+refuted (an exponent beyond the denominator cap, a difference or an
+inverse that vanished to precision).  Every other `TiltedError` exits 1.
+The input rules live in the library, which raises ValueError or
+ParseError (exit 3): p and cap in `ring.check_ring`, which every
+command that takes --cap reaches before any work (`newton` checks its
+own p), and the fit horizon, three levels (--imax >= 2), in
+`holder.check_fit_horizon`.
 
 Output is JSON on stdout with a "schema" field; rationals are rendered
 as "a/b" strings so that results are exact and byte-stable.  The
@@ -24,16 +31,7 @@ import sys
 from fractions import Fraction
 
 from . import galois, holder, newton, phitau, ring, selftest
-from .errors import (
-    CapExceeded,
-    DegenerateOrbit,
-    InsufficientGroupAccuracy,
-    NonConvergence,
-    ParseError,
-    PrecisionRequired,
-    PreconditionViolated,
-    TiltedError,
-)
+from .errors import Inconclusive, NonConvergence, ParseError, TiltedError
 from .holder import FamilyKind, PPow, Status, SubgroupFamily
 
 EXIT_OK = 0
@@ -80,16 +78,17 @@ def parse_group(text: str) -> galois.GroupElem:
     return g
 
 
-_PPOW_RE = re.compile(r"(-?\d+(?:/\d+)?)(?:\*p\^\{?(-?\d+(?:/\d+)?)\}?)?")
+# the braces around the p-exponent come both or neither
+_PPOW_RE = re.compile(r"(-?\d+(?:/\d+)?)(?:\*p\^(\{)?(-?\d+(?:/\d+)?)(?(2)\}))?")
 
 
 def parse_ppow(text: str) -> PPow:
-    """Exponent literals "3/2" or "3/2*p^{1/2}"."""
+    """Exponent literals "3/2", "3/2*p^{1/2}" or "3/2*p^2"."""
     m = _PPOW_RE.fullmatch(text.replace(" ", ""))
     if not m:
         raise ParseError(f"bad exponent {text!r}")
     try:
-        return PPow(Fraction(m.group(1)), Fraction(m.group(2) or 0))
+        return PPow(Fraction(m.group(1)), Fraction(m.group(3) or 0))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in exponent {text!r}") from None
 
@@ -106,20 +105,6 @@ def _series_obj(x) -> dict:
     }
 
 
-def prime(text) -> int:
-    p = int(text)
-    if not ring.is_prime(p):
-        raise argparse.ArgumentTypeError(f"p must be a prime >= 2, got {p}")
-    return p
-
-
-def denom_cap(text) -> int:
-    cap = int(text)
-    if not 0 <= cap <= ring.MAX_DENOM_CAP:
-        raise argparse.ArgumentTypeError(f"cap must be in 0..{ring.MAX_DENOM_CAP}, got {cap}")
-    return cap
-
-
 def _fraction(text) -> Fraction:
     """The argparse type of every rational option: a bad literal, a zero
     denominator included, is a usage error and never a traceback."""
@@ -132,9 +117,9 @@ def _fraction(text) -> Fraction:
 
 
 def _add_ring_args(sub, prec_default=None):
-    sub.add_argument("--p", type=prime, default=3, help="the prime (default 3)")
+    sub.add_argument("--p", type=int, default=3, help="the prime (default 3)")
     sub.add_argument(
-        "--cap", type=denom_cap, default=ring.DEFAULT_DENOM_CAP,
+        "--cap", type=int, default=ring.DEFAULT_DENOM_CAP,
         help="exponent denominator cap: denominators divide p^cap",
     )
     sub.add_argument(
@@ -227,7 +212,7 @@ def _build_parser() -> _Parser:
     s.add_argument("--imax", type=int, default=2)
 
     s = sub.add_parser("newton", help="Newton polygon of a Kummer tower step")
-    s.add_argument("--p", type=prime, default=3)
+    s.add_argument("--p", type=int, default=3)
     s.add_argument("--eK", type=int, default=1)
     s.add_argument("--n", type=int, default=0)
 
@@ -476,16 +461,10 @@ def dispatch(argv) -> int:
     except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (
-        CapExceeded,
-        PrecisionRequired,
-        InsufficientGroupAccuracy,
-        DegenerateOrbit,
-        NonConvergence,
-    ) as exc:
+    except Inconclusive as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
-    except (PreconditionViolated, TiltedError) as exc:
+    except TiltedError as exc:
         sys.stderr.write(f"failed: {exc}\n")
         return EXIT_FAIL
 

@@ -239,6 +239,15 @@ def _level_minima(x, fam, i_max):
     return tuple(min_known(v for _, (v, _) in level) for level in levels)
 
 
+def check_fit_horizon(i_max: int) -> None:
+    """A fit compares consecutive level differences v_{i+1} - v_i, so
+    claiming it consistent, or worsening, needs two of them: the levels
+    0..i_max with i_max >= 2.  Every fit and refutation runs this before
+    measuring anything."""
+    if i_max < 2:
+        raise ValueError(f"need i_max >= 2 to compare level differences, got i_max={i_max}")
+
+
 def fit_exponent(levels, p):
     """Fit (p^lambda, mu) to level minima v_0, v_1, ..., using
     v_{i+1} - v_i = p^lambda p^i (p-1); returns (p^lambda, mu, consistent)
@@ -253,8 +262,7 @@ def fit_exponent(levels, p):
 def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int) -> ShEstimate:
     """Fit (p^lambda, mu) from measured margins: consecutive level minima
     satisfy v_{i+1} - v_i = p^lambda p^i (p-1) for a true exponent."""
-    if i_max < 2:
-        raise ValueError("need i_max >= 2 to fit an exponent")
+    check_fit_horizon(i_max)
     p = x.p
     levels = _level_minima(x, fam, i_max)
     if all(v is None for v in levels):
@@ -285,8 +293,7 @@ def nonmembership_witness(
     Margin monotonicity is decided exactly: m_{i+1} < m_i is the rational
     comparison v_{i+1} - v_i < p^lambda p^i (p-1).
     """
-    if i_max < 1:
-        raise ValueError("need i_max >= 1 to compare any two levels")
+    check_fit_horizon(i_max)
     if not isinstance(plam, PPow):
         plam = PPow.rational(plam)
     p = x.p

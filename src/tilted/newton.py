@@ -16,6 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ring import is_prime
+
+# the step polynomial has p + 1 coefficients, so p is bounded like the
+# exact expansions in `galois`
+MAX_P = 100_000
+
 
 @dataclass(frozen=True)
 class NPPoint:
@@ -103,8 +109,8 @@ def hull_oracle(points):
 
 def kummer_step_valuations(p: int, e_k: int, n: int):
     """Coefficient valuations of the degree-p Kummer step polynomial."""
-    if p < 3 or e_k < 1 or n < 0:
-        raise ValueError("need an odd prime p >= 3, e_K >= 1, n >= 0")
+    if not 3 <= p <= MAX_P or not is_prime(p) or e_k < 1 or n < 0:
+        raise ValueError(f"need an odd prime p in 3..{MAX_P}, e_K >= 1, n >= 0")
     pts = [NPPoint(0, None)]
     for k in range(1, p):
         pts.append(NPPoint(k, Fraction(e_k) + Fraction(p - k, p ** (n + 1))))

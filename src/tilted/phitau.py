@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import galois, holder, ring
-from .errors import DegenerateOrbit, NonConvergence, ParseError, PreconditionViolated
+from .errors import DegenerateOrbit, NonConvergence, ParseError, PrecisionRequired, PreconditionViolated
 from .galois import GroupElem
 from .holder import PPow
 from .ring import PerfSeries
@@ -203,6 +203,11 @@ def _check_pure_t(mat: MatSeries):
 
 
 def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None):
+    """The module, checked: P has pure-t integer exponents and a dominant
+    leading determinant, the cocycle holds for tau, and prec > 0 (at
+    prec <= 0 nothing of Mat(tau) is known, so every check is vacuous)."""
+    if Fraction(prec) <= 0:
+        raise ValueError(f"module precision must be > 0, got prec={prec}")
     d = frob.d
     p, cap = frob.p, frob.cap
     _check_pure_t(frob)
@@ -460,8 +465,7 @@ def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport
         raise ValueError(f"need r >= 1, got r={r}")
     module = integral_twist(module)
     p_inv = _p_inverse(module)
-    r = _least_radius(p_inv) if r is None else r
-    _check_radius(p_inv, r)
+    r = _radius(p_inv, r)
     chain = _TauChain(module)
     if c is None:
         c = module.p ** _least_level(chain, r)
@@ -508,20 +512,20 @@ def _p_inverse(module: PhiTauModule) -> MatSeries:
 
 def minimal_descent_radius(module: PhiTauModule) -> int:
     """Least r >= 1 with t^r P^{-1} in t * (integral matrices)."""
-    return _least_radius(_p_inverse(module))
+    return _radius(_p_inverse(module))
 
 
-def _least_radius(p_inv: MatSeries) -> int:
+def _radius(p_inv: MatSeries, r: int | None = None) -> int:
+    """r, checked to put t^r P^{-1} in t * (integral matrices), or the
+    least such r >= 1 when r is None."""
     floor = p_inv.val_floor()
     if floor is None:
-        raise PreconditionViolated("P^{-1} vanishes to precision")
-    return max(1, math.ceil(1 - floor))
-
-
-def _check_radius(p_inv: MatSeries, r: int):
-    floor = p_inv.val_floor()
-    if floor is None or r + floor < 1:
+        raise PrecisionRequired("P^{-1} vanishes to precision")
+    if r is None:
+        return max(1, math.ceil(1 - floor))
+    if r + floor < 1:
         raise PreconditionViolated(f"t^{r} P^-1 is not in t * integral matrices")
+    return r
 
 
 MAX_DESCENT_LEVEL = 12
@@ -565,7 +569,7 @@ def descend_fixed_point(
 ) -> DescentReport:
     """`descend`'s fixed point for a given g and r on an integral module."""
     p_inv = _p_inverse(module)
-    _check_radius(p_inv, r)
+    _radius(p_inv, r)
     return _fixed_point(module, g, r, target_prec, p_inv, mat_of(module, g))
 
 
@@ -593,7 +597,9 @@ def _fixed_point(module, g, r, target_prec, p_inv, mat_g) -> DescentReport:
     t_pow = ring.monomial(p, cap, 1, 0, r * (p - 1))
     q_g = gp_inv.scale_series(t_pow)
     q_val = q_g.val_floor()
-    if q_val is None or q_val <= 0:
+    if q_val is None:
+        raise PrecisionRequired("Q_g vanishes to precision")
+    if q_val <= 0:
         raise PreconditionViolated("Q_g is not topologically nilpotent")
     t_neg_r = ring.monomial(p, cap, 1, 0, -r)
     ident = MatSeries.identity(d, p, cap, prec)
@@ -662,8 +668,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     A sample counts only when a known entry term attains the difference's
     floor; a difference whose floor is an entry's cap vanished to
     precision, and a level of such samples raises DegenerateOrbit."""
-    if i_max < 1:
-        raise ValueError("need i_max >= 1 to fit an exponent")
+    holder.check_fit_horizon(i_max)
     if plam is not None and not isinstance(plam, PPow):
         plam = PPow.rational(plam)
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
@@ -709,8 +714,7 @@ def module_sh_test(
     every Mat(g), each level from the one below.  Without a lattice the
     lattice levels and fit are None.  A level at which some basis vector's
     difference vanishes to precision raises DegenerateOrbit."""
-    if i_max < 1:
-        raise ValueError("need i_max >= 1 to fit an exponent")
+    holder.check_fit_horizon(i_max)
     if n < 0:
         raise ValueError(f"need n >= 0 to scale by t^(1/p^n), got n={n}")
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
@@ -808,12 +812,12 @@ def module_from_text(text: str) -> PhiTauModule:
         prec = Fraction(header["prec"])
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad header prec={header['prec']}") from None
-    if not ring.is_prime(p):
-        raise ParseError(f"header p={p} is not a prime")
+    try:
+        ring.check_ring(p, cap)
+    except ValueError as exc:
+        raise ParseError(f"header: {exc}") from None
     if d < 1:
         raise ParseError(f"header d={d} must be >= 1")
-    if not 0 <= cap <= ring.MAX_DENOM_CAP:
-        raise ParseError(f"header cap={cap} must be in 0..{ring.MAX_DENOM_CAP}")
     if len(lines) < 2 or lines[1] != "[P]":
         raise ParseError("expected [P] section")
     frob, nxt = _read_matrix(lines, 2, d, p, cap)
@@ -827,4 +831,7 @@ def module_from_text(text: str) -> PhiTauModule:
         lattice, nxt = _read_matrix(lines, nxt + 1, d, p, cap)
         if nxt != len(lines):
             raise ParseError("trailing lines after lattice block")
-    return make_module(frob, mat_tau, prec, lattice=lattice)
+    try:
+        return make_module(frob, mat_tau, prec, lattice=lattice)
+    except ValueError as exc:
+        raise ParseError(f"header: {exc}") from None

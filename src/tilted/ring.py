@@ -71,12 +71,19 @@ def min_prec(a, b):
     return min(a, b)
 
 
+# psi_13, the least strong pseudoprime to the first thirteen prime bases
+# (Sorenson and Webster, Math. Comp. 2017)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases, which is exact
-    for n < 3.3e24."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    """Miller-Rabin with the first thirteen prime bases 2..41, which is
+    exact for n < PRIME_TEST_LIMIT; a larger n raises ValueError."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"cannot certify {n} as a prime: need n < {PRIME_TEST_LIMIT}")
     for b in bases:
         if n % b == 0:
             return n == b
@@ -99,7 +106,9 @@ def is_prime(n: int) -> bool:
 
 def check_ring(p, cap):
     """Reject a p that is not a prime, for which F_p and the exponents
-    p^-D Z mean nothing, and a cap outside 0..MAX_DENOM_CAP."""
+    p^-D Z mean nothing, or that `is_prime` cannot certify, and a cap
+    outside 0..MAX_DENOM_CAP.  This is the one home of both rules: the
+    CLI and the module-file reader reach it rather than checking again."""
     if not is_prime(p):
         raise ValueError(f"p must be a prime, got p={p}")
     if not 0 <= cap <= MAX_DENOM_CAP:
@@ -436,10 +445,13 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
     propagated caps.  When the input has a nontrivial tail a finite
     target precision is required (either the input's own cap or the
     ``prec`` argument); inverting an exact unit with an infinite tail
-    otherwise raises PrecisionRequired.
+    otherwise raises PrecisionRequired.  So does a series with no term
+    known below its cap; only the exact zero raises ZeroDivisor.
     """
     if not x.terms:
-        raise ZeroDivisor("cannot invert a series with no known terms")
+        if x.bound is None:
+            raise ZeroDivisor("cannot invert a series with no known terms")
+        raise PrecisionRequired(f"cannot invert a series with no known term below O({x.prec})")
     lead_m, lead_c = x.terms[0]
     p, cap = x.p, x.cap
     lead_k = lead_m[0]

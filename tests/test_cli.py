@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilted import cli, galois, phitau, ring
-from tilted.errors import ParseError
+from tilted import cli, errors, galois, phitau, ring
+from tilted.errors import Inconclusive, ParseError
 
 
 def run(capsys, *argv):
@@ -432,6 +432,70 @@ class TestModuleEntryPoint:
         )
         message = message.replace("4300", str(sys.get_int_max_str_digits()))
         assert (run.returncode, run.stdout, run.stderr) == (2, "", f"inconclusive: {message}\n")
+
+
+PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
+PSI_13 = "3317044064679887385961981"
+
+
+class TestHostileArgv:
+    """Inputs that could pass vacuously, take the wrong exit or run
+    without bound, each in a fresh ``python -m tilted`` under a timeout:
+    the exit code of the 0/1/2/3 contract, nothing on stdout, and one
+    stderr line with that exit's prefix, never a traceback.  An argv
+    word ``@name`` is the path of the module file `files` wrote."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("hostile")
+        texts = {
+            # det P truncated to O(2) has no known term
+            "prec2": phitau.module_to_text(phitau.basechange_generate(2, seed=0, prec=2)),
+            "prec0": "p=3 d=1 prec=0 cap=6\n[P]\n1\n[tau]\n1\n",
+            "d2": phitau.module_to_text(phitau.basechange_generate(2, seed=4)),
+        }
+        for name, text in texts.items():
+            (root / f"{name}.mod").write_text(text)
+        return {f"@{name}": str(root / f"{name}.mod") for name in texts}
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eval", "t", "--p", PSI_12], 3),
+            (["eval", "t", "--p", PSI_13], 3),
+            (["act", "gamma_2", "u^{-1}+O(1)"], 2),
+            (["module", "descend", "@prec2"], 2),
+            (["module", "gen", "--prec", "0"], 3),
+            (["module", "check", "@prec0"], 3),
+            (["sh-test", "t", "--plambda", "3/2*p^{1/2", "--mu", "0"], 3),
+            (["sh-test", "t", "--plambda", "3/2*p^1/2}", "--mu", "0"], 3),
+            (["newton", "--p", PSI_12], 3),
+            (["module", "sh", "@d2", "--imax", "1"], 3),
+            (["sh-test", "t", "--plambda", "2", "--mu", "0", "--imax", "1", "--refute"], 3),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+    )
+    def test_exit_contract(self, files, argv, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "tilted", *(files.get(a, a) for a in argv)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        prefix = {2: "inconclusive: ", 3: "error: "}[code]
+        assert run.returncode == code, run.stderr
+        assert run.stdout == "" and "Traceback" not in run.stderr
+        assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
+
+    def test_inconclusive_family(self):
+        # exactly these exit 2; every other TiltedError exits 1
+        family = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Inconclusive)}
+        assert family == {
+            Inconclusive, errors.CapExceeded, errors.PrecisionRequired,
+            errors.InsufficientGroupAccuracy, errors.DegenerateOrbit, errors.NonConvergence,
+        }
 
 
 class TestNewtonCommand:

@@ -75,6 +75,12 @@ class TestKummerStep:
         with pytest.raises(ValueError):
             newton.kummer_step_valuations(2, 1, 0)
 
+    @pytest.mark.parametrize("p", [9, 15, 100_003])
+    def test_rejects_composite_or_too_large_p(self, p):
+        # p + 1 points: a p past MAX_P is refused before any is built
+        with pytest.raises(ValueError, match="odd prime"):
+            newton.kummer_step_valuations(p, 1, 0)
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("e_k", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 2])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tilted import cli, galois, phitau, ring, selftest
+from tilted import cli, galois, holder, phitau, ring, selftest
 from tilted.errors import DegenerateOrbit, ParseError, PreconditionViolated
 from tilted.holder import PPow, Status
 from tilted.phitau import MatSeries
@@ -403,7 +403,7 @@ class TestValuations:
         phitau.equiv_constant(mod, samples=5)
         assert calls == [mod.lattice]
         calls.clear()
-        phitau.module_sh_test(mod, 1, i_max=1)
+        phitau.module_sh_test(mod, 0, i_max=2)
         assert calls == [mod.lattice]
 
     def test_lattice_valuation_invariant(self, mod_d2):
@@ -420,6 +420,22 @@ class TestModuleSh:
         with pytest.raises(ValueError, match="i_max"):
             fn(mod_d2, 1, i_max=i_max)
 
+    def test_every_fit_needs_three_levels(self, mod_d2):
+        # with two levels a fit has one candidate, which is always consistent
+        fam = holder.SubgroupFamily(holder.FamilyKind.TAU, 0)
+        calls = [
+            lambda: holder.sh_estimate(s("t"), fam, 1),
+            lambda: holder.nonmembership_witness(s("t"), fam, PPow(2, Fraction(1, 2)), 1),
+            lambda: phitau.matrix_sh_test(mod_d2, 0, i_max=1),
+            lambda: phitau.module_sh_test(mod_d2, 0, i_max=1),
+        ]
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.add(str(exc.value))
+        assert messages == {"need i_max >= 2 to compare level differences, got i_max=1"}
+
     @pytest.mark.parametrize("fn", [phitau.matrix_sh_test, phitau.module_sh_test])
     def test_rejects_negative_base_level(self, mod_d2, fn):
         with pytest.raises(ValueError, match="base level"):
@@ -429,7 +445,12 @@ class TestModuleSh:
         # Mat(tau^25) = 1 + O(17): the difference at level 2 is only a cap
         mod = phitau.basechange_generate(1, seed=0, p=5, prec=18)
         assert str(phitau.mat_of(mod, galois.tau(25)).rows[0][0]) == "1 + O(17)"
-        assert phitau.matrix_sh_test(mod, 0, i_max=1).levels == (Fraction(5, 4), Fraction(25, 4))
+        one = ring.one(5, mod.cap)
+        levels = [
+            min((phitau.mat_of(mod, galois.tau(m * 5**i)).rows[0][0] - one).val() for m in range(1, 5))
+            for i in (0, 1)
+        ]
+        assert levels == [Fraction(5, 4), Fraction(25, 4)]
         with pytest.raises(DegenerateOrbit, match="vanish to precision"):
             phitau.matrix_sh_test(mod, 0, i_max=2)
 
@@ -480,6 +501,15 @@ class TestFileFormat:
     def test_header_required(self):
         with pytest.raises(ParseError):
             phitau.module_from_text("p=3 d=1 prec=12\n[P]\n1\n[tau]\n1\n")
+
+    @pytest.mark.parametrize(
+        "header",
+        ["p=4 d=1 prec=12 cap=6", "p=3 d=1 prec=12 cap=65", "p=3 d=1 prec=0 cap=6", "p=3 d=1 prec=-1 cap=6"],
+    )
+    def test_header_rules_of_ring_and_module(self, header):
+        # p and cap go through ring.check_ring, prec through make_module
+        with pytest.raises(ParseError, match="^header: "):
+            phitau.module_from_text(header + "\n[P]\n1\n[tau]\n1\n")
 
     def test_truncated_matrix(self):
         with pytest.raises(ParseError):

@@ -96,6 +96,12 @@ class TestInvert:
         with pytest.raises(ZeroDivisor):
             ring.invert(ring.zero(P), 5)
 
+    @pytest.mark.parametrize("text", ["O(2)", "O(-1)"])
+    def test_vanished_to_precision_is_inconclusive(self, text):
+        # nothing is known below the cap, which is not the exact zero
+        with pytest.raises(PrecisionRequired, match="no known term below"):
+            ring.invert(s(text), 5)
+
     def test_tied_leading_terms(self):
         # u^3 and t^2 t^{5/2}: craft a tie at valuation 2: t^2 vs u^{4/3}
         x = ring.monomial(P, CAP, 1, 0, 2) + ring.monomial(P, CAP, 1, Fraction(4, 3), 0)
@@ -220,6 +226,10 @@ def test_cap_out_of_range_rejected(cap):
 def test_is_prime():
     assert [n for n in range(30) if ring.is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert ring.is_prime(2**61 - 1) and not ring.is_prime(3215031751)
+    # psi_12, a strong pseudoprime to every prime base up to 37
+    assert not ring.is_prime(399165290221 * 798330580441)
+    with pytest.raises(ValueError, match="cannot certify"):
+        ring.is_prime(ring.PRIME_TEST_LIMIT)
 
 
 def test_capped_arithmetic_builds_no_fraction(monkeypatch):

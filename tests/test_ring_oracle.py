@@ -110,7 +110,9 @@ class O:
 
     def invert(self, prec=None):
         if not self.terms:
-            raise ZeroDivisor("no known terms")
+            if self.prec is None:
+                raise ZeroDivisor("the exact zero")
+            raise PrecisionRequired("no term known below the cap")
         order = self.order()
         lead = order[0]
         lead_v = _val(lead, self.p)

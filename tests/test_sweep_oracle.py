@@ -223,7 +223,7 @@ def _modules(p):
 def test_module_sweeps_match_loops(p):
     seen = set()
     for mod in _modules(p):
-        for k, i_max, n in ((0, 2, 0), (1, 1, 2), (3, 1, 0)):
+        for k, i_max, n in ((0, 2, 0), (1, 2, 2), (3, 2, 0)):
             plam = PPow(Fraction(3, 2), Fraction(k)) if k else None
             got = outcome(phitau.matrix_sh_test, mod, k, plam=plam, i_max=i_max)
             assert got == outcome(oracle_matrix_sh_test, mod, k, plam=plam, i_max=i_max)
