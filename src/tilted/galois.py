@@ -255,6 +255,9 @@ def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
                 break
             mono = (jkey, units + ju)
             acc[mono] = get(mono, 0) + cj * co
+    if not columns:
+        # no term moves, and x is already cut at eff
+        return x
     return ring.make_series(p, cap, acc, eff)
 
 
@@ -265,7 +268,12 @@ def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
     where gamma inverts a series for a negative u exponent; an exact
     input with only finite expansions yields an exact output.
     """
-    eff = min_prec(x.bound, ring.key_bound(prec, x.p, x.cap))
+    return _act(g, x, ring.key_bound(prec, x.p, x.cap))
+
+
+def _act(g: GroupElem, x: PerfSeries, bound) -> PerfSeries:
+    """`act` below the key bound of prec, converted once by the caller."""
+    eff = min_prec(x.bound, bound)
     _check_accuracy(g, x, eff)
     y = x.cut(eff)
     if g.a % x.p == 0:

@@ -21,6 +21,11 @@ from .ring import is_prime
 # the step polynomial has p + 1 coefficients, so p is bounded like the
 # exact expansions in `galois`
 MAX_P = 100_000
+# the printed fractions have denominators up to (p-1) p^(n+1) and
+# numerators up to e_K p^(n+1) + p: at most 4,011 digits within these
+# bounds, under Python's default int-to-str limit of 4,300
+MAX_N = 800
+MAX_E_K = 10**6
 
 
 @dataclass(frozen=True)
@@ -109,11 +114,12 @@ def hull_oracle(points):
 
 def kummer_step_valuations(p: int, e_k: int, n: int):
     """Coefficient valuations of the degree-p Kummer step polynomial."""
-    if not 3 <= p <= MAX_P or not is_prime(p) or e_k < 1 or n < 0:
-        raise ValueError(f"need an odd prime p in 3..{MAX_P}, e_K >= 1, n >= 0")
+    if not 3 <= p <= MAX_P or not is_prime(p) or not 1 <= e_k <= MAX_E_K or not 0 <= n <= MAX_N:
+        raise ValueError(f"need an odd prime p in 3..{MAX_P}, e_K in 1..{MAX_E_K}, n in 0..{MAX_N}")
     pts = [NPPoint(0, None)]
+    den = p ** (n + 1)
     for k in range(1, p):
-        pts.append(NPPoint(k, Fraction(e_k) + Fraction(p - k, p ** (n + 1))))
+        pts.append(NPPoint(k, Fraction(e_k) + Fraction(p - k, den)))
     pts.append(NPPoint(p, Fraction(0)))
     return pts
 

@@ -76,7 +76,8 @@ class MatSeries:
         return self.map(lambda e: s * e)
 
     def truncate(self, prec):
-        return self.map(lambda e: e.truncate(prec))
+        bound = ring.key_bound(prec, self.p, self.cap)
+        return self.map(lambda e: e.cut(bound))
 
     def val_floor(self):
         """min over entries of the certified valuation bound."""
@@ -89,7 +90,8 @@ class MatSeries:
         return self.map(ring.frobenius)
 
     def act(self, g: GroupElem, prec=None):
-        return self.map(lambda e: galois.act(g, e, prec))
+        bound = ring.key_bound(prec, self.p, self.cap)
+        return self.map(lambda e: galois._act(g, e, bound))
 
     def det(self) -> PerfSeries:
         """Cofactor expansion along the first row, each minor expanded
@@ -792,6 +794,13 @@ def _read_matrix(lines, start, d, p, cap):
     return MatSeries.from_rows(rows), start + d * d
 
 
+def _header_int(header, key):
+    try:
+        return int(header[key])
+    except ValueError:
+        raise ParseError(f"bad header {key}={header[key]}") from None
+
+
 def module_from_text(text: str) -> PhiTauModule:
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
@@ -805,9 +814,9 @@ def module_from_text(text: str) -> PhiTauModule:
     missing = [k for k in _HEADER_KEYS if k not in header]
     if missing:
         raise ParseError(f"header missing fields {missing}")
-    p = int(header["p"])
-    d = int(header["d"])
-    cap = int(header["cap"])
+    p = _header_int(header, "p")
+    d = _header_int(header, "d")
+    cap = _header_int(header, "cap")
     try:
         prec = Fraction(header["prec"])
     except (ValueError, ZeroDivisionError):

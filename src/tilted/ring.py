@@ -34,7 +34,11 @@ products x_1*y_1 + ... + x_n*y_n in one dict and normalizes it once,
 under the least of the products' bounds.  Its terms and cap are those of
 the chained ``*`` and ``+``: each product keeps every key below its own
 bound, so below the least one, and coefficients add mod p either way.
-A product x*y is the one-pair `dot`.
+A product x*y is the one-pair `dot`.  An operand with no terms, the
+exact zero or a zero known modulo O(q), forms no term pair, but its cap
+still enters the least bound: 0 + O(q) times y is known below
+key0(y) + K.  Likewise a sum with a side that has no terms is the other
+side cut at that side's cap.
 """
 
 from __future__ import annotations
@@ -247,6 +251,11 @@ class PerfSeries:
 
     def __add__(self, other):
         self._check_compatible(other)
+        # a side with no terms adds only its cap
+        if not self.terms:
+            return other.cut(self.bound)
+        if not other.terms:
+            return self.cut(other.bound)
         acc = dict(self.terms)
         for m, c in other.terms:
             acc[m] = acc.get(m, 0) + c
@@ -348,17 +357,24 @@ def dot(pairs, alternating=False) -> PerfSeries:
             p, cap = x.p, x.cap
         if x.p != p or y.p != p or x.cap != cap or y.cap != cap:
             raise ValueError("series have different p or denominator cap")
-        # this product is known below key0(x) + K_y and key0(y) + K_x
-        kx, ky = x.key_floor(), y.key_floor()
-        if kx is not None and y.bound is not None:
-            bound = min_prec(bound, kx + y.bound)
-        if ky is not None and x.bound is not None:
-            bound = min_prec(bound, ky + x.bound)
-        for (k1, a1), c1 in x.terms:
-            c1 *= sign
-            for (k2, a2), c2 in y.terms:
-                m = (k1 + k2, a1 + a2)
-                acc[m] = get(m, 0) + c1 * c2
+        xt, yt = x.terms, y.terms
+        bx, by = x.bound, y.bound
+        # this product is known below key0(x) + K_y and key0(y) + K_x,
+        # key0 the leading key, or K for a series with no terms
+        if by is not None:
+            kx = xt[0][0][0] if xt else bx
+            if kx is not None and (bound is None or kx + by < bound):
+                bound = kx + by
+        if bx is not None:
+            ky = yt[0][0][0] if yt else by
+            if ky is not None and (bound is None or ky + bx < bound):
+                bound = ky + bx
+        if xt and yt:
+            for (k1, a1), c1 in xt:
+                c1 *= sign
+                for (k2, a2), c2 in yt:
+                    m = (k1 + k2, a1 + a2)
+                    acc[m] = get(m, 0) + c1 * c2
         if alternating:
             sign = -sign
     if p is None:
@@ -369,10 +385,12 @@ def dot(pairs, alternating=False) -> PerfSeries:
 def make_series(p, cap, termdict, bound=None) -> PerfSeries:
     """Normalize a {(key, A): coeff} mapping into canonical form, dropping
     the monomials of key >= bound (an int key bound; None: exact)."""
+    if not termdict:
+        return PerfSeries(p, cap, bound, ())
     if bound is None:
-        items = [(m, c % p) for m, c in termdict.items() if c % p]
+        items = [(m, r) for m, c in termdict.items() if (r := c % p)]
     else:
-        items = [(m, c % p) for m, c in termdict.items() if c % p and m[0] < bound]
+        items = [(m, r) for m, c in termdict.items() if m[0] < bound and (r := c % p)]
     items.sort()
     return PerfSeries(p, cap, bound, tuple(items))
 

@@ -347,6 +347,12 @@ class TestZeroDenominators:
         code, out, err = run(capsys, "module", "check", str(path))
         assert code == 3 and out == "" and err == "error: bad header prec=1/0\n"
 
+    def test_module_header_int_is_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "m.mod"
+        path.write_text("p=x d=1 prec=12 cap=6\n[P]\n1\n[tau]\n1\n")
+        code, out, err = run(capsys, "module", "check", str(path))
+        assert code == 3 and out == "" and err == "error: bad header p=x\n"
+
     def test_other_bad_rational_keeps_its_message(self, capsys):
         code, _, err = run(capsys, "eval", "t", "--prec", "abc")
         assert code == 3 and err == "error: argument --prec: invalid Fraction value: 'abc'\n"
@@ -470,6 +476,8 @@ class TestHostileArgv:
             (["sh-test", "t", "--plambda", "3/2*p^{1/2", "--mu", "0"], 3),
             (["sh-test", "t", "--plambda", "3/2*p^1/2}", "--mu", "0"], 3),
             (["newton", "--p", PSI_12], 3),
+            (["newton", "--n", "100000"], 3),
+            (["newton", "--n", "10000000"], 3),
             (["module", "sh", "@d2", "--imax", "1"], 3),
             (["sh-test", "t", "--plambda", "2", "--mu", "0", "--imax", "1", "--refute"], 3),
         ],

@@ -29,6 +29,21 @@ def _plus(k, bound):
     return k + bound
 
 
+def oracle_make(p, cap, termdict, bound=None):
+    """`make_series` without its shortcut for an empty mapping."""
+    items = [(m, c % p) for m, c in termdict.items() if c % p and (bound is None or m[0] < bound)]
+    items.sort()
+    return ring.PerfSeries(p, cap, bound, tuple(items))
+
+
+def oracle_add(x, y):
+    """A sum through one dict, whether or not a side has terms."""
+    acc = dict(x.terms)
+    for m, c in y.terms:
+        acc[m] = acc.get(m, 0) + c
+    return oracle_make(x.p, x.cap, acc, min_prec(x.bound, y.bound))
+
+
 def oracle_mul(x, y):
     """One series product, normalized on its own."""
     bound = min_prec(_plus(x.key_floor(), y.bound), _plus(y.key_floor(), x.bound))
@@ -37,14 +52,14 @@ def oracle_mul(x, y):
         for (k2, a2), c2 in y.terms:
             m = (k1 + k2, a1 + a2)
             acc[m] = acc.get(m, 0) + c1 * c2
-    return make_series(x.p, x.cap, acc, bound)
+    return oracle_make(x.p, x.cap, acc, bound)
 
 
 def oracle_cut(x, bound):
     newbound = min_prec(x.bound, bound)
     if newbound == x.bound:
         return x
-    return make_series(x.p, x.cap, dict(x.terms), newbound)
+    return oracle_make(x.p, x.cap, dict(x.terms), newbound)
 
 
 def oracle_matmul(a, b):
@@ -56,7 +71,7 @@ def oracle_matmul(a, b):
             acc = None
             for l in range(d):
                 term = oracle_mul(a.rows[i][l], b.rows[l][j])
-                acc = term if acc is None else acc + term
+                acc = term if acc is None else oracle_add(acc, term)
             row.append(acc)
         out.append(row)
     return MatSeries.from_rows(out)
@@ -69,7 +84,7 @@ def oracle_vecmul(a, coords):
         acc = None
         for l in range(d):
             term = oracle_mul(a.rows[i][l], coords[l])
-            acc = term if acc is None else acc + term
+            acc = term if acc is None else oracle_add(acc, term)
         out.append(acc)
     return tuple(out)
 
@@ -90,7 +105,7 @@ def oracle_minors(rows):
                 term = oracle_mul(top[col], minor(rest, c[:k] + c[k + 1 :]))
                 if k % 2 == 1:
                     term = -term
-                val = term if val is None else val + term
+                val = term if val is None else oracle_add(val, term)
         table[key] = val
         return val
 
@@ -127,7 +142,7 @@ def oracle_eps_pow(m, k, p, cap, bound):
             modulus *= p
         m %= modulus
     acc = {(j * unit * p, j * unit): c for j, c in _lucas_terms(m, p, jmax)}
-    return make_series(p, cap, acc, bound)
+    return oracle_make(p, cap, acc, bound)
 
 
 def _accumulate(acc, image, bound):
@@ -154,7 +169,7 @@ def oracle_apply_gamma(a, x, eff):
         else:
             f = ring.invert(w ** (-mm), ring.bound_prec(target, p, cap))
         bound = _accumulate(acc, f.mono_shift((t_key, 0), c), bound)
-    return make_series(p, cap, acc, bound)
+    return oracle_make(p, cap, acc, bound)
 
 
 def oracle_apply_tau(c, x, eff):
@@ -169,7 +184,7 @@ def oracle_apply_tau(c, x, eff):
         target = None if eff is None else eff - m[0]
         factor = oracle_eps_pow(*ring.lowest_terms(c * et, p, cap), p, cap, target)
         bound = _accumulate(acc, factor.mono_shift(m, co), bound)
-    return make_series(p, cap, acc, bound)
+    return oracle_make(p, cap, acc, bound)
 
 
 def oracle_act(g, x, prec=None):
@@ -236,7 +251,7 @@ def test_dot_matches_chained_products(p, cap):
                 term = oracle_mul(x, y)
                 if alternating and i % 2:
                     term = -term
-                want = term if want is None else want + term
+                want = term if want is None else oracle_add(want, term)
             got = ring.dot(pairs, alternating=alternating)
             assert view(got) == view(want), (p, cap, [(str(x), str(y)) for x, y in pairs])
         x, y = pairs[0]
@@ -262,6 +277,79 @@ def test_cut_slices_like_a_rebuild(p, cap):
         got = x.cut(bound)
         assert view(got) == view(oracle_cut(x, bound))
         assert got.terms == oracle_cut(x, bound).terms
+
+
+# -- operands with no terms ------------------------------------------
+#
+# A zero known modulo O(q) has no terms but a cap, which still bounds
+# every product and sum it enters; the kernel forms no term for it.
+
+
+def termless(rng, p, cap):
+    """The exact zero, or a zero known modulo O(q) at one of several caps."""
+    q = rng.choice([None, Fraction(-2), Fraction(0), Fraction(1, p), Fraction(1), Fraction(3), Fraction(7, p)])
+    return ring.zero(p, cap, q)
+
+
+def maybe_termless(rng, p, cap):
+    if rng.random() < 0.5:
+        return termless(rng, p, cap)
+    return random_series(rng, p, cap, rng.choice(KINDS))
+
+
+@pytest.mark.parametrize("p, cap", RINGS)
+def test_dot_with_termless_operands(p, cap):
+    rng = random.Random(8000 + 10 * p + cap)
+    for _ in range(60):
+        pairs = [(maybe_termless(rng, p, cap), maybe_termless(rng, p, cap)) for _ in range(rng.randint(1, 5))]
+        # one pair at least has a side with no terms, on either side
+        k = rng.randrange(len(pairs))
+        x, y = pairs[k]
+        pairs[k] = (termless(rng, p, cap), y) if rng.random() < 0.5 else (x, termless(rng, p, cap))
+        for alternating in (False, True):
+            want = None
+            for i, (x, y) in enumerate(pairs):
+                term = oracle_mul(x, y)
+                if alternating and i % 2:
+                    term = -term
+                want = term if want is None else oracle_add(want, term)
+            got = ring.dot(pairs, alternating=alternating)
+            assert got == want, (p, cap, alternating, [(str(x), str(y)) for x, y in pairs])
+
+
+@pytest.mark.parametrize("p, cap", RINGS)
+def test_sum_and_difference_with_termless_operands(p, cap):
+    rng = random.Random(9000 + 10 * p + cap)
+    for _ in range(80):
+        x, y = termless(rng, p, cap), maybe_termless(rng, p, cap)
+        if rng.random() < 0.5:
+            x, y = y, x
+        assert x + y == oracle_add(x, y), (str(x), str(y))
+        assert x - y == oracle_add(x, y.scale(p - 1)), (str(x), str(y))
+
+
+def t0_only(rng, p, cap):
+    """A series whose terms all have t exponent 0, exact or capped."""
+    prec = rng.choice([None, Fraction(rng.randint(1, 12), rng.choice([1, p]))])
+    x = ring.zero(p, cap, prec)
+    for _ in range(rng.randint(1, 4)):
+        eu = Fraction(rng.randint(-2, 4), p ** rng.randint(0, 2))
+        x = x + ring.monomial(p, cap, rng.randint(1, p - 1), eu, 0)
+    return x
+
+
+@pytest.mark.parametrize("p, cap", RINGS)
+def test_act_on_series_no_tau_term_moves(p, cap):
+    # tau^c fixes every t^0 term: the action returns its input as cut
+    rng = random.Random(10000 + 10 * p + cap)
+    units = [a for a in (2, p + 1) if a % p]
+    for _ in range(30):
+        x = termless(rng, p, cap) if rng.random() < 0.5 else t0_only(rng, p, cap)
+        prec = rng.choice([None, Fraction(rng.randint(-1, 8))])
+        for c in TAU_POWERS[p]:
+            for g in (galois.tau(c), galois.GroupElem(c, rng.choice(units))):
+                want = _act_or_error(oracle_act, g, x, prec)
+                assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
 
 
 # -- matrices ----------------------------------------------------------
@@ -467,6 +555,28 @@ def test_matrix_product_normalizes_each_entry_once(series_count):
     series_count.clear()
     a * b
     assert len(series_count) == 36
+
+
+def test_matrix_act_and_truncate_convert_the_cap_once(monkeypatch):
+    calls = []
+    inner = ring.key_bound
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    rng = random.Random(12)
+    p, cap, prec, g = 3, 6, Fraction(5), galois.tau(2)
+    m = random_matrix(rng, 4, p, cap)
+    monkeypatch.setattr(ring, "key_bound", counting)
+    acted = m.act(g, prec)
+    assert len(calls) == 1
+    calls.clear()
+    cut = m.truncate(prec)
+    assert len(calls) == 1
+    assert mat_view(acted) == [[view(oracle_act(g, e, prec)) for e in row] for row in m.rows]
+    bound = inner(prec, p, cap)
+    assert mat_view(cut) == [[view(oracle_cut(e, bound)) for e in row] for row in m.rows]
 
 
 def test_tau_action_normalizes_once(series_count):

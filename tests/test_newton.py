@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from tilted import newton
 from tilted.newton import NPPoint
+from tilted.ring import is_prime
 
 
 def pts(*pairs):
@@ -80,6 +82,21 @@ class TestKummerStep:
         # p + 1 points: a p past MAX_P is refused before any is built
         with pytest.raises(ValueError, match="odd prime"):
             newton.kummer_step_valuations(p, 1, 0)
+
+    @pytest.mark.parametrize("e_k, n", [(1, newton.MAX_N + 1), (newton.MAX_E_K + 1, 0), (1, 10**7)])
+    def test_rejects_too_large_n_or_e_k(self, e_k, n):
+        with pytest.raises(ValueError, match="odd prime"):
+            newton.kummer_step_valuations(3, e_k, n)
+
+    def test_bounds_keep_every_printed_fraction_printable(self):
+        # the widest vertex and the slope at the largest p, e_K and n
+        p = next(q for q in range(newton.MAX_P, 2, -1) if is_prime(q))
+        n, e_k = newton.MAX_N, newton.MAX_E_K
+        vertex = Fraction(e_k) + Fraction(p - 1, p ** (n + 1))
+        slope = -newton.ramification_break(p, e_k, n) / p**n
+        for q in (vertex, slope):
+            for part in (q.numerator, q.denominator):
+                assert len(str(abs(part))) < sys.get_int_max_str_digits()
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("e_k", [1, 2])

@@ -503,12 +503,25 @@ class TestFileFormat:
             phitau.module_from_text("p=3 d=1 prec=12\n[P]\n1\n[tau]\n1\n")
 
     @pytest.mark.parametrize(
-        "header",
-        ["p=4 d=1 prec=12 cap=6", "p=3 d=1 prec=12 cap=65", "p=3 d=1 prec=0 cap=6", "p=3 d=1 prec=-1 cap=6"],
+        "header, message",
+        [
+            pytest.param(h, "^header: ", id=h)
+            for h in ["p=4 d=1 prec=12 cap=6", "p=3 d=1 prec=12 cap=65", "p=3 d=1 prec=0 cap=6", "p=3 d=1 prec=-1 cap=6"]
+        ]
+        + [
+            # a field that is no integer is named, as a bad prec is
+            pytest.param(h, f"^bad header {field}$", id=h)
+            for h, field in [
+                ("p=x d=1 prec=12 cap=6", "p=x"),
+                ("p=3 d=1.5 prec=12 cap=6", r"d=1\.5"),
+                ("p=3 d=1 prec=12 cap=", "cap="),
+                ("p=3 d=1 prec=12 cap=6/1", "cap=6/1"),
+            ]
+        ],
     )
-    def test_header_rules_of_ring_and_module(self, header):
+    def test_header_rules_of_ring_and_module(self, header, message):
         # p and cap go through ring.check_ring, prec through make_module
-        with pytest.raises(ParseError, match="^header: "):
+        with pytest.raises(ParseError, match=message):
             phitau.module_from_text(header + "\n[P]\n1\n[tau]\n1\n")
 
     def test_truncated_matrix(self):
