@@ -8,12 +8,13 @@ counterexample is found, 2 when the result is inconclusive, 3 on usage
 or parse errors.  Exit 2 is the `errors.Inconclusive` family: a cap, a
 precision or a group accuracy ran out before anything was certified or
 refuted (an exponent beyond the denominator cap, a difference or an
-inverse that vanished to precision).  Every other `TiltedError` exits 1.
-The input rules live in the library, which raises ValueError or
-ParseError (exit 3): p and cap in `ring.check_ring`, which every
-command that takes --cap reaches before any work (`newton` checks its
-own p), and the fit horizon, three levels (--imax >= 2), in
-`holder.check_fit_horizon`.
+inverse that vanished to precision; for a fit, `holder.fit_levels` raises
+DegenerateOrbit at level 0 and PrecisionRequired at a later level).
+Every other `TiltedError` exits 1.  The input rules live in the library,
+which raises ValueError or ParseError (exit 3): p and cap in
+`ring.check_ring`, which every command that takes --cap reaches before
+any work (`newton` checks its own p), and the fit horizon, three levels
+(--imax >= 2), in `holder.check_fit_horizon`, run by `holder.fit_levels`.
 
 Output is JSON on stdout with a "schema" field; rationals are rendered
 as "a/b" strings so that results are exact and byte-stable.  The

@@ -40,6 +40,10 @@ class PPow:
     def rational(q) -> "PPow":
         return PPow(Fraction(q), Fraction(0))
 
+    @staticmethod
+    def of(value) -> "PPow":
+        return value if isinstance(value, PPow) else PPow(value)
+
     def shift(self, i) -> "PPow":
         """Multiply by p^i."""
         return PPow(self.q, self.s + i)
@@ -191,8 +195,7 @@ def sh_test(
     available precision; a bound at or beyond precision yields
     Inconclusive rather than an unsound Pass.
     """
-    if not isinstance(plam, PPow):
-        plam = PPow.rational(plam)
+    plam = PPow.of(plam)
     mu = Fraction(mu)
     p = x.p
     if i_max < 0:
@@ -232,20 +235,31 @@ class ShEstimate:
     levels: tuple[Fraction, ...]
 
 
-def _level_minima(x, fam, i_max):
-    """Least exact val((g-1)x) at each level; None where every sampled
-    difference vanished to precision."""
-    levels = level_samples(functools.partial(_orbit_floor, x), fam, x.p, i_max)
-    return tuple(min_known(v for _, (v, _) in level) for level in levels)
-
-
 def check_fit_horizon(i_max: int) -> None:
     """A fit compares consecutive level differences v_{i+1} - v_i, so
     claiming it consistent, or worsening, needs two of them: the levels
-    0..i_max with i_max >= 2.  Every fit and refutation runs this before
-    measuring anything."""
+    0..i_max with i_max >= 2.  `fit_levels` runs this before measuring
+    anything."""
     if i_max < 2:
         raise ValueError(f"need i_max >= 2 to compare level differences, got i_max={i_max}")
+
+
+def fit_levels(measure, fam: SubgroupFamily, p: int, i_max: int):
+    """The level minima behind every fit: one tuple of levels 0..i_max per
+    track, each level a track's least value over the level's samples, where
+    measure(g) gives one value per track, None when it vanished to precision.
+    The sweep ends at the first level where some track has no value: at
+    level 0 nothing moved above precision (DegenerateOrbit); later, precision
+    ran out before the fit horizon (PrecisionRequired)."""
+    check_fit_horizon(i_max)
+    rows = []
+    for i, level in enumerate(level_samples(measure, fam, p, i_max)):
+        row = [min_known(track) for track in zip(*(vs for _, vs in level))]
+        if None in row:
+            error = PrecisionRequired if i else DegenerateOrbit
+            raise error(f"orbit differences vanish to precision at level {i} of 0..{i_max}")
+        rows.append(row)
+    return tuple(zip(*rows))
 
 
 def fit_exponent(levels, p):
@@ -262,14 +276,8 @@ def fit_exponent(levels, p):
 def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int) -> ShEstimate:
     """Fit (p^lambda, mu) from measured margins: consecutive level minima
     satisfy v_{i+1} - v_i = p^lambda p^i (p-1) for a true exponent."""
-    check_fit_horizon(i_max)
-    p = x.p
-    levels = _level_minima(x, fam, i_max)
-    if all(v is None for v in levels):
-        raise DegenerateOrbit("x is fixed to precision by all sampled elements")
-    if None in levels:
-        raise PrecisionRequired("some level differences vanished to precision")
-    return ShEstimate(*fit_exponent(levels, p), levels)
+    (levels,) = fit_levels(lambda g: _orbit_floor(x, g)[:1], fam, x.p, i_max)
+    return ShEstimate(*fit_exponent(levels, x.p), levels)
 
 
 @dataclass(frozen=True)
@@ -291,36 +299,31 @@ def nonmembership_witness(
     rate over the horizon, so that no mu can exist.
 
     Margin monotonicity is decided exactly: m_{i+1} < m_i is the rational
-    comparison v_{i+1} - v_i < p^lambda p^i (p-1).
+    comparison v_{i+1} - v_i < p^lambda p^i (p-1).  An exact x that no
+    sample moves is certified not refuted, with no levels; a capped x
+    raises at a vanished level as in `fit_levels`.
     """
-    check_fit_horizon(i_max)
-    if not isinstance(plam, PPow):
-        plam = PPow.rational(plam)
+    plam = PPow.of(plam)
     p = x.p
-    levels = _level_minima(x, fam, i_max)
-    if None in levels:
-        # fixed (or beyond precision) points cannot be refuted this way
-        return WitnessReport(False, tuple(v for v in levels if v is not None), plam, None)
-    first_decrease = None
-    strictly_decreasing = True
-    for i in range(i_max):
-        # m_{i+1} < m_i  <=>  bound growth exceeds margin growth
-        growth = levels[i + 1] - levels[i]
-        step = PPow(plam.q * (p - 1), plam.s + i)
-        if step.cmp(growth, p) > 0:
-            if first_decrease is None:
-                first_decrease = i
-        else:
-            strictly_decreasing = False
-    worsening = True
-    for i in range(i_max - 1):
-        # d_{i+1} <= d_i  <=>  second difference of v below bound's second difference
-        second = levels[i + 2] - 2 * levels[i + 1] + levels[i]
-        step2 = PPow(plam.q * (p - 1) ** 2, plam.s + i)
-        if step2.cmp(second, p) < 0:
-            worsening = False
-    refuted = strictly_decreasing and worsening and first_decrease == 0
-    return WitnessReport(refuted, levels, plam, first_decrease)
+    try:
+        (levels,) = fit_levels(lambda g: _orbit_floor(x, g)[:1], fam, p, i_max)
+    except DegenerateOrbit:
+        if x.bound is not None:
+            raise
+        return WitnessReport(False, (), plam, None)
+    # m_{i+1} < m_i  <=>  bound growth exceeds margin growth
+    falls = [
+        PPow(plam.q * (p - 1), plam.s + i).cmp(levels[i + 1] - levels[i], p) > 0
+        for i in range(i_max)
+    ]
+    # d_{i+1} <= d_i  <=>  second difference of v below bound's second difference
+    worsening = all(
+        PPow(plam.q * (p - 1) ** 2, plam.s + i).cmp(levels[i + 2] - 2 * levels[i + 1] + levels[i], p)
+        >= 0
+        for i in range(i_max - 1)
+    )
+    first_decrease = falls.index(True) if True in falls else None
+    return WitnessReport(all(falls) and worsening, levels, plam, first_decrease)
 
 
 def deperfection_level(x: PerfSeries) -> int | None:

@@ -13,6 +13,7 @@ i_n = e_K p^n/(p-1) + 1/p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,23 +66,28 @@ def lower_hull(points) -> NewtonPolygon:
             raise ValueError(f"two points share index {pt.k}")
         seen[pt.k] = pt
     finite = sorted(seen.values(), key=lambda pt: pt.k)
-    hull = []
+    # the hull on the integer points (k, v * den), den the least common
+    # denominator of the valuations; slopes become Fractions at the end
+    den = 1
     for pt in finite:
+        if den % pt.v.denominator:
+            den = math.lcm(den, pt.v.denominator)
+    hull = []  # (k, v * den, point)
+    for pt in finite:
+        k, y = pt.k, pt.v.numerator * (den // pt.v.denominator)
         while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
+            (ka, ya, _), (kb, yb, _) = hull[-2:]
             # drop b when it lies on or above the chord a -> pt
-            lhs = (b.v - a.v) * (pt.k - a.k)
-            rhs = (pt.v - a.v) * (b.k - a.k)
-            if lhs >= rhs:
+            if (yb - ya) * (k - ka) >= (y - ya) * (kb - ka):
                 hull.pop()
             else:
                 break
-        hull.append(pt)
+        hull.append((k, y, pt))
     segments = tuple(
-        Segment(Fraction(b.v - a.v, b.k - a.k), b.k - a.k)
-        for a, b in zip(hull, hull[1:])
+        Segment(Fraction(yb - ya, den * (kb - ka)), kb - ka)
+        for (ka, ya, _), (kb, yb, _) in zip(hull, hull[1:])
     )
-    return NewtonPolygon(tuple(hull), segments, dropped)
+    return NewtonPolygon(tuple(pt for _, _, pt in hull), segments, dropped)
 
 
 def hull_oracle(points):

@@ -553,7 +553,8 @@ def _deviation(module: PhiTauModule, mat_g: MatSeries, c: int, r: int) -> Fracti
     """None when val(Mat(tau^c) - Id) >= r is certified, else that
     valuation, attained by a known term.  A floor below r that only an
     O(.) cap sets vanished to precision and raises DegenerateOrbit: the
-    rule by which `matrix_sh_test` drops a sample."""
+    `_certified_val` rule by which a `matrix_sh_test` sample vanishes,
+    though there `holder.fit_levels` picks the error by level."""
     diff = mat_g - MatSeries.identity(module.d, module.p, module.cap, module.prec)
     floor = diff.val_floor()
     if floor is None or floor >= r:
@@ -669,24 +670,18 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
 
     A sample counts only when a known entry term attains the difference's
     floor; a difference whose floor is an entry's cap vanished to
-    precision, and a level of such samples raises DegenerateOrbit."""
-    holder.check_fit_horizon(i_max)
-    if plam is not None and not isinstance(plam, PPow):
-        plam = PPow.rational(plam)
+    precision, and a level of such samples ends `holder.fit_levels`."""
+    if plam is not None:
+        plam = PPow.of(plam)
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     p, d = module.p, module.d
     ident = MatSeries.identity(d, p, module.cap, module.prec)
     chain = _TauChain(module)
 
     def measure(g):
-        return _certified_val(chain.mat(g.c) - ident)
+        return (_certified_val(chain.mat(g.c) - ident),)
 
-    levels = []
-    for level in holder.level_samples(measure, fam, p, i_max):
-        vmin = holder.min_known(v for _, v in level)
-        if vmin is None:
-            raise DegenerateOrbit("orbit differences vanish to precision")
-        levels.append(vmin)
+    (levels,) = holder.fit_levels(measure, fam, p, i_max)
     plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
     if plam is None:
         status = holder.Status.PASS if consistent else holder.Status.INCONCLUSIVE
@@ -694,7 +689,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
         status = holder.Status.PASS
     else:
         status = holder.Status.FAIL
-    return MatrixShReport(tuple(levels), plam_hat, mu_hat, consistent, status)
+    return MatrixShReport(levels, plam_hat, mu_hat, consistent, status)
 
 
 @dataclass(frozen=True)
@@ -714,9 +709,8 @@ def module_sh_test(
     over the tau family at base level k, g = tau^(m p^(k+i)) for
     m = 1..p-1 and i = 0..i_max, and fit the exponents.  One chain builds
     every Mat(g), each level from the one below.  Without a lattice the
-    lattice levels and fit are None.  A level at which some basis vector's
-    difference vanishes to precision raises DegenerateOrbit."""
-    holder.check_fit_horizon(i_max)
+    lattice levels and fit are None.  Both valuations of every basis vector
+    are `holder.fit_levels` tracks, and one that vanishes ends the sweep."""
     if n < 0:
         raise ValueError(f"need n >= 0 to scale by t^(1/p^n), got n={n}")
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
@@ -731,34 +725,24 @@ def module_sh_test(
     chain = _TauChain(module)
 
     def measure(g):
-        # (v_tau, v_tilde) of (g-1) x for each basis vector x
+        # v_tau, then v_tilde when there is a lattice, of (g-1) x for each basis vector x
         mat_g = chain.mat(g.c)
         out = []
         for coords in basis:
             moved = mat_g.vecmul(tuple(galois.act(g, c, prec) for c in coords))
             diff = tuple(a - b.truncate(prec) for a, b in zip(moved, coords))
-            out.append((v_tau(diff), v_tau(w_inv.vecmul(diff)) if w_inv is not None else None))
+            out.append(v_tau(diff))
+            if w_inv is not None:
+                out.append(v_tau(w_inv.vecmul(diff)))
         return out
 
-    tau_levels = [[] for _ in range(d)]
-    tilde_levels = [[] for _ in range(d)]
-    for level in holder.level_samples(measure, fam, p, i_max):
-        for j in range(d):
-            vt = holder.min_known(vs[j][0] for _, vs in level)
-            vtd = holder.min_known(vs[j][1] for _, vs in level)
-            if vt is None or (w_inv is not None and vtd is None):
-                raise DegenerateOrbit("orbit differences vanish to precision")
-            tau_levels[j].append(vt)
-            tilde_levels[j].append(vtd)
+    levels = holder.fit_levels(measure, fam, p, i_max)
+    pairs = zip(levels[::2], levels[1::2]) if w_inv is not None else ((vt, None) for vt in levels)
     return tuple(
         ModuleShBasisReport(
-            j,
-            tuple(tau_levels[j]),
-            tuple(tilde_levels[j]) if w_inv is not None else None,
-            holder.fit_exponent(tau_levels[j], p),
-            holder.fit_exponent(tilde_levels[j], p) if w_inv is not None else None,
+            j, vt, vtd, holder.fit_exponent(vt, p), vtd and holder.fit_exponent(vtd, p)
         )
-        for j in range(d)
+        for j, (vt, vtd) in enumerate(pairs)
     )
 
 

@@ -292,15 +292,18 @@ class PerfSeries:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers go through invert()")
-        result = one(self.p, self.cap)
+        if not n:
+            return one(self.p, self.cap)
+        # start from the lowest set bit: one is exact, so one * b is b
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n >>= 1
         return result
 
     def truncate(self, prec: Fraction | None):

@@ -480,6 +480,8 @@ class TestHostileArgv:
             (["newton", "--n", "10000000"], 3),
             (["module", "sh", "@d2", "--imax", "1"], 3),
             (["sh-test", "t", "--plambda", "2", "--mu", "0", "--imax", "1", "--refute"], 3),
+            # level 1 vanishes to precision: nothing was refuted
+            (["sh-test", "t+O(5)", "--plambda", "2", "--mu", "0", "--imax", "2", "--refute"], 2),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilted import holder, ring
-from tilted.errors import DegenerateOrbit
+from tilted.errors import DegenerateOrbit, PrecisionRequired
 from tilted.holder import FamilyKind, PPow, Status, SubgroupFamily
 
 P = 3
@@ -193,6 +193,13 @@ class TestNonmembership:
     def test_fixed_vector_not_refutable(self):
         rep = holder.nonmembership_witness(s("u"), TAU0, PPow(CP, 1), i_max=3)
         assert not rep.refuted
+
+    def test_capped_vanished_level_raises(self):
+        # a vanished level of a capped x certifies nothing either way
+        with pytest.raises(PrecisionRequired, match="at level 1 of 0..2"):
+            holder.nonmembership_witness(s("t+O(5)"), TAU0, 2, i_max=2)
+        with pytest.raises(DegenerateOrbit, match="at level 0 of 0..3"):
+            holder.nonmembership_witness(s("u+O(5)"), TAU0, PPow(CP, 1), i_max=3)
 
     @pytest.mark.parametrize("i_max", [0, -1])
     def test_needs_two_levels(self, i_max):

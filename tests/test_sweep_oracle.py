@@ -1,7 +1,11 @@
-"""The level sweeps of `holder.sh_test`, `phitau.matrix_sh_test` and
+"""The level sweeps of `holder.sh_test`, `sh_estimate`,
+`nonmembership_witness`, `phitau.matrix_sh_test` and
 `phitau.module_sh_test` against the hand-written loops they replaced,
 kept here as the oracle: every report must have the same repr, and every
-failure the same exception type and message."""
+failure the same exception type and message.  The fit oracles measure
+every level and then apply the vanished-level rule: the first level at
+which some difference vanished to precision raises DegenerateOrbit when
+it is level 0 and PrecisionRequired otherwise."""
 
 from fractions import Fraction
 
@@ -10,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilted import galois, holder, phitau, ring
-from tilted.errors import DegenerateOrbit
+from tilted.errors import DegenerateOrbit, PrecisionRequired
 from tilted.holder import FamilyKind, LevelMargin, PPow, ShVerdict, Status, SubgroupFamily
 
 from conftest import series_strategy
@@ -59,6 +63,66 @@ def oracle_sh_test(x, fam, plam, mu, i_max):
     return ShVerdict(Status.PASS, margins)
 
 
+def oracle_vanished(tracks, i_max):
+    """The error for the first level at which some track is None, or
+    None when every track has a value at every level."""
+    dead = [i for i in range(i_max + 1) if any(track[i] is None for track in tracks)]
+    if not dead:
+        return None
+    error = PrecisionRequired if dead[0] else DegenerateOrbit
+    return error(f"orbit differences vanish to precision at level {dead[0]} of 0..{i_max}")
+
+
+def oracle_series_levels(x, fam, i_max):
+    """Least exact val((g-1)x) per level 0..i_max, None where every
+    sampled difference vanished."""
+    p = x.p
+    levels = []
+    for i in range(i_max + 1):
+        vals = [oracle_orbit_floor(x, fam.element(i, m, p))[0] for m in holder.default_samples(p)]
+        known = [v for v in vals if v is not None]
+        levels.append(min(known) if known else None)
+    return levels
+
+
+def oracle_sh_estimate(x, fam, i_max):
+    levels = oracle_series_levels(x, fam, i_max)
+    error = oracle_vanished([levels], i_max)
+    if error is not None:
+        raise error
+    return holder.ShEstimate(*holder.fit_exponent(levels, x.p), tuple(levels))
+
+
+def oracle_witness(x, fam, plam, i_max):
+    """Refuted when every margin v_i - p^lambda p^i falls below the one
+    before, each fall at least as deep as the last; an exact x that no
+    sample moves is certified not refutable."""
+    plam = plam if isinstance(plam, PPow) else PPow.rational(plam)
+    p = x.p
+    levels = oracle_series_levels(x, fam, i_max)
+    error = oracle_vanished([levels], i_max)
+    if error is not None:
+        if x.bound is None and isinstance(error, DegenerateOrbit):
+            return holder.WitnessReport(False, (), plam, None)
+        raise error
+    first_decrease = None
+    strictly_decreasing = True
+    for i in range(i_max):
+        growth = levels[i + 1] - levels[i]
+        if PPow(plam.q * (p - 1), plam.s + i).cmp(growth, p) > 0:
+            if first_decrease is None:
+                first_decrease = i
+        else:
+            strictly_decreasing = False
+    worsening = True
+    for i in range(i_max - 1):
+        second = levels[i + 2] - 2 * levels[i + 1] + levels[i]
+        if PPow(plam.q * (p - 1) ** 2, plam.s + i).cmp(second, p) < 0:
+            worsening = False
+    refuted = strictly_decreasing and worsening and first_decrease == 0
+    return holder.WitnessReport(refuted, tuple(levels), plam, first_decrease)
+
+
 def oracle_matrix_sh_test(module, k, plam=None, i_max=2):
     p, d = module.p, module.d
     ident = phitau.MatSeries.identity(d, p, module.cap, module.prec)
@@ -73,9 +137,10 @@ def oracle_matrix_sh_test(module, k, plam=None, i_max=2):
             if floor is None or floor not in known:
                 continue
             vmin = floor if vmin is None else min(vmin, floor)
-        if vmin is None:
-            raise DegenerateOrbit("orbit differences vanish to precision")
         levels.append(vmin)
+    error = oracle_vanished([levels], i_max)
+    if error is not None:
+        raise error
     plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
     if plam is None:
         status = Status.PASS if consistent else Status.INCONCLUSIVE
@@ -90,7 +155,7 @@ def oracle_module_sh_test(module, k, n=0, i_max=2):
     p, d, cap = module.p, module.d, module.cap
     scalar = ring.one(p, cap) if n == 0 else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
     w_inv = module.lattice_inverse()
-    reports = []
+    tracks = []
     for j in range(d):
         coords = tuple(scalar if l == j else ring.zero(p, cap) for l in range(d))
         tau_levels = []
@@ -108,20 +173,22 @@ def oracle_module_sh_test(module, k, n=0, i_max=2):
                     vt_min = vt if vt_min is None else min(vt_min, vt)
                 if vtd is not None:
                     vtd_min = vtd if vtd_min is None else min(vtd_min, vtd)
-            if vt_min is None or vtd_min is None:
-                raise DegenerateOrbit("orbit differences vanish to precision")
             tau_levels.append(vt_min)
             tilde_levels.append(vtd_min)
-        reports.append(
-            phitau.ModuleShBasisReport(
-                j,
-                tuple(tau_levels),
-                tuple(tilde_levels),
-                holder.fit_exponent(tau_levels, p),
-                holder.fit_exponent(tilde_levels, p),
-            )
+        tracks += [tau_levels, tilde_levels]
+    error = oracle_vanished(tracks, i_max)
+    if error is not None:
+        raise error
+    return tuple(
+        phitau.ModuleShBasisReport(
+            j,
+            tuple(tau_levels),
+            tuple(tilde_levels),
+            holder.fit_exponent(tau_levels, p),
+            holder.fit_exponent(tilde_levels, p),
         )
-    return tuple(reports)
+        for j, (tau_levels, tilde_levels) in enumerate(zip(tracks[::2], tracks[1::2]))
+    )
 
 
 def outcome(fn, *args, **kwargs):
@@ -229,6 +296,64 @@ def test_module_sweeps_match_loops(p):
             assert got == outcome(oracle_matrix_sh_test, mod, k, plam=plam, i_max=i_max)
             got = outcome(phitau.module_sh_test, mod, k, n=n, i_max=i_max)
             assert got == outcome(oracle_module_sh_test, mod, k, n=n, i_max=i_max)
-            seen.add(got.startswith("DegenerateOrbit"))
+            seen.add(got.startswith(("DegenerateOrbit", "PrecisionRequired")))
     # both reports and vanishing levels were compared
     assert seen == {True, False}
+
+
+@st.composite
+def fit_cases(draw):
+    """(x, family, p^lambda, i_max): x exact or capped, so that levels
+    vanish at level 0, partway or never."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    cap = draw(st.sampled_from([1, 2, 4]))
+    prec = draw(st.none() | st.integers(0, 12).map(Fraction))
+    x = draw(series_strategy(p=p, cap=cap, max_terms=3, prec=prec))
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    fam = SubgroupFamily(kind, draw(st.integers(kind is FamilyKind.GAMMA, 2)))
+    plam = draw(st.sampled_from([Fraction(3, 2), Fraction(p, p - 1), PPow(Fraction(p, p - 1), Fraction(1, 2))]))
+    return x, fam, plam, draw(st.integers(2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fit_cases())
+# level 0 moves and level 1 vanishes; u is fixed, exactly and to precision
+@example((ring.parse_series("t+O(5)", 3, 6), SubgroupFamily(FamilyKind.TAU, 0), Fraction(2), 2))
+@example((ring.parse_series("u", 3, 6), SubgroupFamily(FamilyKind.TAU, 0), Fraction(3), 3))
+@example((ring.parse_series("u+O(5)", 3, 6), SubgroupFamily(FamilyKind.TAU, 0), Fraction(3), 2))
+@example((ring.parse_series("t", 3, 6), SubgroupFamily(FamilyKind.TAU, 0), PPow(Fraction(3, 2), Fraction(1, 2)), 3))
+def test_series_fits_match_loops(case):
+    x, fam, plam, i_max = case
+    assert outcome(holder.sh_estimate, x, fam, i_max) == outcome(oracle_sh_estimate, x, fam, i_max)
+    assert outcome(holder.nonmembership_witness, x, fam, plam, i_max) == outcome(
+        oracle_witness, x, fam, plam, i_max
+    )
+
+
+def _dead_level_cases():
+    """Each fitting entry point on an input whose first vanished level,
+    with i_max = 4, is the one given."""
+    tau0 = SubgroupFamily(FamilyKind.TAU, 0)
+    x = ring.parse_series("t+O(5)", 3, 6)
+    mod = phitau.basechange_generate(1, seed=0, p=5, prec=18)
+    return [
+        pytest.param(lambda: holder.sh_estimate(x, tau0, 4), 1, id="sh_estimate"),
+        pytest.param(lambda: holder.nonmembership_witness(x, tau0, 2, 4), 1, id="witness"),
+        pytest.param(lambda: phitau.matrix_sh_test(mod, 0, i_max=4), 2, id="matrix_sh_test"),
+        pytest.param(lambda: phitau.module_sh_test(mod, 0, i_max=4), 2, id="module_sh_test"),
+    ]
+
+
+@pytest.mark.parametrize("call, dead", _dead_level_cases())
+def test_no_level_after_the_first_vanished_is_measured(call, dead, monkeypatch):
+    levels = []
+    element = SubgroupFamily.element
+
+    def counted(fam, i, m, p):
+        levels.append(i)
+        return element(fam, i, m, p)
+
+    monkeypatch.setattr(SubgroupFamily, "element", counted)
+    with pytest.raises(PrecisionRequired, match=f"at level {dead} of 0..4"):
+        call()
+    assert max(levels) == dead
