@@ -24,7 +24,7 @@ from .errors import InsufficientGroupAccuracy, PrecisionRequired
 from .ring import PerfSeries, min_prec
 
 # (1 + x)^m has at most m+1 terms; refuse to expand huge exact powers.
-_EXACT_POWER_LIMIT = 100_000
+EXACT_POWER_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeri
     a positive one.  The nonzero binomials come from Lucas' theorem.
     """
     m, k = ring.split_exponent(r, p, cap)
-    return _eps_pow(m, k, p, cap, ring.key_bound(prec, p, cap))
+    bound = ring.key_bound(prec, p, cap)
+    return _v_series(_eps_terms(m, k, p, cap, bound), k, p, cap, bound)
 
 
 def check_exact_power(m: int) -> None:
@@ -89,7 +90,7 @@ def check_exact_power(m: int) -> None:
     many terms."""
     if m < 0:
         raise PrecisionRequired("eps_pow with negative exponent needs a cap")
-    if m > _EXACT_POWER_LIMIT:
+    if m > EXACT_POWER_LIMIT:
         try:
             power = f"(1+u)^{m}"
         except ValueError:
@@ -140,13 +141,13 @@ def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tupl
     return terms
 
 
-def _eps_pow(m: int, k: int, p: int, cap: int, bound: int | None) -> PerfSeries:
-    """`eps_pow` of r = m/p^k in lowest terms, cut at the key bound
-    (None: exact)."""
+def _v_series(terms, k: int, p: int, cap: int, bound: int | None) -> PerfSeries:
+    """The series of the pairs (j, c) for the terms c v^j, v = u^(1/p^k),
+    as `_eps_terms` gives them: ascending in j, each c a unit mod p, so
+    they are already in canonical form."""
     # v^j = u^(j/p^k) has u units j * unit and key j * unit * p
     unit = p ** (cap - k)
-    acc = {(j * unit * p, j * unit): c for j, c in _eps_terms(m, k, p, cap, bound)}
-    return ring.make_series(p, cap, acc, bound)
+    return PerfSeries(p, cap, bound, tuple(((j * unit * p, j * unit), c) for j, c in terms))
 
 
 def eps_val_formula(m: int, p: int) -> Fraction:
@@ -209,7 +210,9 @@ def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
         # the t^et factor, of key et * (p-1), is fixed
         t_key = et * (p - 1)
         target = None if eff is None else eff - t_key
-        w = _eps_pow(a, k, p, cap, target) - ring.one(p, cap).cut(target)
+        # w = (1+v)^a - 1: every term of the expansion but j = 0
+        terms = _eps_terms(a, k, p, cap, target)
+        w = _v_series([(j, cj) for j, cj in terms if j], k, p, cap, target)
         if mm >= 0:
             f = w**mm
         else:

@@ -10,7 +10,6 @@ compare exactly against rational valuations.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,19 +48,27 @@ class PPow:
         return PPow(self.q, self.s + i)
 
     def cmp(self, v, p: int) -> int:
-        """Sign of (q * p^s) - v for a rational v.
-
-        With q = qn/qd, v = vn/vd > 0 and s = e + r/b, 0 <= r < b, this
-        is the sign of (qn * vd * p^e)^b * p^r - (vn * qd)^b, compared on
-        integers, with p^|e| moved to the right-hand side when e < 0.
-        """
+        """Sign of (q * p^s) - v for a rational v: `cmp_ratio` on v's
+        numerator and denominator."""
         v = Fraction(v)
-        if v <= 0:
+        return self.cmp_ratio(v.numerator, v.denominator, p)
+
+    def cmp_ratio(self, num: int, den: int, p: int) -> int:
+        """Sign of (q * p^s) - num/den for ints num and den > 0, not
+        necessarily in lowest terms.
+
+        With q = qn/qd and s = e + r/b, 0 <= r < b, this is the sign of
+        (qn * den * p^e)^b * p^r - (num * qd)^b, compared on integers,
+        with p^|e| moved to the right-hand side when e < 0.  Both sides
+        were scaled by den^b > 0, which keeps the sign whatever factors
+        num and den share.
+        """
+        if num <= 0:
             return 1
         b = self.s.denominator
         e, r = divmod(self.s.numerator, b)
-        lhs = self.q.numerator * v.denominator
-        rhs = v.numerator * self.q.denominator
+        lhs = self.q.numerator * den
+        rhs = num * self.q.denominator
         if e >= 0:
             lhs *= p**e
         else:
@@ -143,8 +150,11 @@ class ShVerdict:
         return self.status is Status.PASS
 
 
-def _orbit_floor(x: PerfSeries, g: GroupElem):
-    """(exact val, certified floor) of (g-1)x.
+def _orbit_measure(x: PerfSeries):
+    """The measure g -> (least key, key floor) of (g-1)x, on x's key
+    lattice: a key k is the valuation k / ((p-1)*p^cap).  The least key
+    is None when no term of (g-1)x is known; the floor is then the key
+    bound, or None for the exact zero.
 
     For an exact tau^c, c != 0, the answer is read off x's terms.  tau^c
     fixes u and sends t^B to eps^(cB) t^B, eps = 1+u, so
@@ -152,38 +162,64 @@ def _orbit_floor(x: PerfSeries, g: GroupElem):
     column of x's terms in t^B.  Columns of distinct B share no
     monomial, so nothing cancels between them; the valuation is
     multiplicative, so a column's valuation is that of its leading term
-    plus val(eps^(cB) - 1) = p^(v_p(n)) p/(p-1) / p^k for cB = n/p^k in
-    lowest terms (`eps_val_formula`), which is the key shift
-    p^(v_p(n)) p^(cap-k+1).  So val((tau^c - 1)x) is the least
-    key + shift over the terms with B != 0, known when it lies below
-    x's key bound; otherwise (None, x.prec), as for an x with no term
-    that moves.  An exact x refuses the same expansions as the action,
-    in the same term order.  Every other g acts and subtracts.
+    plus val(eps^(cB) - 1) = p^(v_p(cB)) p/(p-1) (`eps_val_formula`, v_p
+    taken on Z[1/p]), which is the key shift p^(v_p(c) + v_p(b) + 1) for
+    b = B p^cap, B's units.  So val((tau^c - 1)x) is the least
+    key + shift over the terms with B != 0, known when it lies below x's
+    key bound; otherwise (None, bound), as for an x with no term that
+    moves.
+
+    x's moving terms are read once, as (key, b / p^v_p(b), p^v_p(b));
+    a sample then strips p from c only while the shift can still matter:
+    below bound - (least moving key) for a capped x, and for an exact x
+    until the expansion (1+v)^n, n = cB / p^min(v_p(cB), cap), would be
+    refused anyway.  An exact x refuses the same expansions as the
+    action, in the same term order.  Every other g acts and subtracts.
     """
-    if g.a != 1 or g.nacc is not None or not g.c:
-        d = galois.act(g, x) - x
-        return d.val(), d.val_floor()
     p, cap, bound = x.p, x.cap, x.bound
-    least = None
+    moving = []
     for m, _ in x.terms:
-        key, b = m[0], ring.mono_units(m, p)[1]
-        if not b:
-            continue
-        n, k = ring.lowest_terms(g.c * b, p, cap)
-        if bound is None:
-            galois.check_exact_power(n)
-        # each factor p of n multiplies the shift by p, which matters
-        # only until the term reaches the bound
-        shift = p ** (cap - k + 1)
-        while n % p == 0 and (bound is None or key + shift < bound):
-            n //= p
+        b = ring.mono_units(m, p)[1]
+        if b:
+            pv = 1
+            while b % p == 0:
+                b //= p
+                pv *= p
+            moving.append((m[0], b, pv))
+    top = p ** (cap + 1)
+    if bound is None:
+        # p^(v_p(c)+1) >= limit makes |n| >= p^(v_p(c)-cap) too large
+        limit = (galois.EXACT_POWER_LIMIT + 1) * top
+    elif moving:
+        limit = bound - moving[0][0]
+
+    def measure(g: GroupElem):
+        if g.a != 1 or g.nacc is not None or not g.c:
+            d = galois.act(g, x) - x
+            return (d.terms[0][0][0] if d.terms else None), d.key_floor()
+        if not moving:
+            return None, bound
+        c, shift = g.c, p
+        while shift < limit and c % p == 0:
+            c //= p
             shift *= p
-        if bound is None or key + shift < bound:
-            least = ring.min_prec(least, key + shift)
-    if least is None:
-        return None, x.prec
-    val = Fraction(least, (p - 1) * p**cap)
-    return val, val
+        least = None
+        for key, b, pv in moving:
+            s = shift * pv
+            if bound is None:
+                n = c * b if s <= top else c * b * s // top
+                if not 0 <= n <= galois.EXACT_POWER_LIMIT:
+                    # refused: the action's own check, on its own n
+                    galois.check_exact_power(ring.lowest_terms(g.c * b * pv, p, cap)[0])
+            elif key + s >= bound:
+                continue
+            if least is None or key + s < least:
+                least = key + s
+        if least is None:
+            return None, bound
+        return least, least
+
+    return measure
 
 
 def sh_test(
@@ -197,28 +233,36 @@ def sh_test(
     """
     plam = PPow.of(plam)
     mu = Fraction(mu)
-    p = x.p
+    p, cap = x.p, x.cap
     if i_max < 0:
         raise ValueError("need i_max >= 0 to test any level")
+    # a key k is the valuation k/den: k/den - mu = (k*mu_d - mu_n*den) / (mu_d*den)
+    den = (p - 1) * p**cap
+    mu_d, mu_key, mu_den = mu.denominator, mu.numerator * den, mu.denominator * den
+
+    def excess(bound_i, key):
+        """Sign of bound_i - (key/den - mu)."""
+        return bound_i.cmp_ratio(key * mu_d - mu_key, mu_den, p)
+
     margins = []
     witness = None
     inconclusive = False
-    levels = level_samples(functools.partial(_orbit_floor, x), fam, p, i_max)
-    for i, level in enumerate(levels):
+    for i, level in enumerate(level_samples(_orbit_measure(x), fam, p, i_max)):
         bound_i = plam.shift(i)
         for g, (v, floor) in level:
             if v is None:
                 # difference vanished; is the bound inside certified range?
-                if floor is not None and bound_i.cmp(floor - mu, p) >= 0:
+                if floor is not None and excess(bound_i, floor) >= 0:
                     inconclusive = True
-            elif witness is None and bound_i.cmp(v - mu, p) > 0:
+            elif witness is None and excess(bound_i, v) > 0:
                 witness = (i, g)
         level_min = min_known(v for _, (v, _) in level)
         if level_min is not None:
-            margins.append(LevelMargin(i, level_min, level_min, bound_i, mu))
+            observed = ring.bound_prec(level_min, p, cap)
+            margins.append(LevelMargin(i, observed, observed, bound_i, mu))
         else:
             level_floor = min_known(floor for _, (_, floor) in level)
-            margins.append(LevelMargin(i, None, level_floor, bound_i, mu))
+            margins.append(LevelMargin(i, None, ring.bound_prec(level_floor, p, cap), bound_i, mu))
     margins = tuple(margins)
     if witness is not None:
         return ShVerdict(Status.FAIL, margins, witness)
@@ -276,7 +320,9 @@ def fit_exponent(levels, p):
 def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int) -> ShEstimate:
     """Fit (p^lambda, mu) from measured margins: consecutive level minima
     satisfy v_{i+1} - v_i = p^lambda p^i (p-1) for a true exponent."""
-    (levels,) = fit_levels(lambda g: _orbit_floor(x, g)[:1], fam, x.p, i_max)
+    orbit = _orbit_measure(x)
+    (keys,) = fit_levels(lambda g: orbit(g)[:1], fam, x.p, i_max)
+    levels = tuple(ring.bound_prec(k, x.p, x.cap) for k in keys)
     return ShEstimate(*fit_exponent(levels, x.p), levels)
 
 
@@ -304,25 +350,26 @@ def nonmembership_witness(
     raises at a vanished level as in `fit_levels`.
     """
     plam = PPow.of(plam)
-    p = x.p
+    p, cap = x.p, x.cap
+    orbit = _orbit_measure(x)
     try:
-        (levels,) = fit_levels(lambda g: _orbit_floor(x, g)[:1], fam, p, i_max)
+        (keys,) = fit_levels(lambda g: orbit(g)[:1], fam, p, i_max)
     except DegenerateOrbit:
         if x.bound is not None:
             raise
         return WitnessReport(False, (), plam, None)
+    # the level differences v_{i+1} - v_i on the key lattice, over den
+    den = (p - 1) * p**cap
+    steps = [b - a for a, b in zip(keys, keys[1:])]
     # m_{i+1} < m_i  <=>  bound growth exceeds margin growth
-    falls = [
-        PPow(plam.q * (p - 1), plam.s + i).cmp(levels[i + 1] - levels[i], p) > 0
-        for i in range(i_max)
-    ]
+    falls = [PPow(plam.q * (p - 1), plam.s + i).cmp_ratio(steps[i], den, p) > 0 for i in range(i_max)]
     # d_{i+1} <= d_i  <=>  second difference of v below bound's second difference
     worsening = all(
-        PPow(plam.q * (p - 1) ** 2, plam.s + i).cmp(levels[i + 2] - 2 * levels[i + 1] + levels[i], p)
-        >= 0
+        PPow(plam.q * (p - 1) ** 2, plam.s + i).cmp_ratio(steps[i + 1] - steps[i], den, p) >= 0
         for i in range(i_max - 1)
     )
     first_decrease = falls.index(True) if True in falls else None
+    levels = tuple(ring.bound_prec(key, p, cap) for key in keys)
     return WitnessReport(all(falls) and worsening, levels, plam, first_decrease)
 
 

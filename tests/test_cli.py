@@ -499,6 +499,23 @@ class TestHostileArgv:
         assert run.stdout == "" and "Traceback" not in run.stderr
         assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
 
+    def test_capped_huge_level_passes(self):
+        # each sample's shift p^(10^6 + 1) lies far past O(20), so no level
+        # moves, and every bound lies below the certified floor 20
+        src = str(Path(cli.__file__).resolve().parents[1])
+        argv = ["sh-test", "t+O(20)", "--plambda", "3/2", "--mu", "1", "--k", "1000000", "--imax", "2"]
+        run = subprocess.run(
+            [sys.executable, "-m", "tilted", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        report = json.loads(run.stdout)
+        assert report["status"] == "pass"
+        assert [(m["observed"], m["floor"]) for m in report["margins"]] == [(None, "20")] * 3
+
     def test_inconclusive_family(self):
         # exactly these exit 2; every other TiltedError exits 1
         family = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Inconclusive)}

@@ -3,7 +3,7 @@ against the chained loops they replace.
 
 The oracles below are the earlier code kept verbatim: each matrix entry
 and cofactor minor is a chain of series products `oracle_mul` and sums,
-and each term of the tau- and gamma-actions is its own `_eps_pow`
+and each term of the tau- and gamma-actions is its own `oracle_eps_pow`
 series, shifted by `mono_shift` and added in by `_accumulate`.  The
 fused code must give the same text and the same key bound on every
 input, exact, capped, capped with no known terms, or the exact zero.
@@ -426,6 +426,55 @@ def test_gamma_on_several_u_terms_is_sum_of_single_term_actions():
             want = want + galois.act(g, make_series(p, cap, {m: c}, x.bound))
         assert view(got) == view(want), g
         assert view(got) == view(oracle_act(g, x))
+
+
+def low_target_terms(x, eff):
+    """How many of x's terms with a u exponent leave gamma a target
+    eff - (key of their t factor) <= 0, where w = 0 + O(target)."""
+    p = x.p
+    count = 0
+    for m, _ in x.terms:
+        eu, et = ring.mono_units(m, p)
+        count += eu != 0 and eff is not None and eff - et * (p - 1) <= 0
+    return count
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gamma_matches_eps_minus_one(p):
+    # the action forms w = (1+v)^a - 1 from the expansion's terms j >= 1;
+    # the oracle keeps eps - one.cut(target), on approximate conjugates
+    # gamma_a tau gamma_a^-1 (a * a^-1 = 1 mod p^24, but not 1), on terms
+    # u^e t^B with e < 0 whose t factor alone reaches the cap, and on
+    # exact inputs
+    cap = 6
+    rng = random.Random(6000 + p)
+    units = [a for a in range(2, 4 * p + 3) if a % p][:4]
+    conjugates = []
+    for a in units:
+        g = galois.compose(galois.compose(galois.gamma(a), galois.tau(1)), galois.inverse(galois.gamma(a), p))
+        assert g.a != 1 and (g.a - 1) % p**24 == 0
+        conjugates.append(g)
+    exact = [galois.gamma(a) for a in units] + [galois.GroupElem(-2, units[-1])]
+    low = 0
+    for _ in range(12):
+        x = random_series(rng, p, cap, "capped", n_max=5, neg_u=True)
+        if rng.random() < 0.7:
+            # u^A t^B (in units) below the cap, with A < 0 and B * (p-1),
+            # the key of its t factor alone, at or past the cap
+            b = -(-x.bound // (p - 1))
+            a = (x.bound - 1 - b * (p - 1)) // p - rng.randint(0, p**cap)
+            x = x + make_series(p, cap, {ring.mono_of(a, b, p): 1}, x.bound)
+        prec = rng.choice([None, x.prec + 1, x.prec - 1])
+        eff = min_prec(x.bound, ring.key_bound(prec, p, cap))
+        low += low_target_terms(x.cut(eff), eff)
+        for g in conjugates + exact:
+            want = _act_or_error(oracle_act, g, x, prec)
+            assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
+        exact_x = random_series(rng, p, cap, "exact", neg_u=rng.random() < 0.3)
+        for g in exact:
+            want = _act_or_error(oracle_act, g, exact_x, None)
+            assert _act_or_error(galois.act, g, exact_x, None) == want, (g, str(exact_x))
+    assert low > 0
 
 
 def dense_columns(rng, p, cap, kind):

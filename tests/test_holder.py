@@ -117,6 +117,30 @@ def test_ppow_cmp_matches_float(q, sexp, v):
         assert b.cmp(v, P) == (1 if approx > 0 else -1)
 
 
+@st.composite
+def ratio_cases(draw):
+    """(p^lambda, num, den, p): s with denominators 1..6 and either
+    sign; num/den of either sign, or q * p^s itself when s is an
+    integer; num and den scaled by a shared factor."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    q = draw(st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30))
+    sexp = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+    if sexp.denominator == 1 and draw(st.booleans()):
+        v = q * Fraction(p) ** sexp.numerator
+    else:
+        v = draw(st.fractions(min_value=-50, max_value=10**4, max_denominator=10**3))
+    shared = draw(st.integers(1, 60))
+    return PPow(q, sexp), v.numerator * shared, v.denominator * shared, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(ratio_cases())
+def test_cmp_ratio_matches_cmp(case):
+    # the integer core takes num/den in any terms
+    b, num, den, p = case
+    assert b.cmp_ratio(num, den, p) == b.cmp(Fraction(num, den), p)
+
+
 class TestShTest:
     def test_t_passes_with_exact_margins(self):
         verdict = holder.sh_test(s("t"), TAU0, CP, 1, i_max=3)

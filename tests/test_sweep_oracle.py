@@ -250,9 +250,21 @@ def tau_orbit_cases(draw):
 @example((ring.parse_series("u*t^{-1} + t^{2}", 3, 2), galois.tau(-1)))
 @example((ring.parse_series("u + t", 5, 2), galois.tau(5**20)))
 @example((ring.parse_series("u^{2} + O(4)", 7, 1), galois.tau(3)))
+# n = cB at the exact expansion limit 100000, on either side of it
+@example((ring.parse_series("t", 2, 0), galois.tau(2**16)))
+@example((ring.parse_series("t", 2, 0), galois.tau(3 * 2**17)))
+# v_p(c) far past anything a term can use: c is stripped only so far
+@example((ring.parse_series("t + O(20)", 3, 6), galois.tau(3**100000)))
+@example((ring.parse_series("t", 3, 6), galois.tau(3**100000)))
 def test_tau_orbit_floor_matches_act(case):
     x, g = case
-    assert outcome(holder._orbit_floor, x, g) == outcome(oracle_orbit_floor, x, g)
+    assert outcome(keyed_orbit_floor, x, g) == outcome(oracle_orbit_floor, x, g)
+
+
+def keyed_orbit_floor(x, g):
+    """`holder._orbit_measure`'s keys as the valuations they stand for."""
+    keys = holder._orbit_measure(x)(g)
+    return tuple(None if k is None else Fraction(k, (x.p - 1) * x.p**x.cap) for k in keys)
 
 
 def _counting(monkeypatch, module, name):
@@ -277,6 +289,23 @@ def test_tau_sweeps_do_not_act(text, monkeypatch):
     assert (len(acts), len(expansions)) == (0, 0)
     holder.sh_test(x, SubgroupFamily(FamilyKind.GAMMA, 1), Fraction(3, 2), 0, 1)
     assert len(acts) == 2 * 2
+
+
+@pytest.mark.parametrize("text", ["t", "u*t^{1/3} + t^{2} + O(12)", "u^{2}*t^{-1} + u + O(9)"])
+def test_tau_sweeps_read_each_term_once(text, monkeypatch):
+    # one table of x's terms per sweep, not one read per sample and level
+    x = ring.parse_series(text, 3, 6)
+    fam = SubgroupFamily(FamilyKind.TAU, 1)
+    units = _counting(monkeypatch, ring, "mono_units")
+    sweeps = [
+        (holder.sh_test, x, fam, Fraction(3, 2), 0, 3),
+        (holder.sh_estimate, x, fam, 3),
+        (holder.nonmembership_witness, x, fam, Fraction(3, 2), 3),
+    ]
+    for sweep in sweeps:
+        units.clear()
+        outcome(*sweep)
+        assert len(units) == len(x.terms), sweep[0].__name__
 
 
 def _modules(p):
