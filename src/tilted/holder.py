@@ -10,7 +10,7 @@ compare exactly against rational valuations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import galois, ring
@@ -90,6 +90,10 @@ class SubgroupFamily:
 
     kind: FamilyKind
     k: int = 0
+    # [(p, n, p^n)] for the latest level asked, replaced whole: a level's
+    # p - 1 samples share one power, and the next level's is one
+    # multiplication away
+    _last: list = field(default_factory=lambda: [(0, 0, 1)], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is FamilyKind.GAMMA and self.k < 1:
@@ -101,7 +105,12 @@ class SubgroupFamily:
     def element(self, i: int, m: int, p: int) -> GroupElem:
         if m % p == 0:
             raise ValueError("sample multiplier must be coprime to p")
-        step = m * p ** (self.k + i)
+        n = self.k + i
+        last_p, last_n, power = self._last[0]
+        if last_p != p or last_n != n:
+            power = power * p if last_p == p and last_n == n - 1 else p**n
+            self._last[0] = (p, n, power)
+        step = m * power
         if self.kind is FamilyKind.TAU:
             return galois.tau(step)
         return galois.gamma(1 + step)

@@ -9,7 +9,9 @@ which gives every downstream computation a built-in oracle.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,8 +82,14 @@ class MatSeries:
         return self.map(lambda e: e.cut(bound))
 
     def val_floor(self):
-        """min over entries of the certified valuation bound."""
-        return holder.min_known(e.val_floor() for row in self.rows for e in row)
+        """min over entries of the certified valuation bound, read off the
+        least key floor (leading key, else key bound; exact zeros
+        skipped); None when every entry is the exact zero."""
+        least = min(
+            (k for row in self.rows for e in row if (k := e.key_floor()) is not None),
+            default=None,
+        )
+        return ring.bound_prec(least, self.p, self.cap)
 
     def is_zero(self):
         return all(e.is_zero() for row in self.rows for e in row)
@@ -120,11 +128,13 @@ class MatSeries:
         are the cofactors (0, j), so det and adjugate share one table: the
         minors take 816 series products at d = 6 and 5,552 at d = 8,
         against 8,616 and 623,456 for the plain recursion.  Each minor is
-        one normalization (`ring.dot`)."""
+        one normalization (`ring.dot`), and so is each entry
+        det^{-1} adj_ij, cut at prec inside its `ring.dot`."""
         minor = _minors(self.rows)
         full = tuple(range(self.d))
         detinv = ring.invert(minor(full, full), prec)
-        return self._adjugate(minor).scale_series(detinv).truncate(prec)
+        bound = ring.key_bound(prec, self.p, self.cap)
+        return self._adjugate(minor).map(lambda e: ring.dot(((detinv, e),), cut=bound))
 
     def _adjugate(self, minor):
         d = self.d
@@ -145,27 +155,51 @@ class MatSeries:
         return MatSeries.from_rows([[cof[j][i] for j in range(d)] for i in range(d)])
 
 
+@functools.lru_cache(maxsize=8)
+def _mask_layout(d):
+    """For the column masks of a d x d matrix: each mask's (col, bit)
+    pairs in ascending column order, and the masks of each size."""
+    pairs = [tuple((col, 1 << col) for col in range(d) if m >> col & 1) for m in range(1 << d)]
+    by_size = [[] for _ in range(d + 1)]
+    for m, cols in enumerate(pairs):
+        by_size[len(cols)].append(m)
+    return pairs, by_size
+
+
 def _minors(rows):
     """minor(R, C): the determinant of the submatrix on row tuple R and
-    column tuple C, expanded along R's first row; memoized, so that each
-    minor costs one product per column once its own minors are known.
-    Each minor is one alternating `ring.dot`, normalized once."""
-    table = {}
+    column tuple C, expanded along R's first row.
+
+    The table keeps one list per row tuple R, indexed by column mask, and
+    fills it for every mask of R's size at R's first request, from the
+    list of R[1:]: the cofactors of `adjugate` ask for all of them, and
+    `det`'s row tuples are suffixes, which ask for all of them too.  So
+    each minor is computed once, at one product per column, with the same
+    minors, products and caps as a memoized recursion on (R, C).  Each
+    minor is one alternating `ring.dot` over its columns in ascending
+    order, normalized once."""
+    pairs, by_size = _mask_layout(len(rows))
+    tables = {}
+
+    def table(r):
+        out = tables.get(r)
+        if out is None:
+            out = [None] * len(pairs)
+            top = rows[r[0]]
+            if len(r) == 1:
+                for col, bit in pairs[-1]:
+                    out[bit] = top[col]
+            else:
+                sub = table(r[1:])
+                for m in by_size[len(r)]:
+                    out[m] = ring.dot(
+                        [(top[col], sub[m ^ bit]) for col, bit in pairs[m]], alternating=True
+                    )
+            tables[r] = out
+        return out
 
     def minor(r, c):
-        key = (r, c)
-        if key in table:
-            return table[key]
-        if len(r) == 1:
-            val = rows[r[0]][c[0]]
-        else:
-            top, rest = rows[r[0]], r[1:]
-            val = ring.dot(
-                [(top[col], minor(rest, c[:k] + c[k + 1 :])) for k, col in enumerate(c)],
-                alternating=True,
-            )
-        table[key] = val
-        return val
+        return table(r)[sum(1 << col for col in c)]
 
     return minor
 
@@ -238,8 +272,17 @@ def mat_of(module: PhiTauModule, g: GroupElem) -> MatSeries:
     p, (1+u)^(p^i) = 1 + u^(p^i), so Mat(tau^(p^i)) - Id gains valuation
     at every level and tau^(e p^i) acts on an entry through a sparse
     Lucas expansion; a binary chain's Mat(tau^2), Mat(tau^4), ... gain
-    neither.  The digits combine from the lowest level up, and a negative
-    c inverts tau^c applied to Mat(tau^(-c)).
+    neither.  The digits combine from the lowest level up.
+
+    A negative c takes Mat(tau^c) = tau^c(Mat(tau^(-c))^{-1}): the inverse
+    of the positive power, then the action, which skips the minors of the
+    denser acted matrix.  tau keeps every leading monomial and every O(.)
+    cap, so products, sums, cuts and `ring.invert` commute with it term
+    for term and cap for cap, and this order gives the same series as
+    inverting tau^c(Mat(tau^(-c))).  That holds for a matrix already cut
+    at the precision, as every chain matrix is: on an uncut one, the
+    action turns an exact zero into O(prec), and the inverse would then
+    raise PrecisionRequired where the other order raises ZeroDivisor.
 
     When Mat(tau) is integral and known to the module's precision, any
     chain gives the same series; where an entry has negative valuation,
@@ -284,7 +327,9 @@ class _TauChain:
         if c == 0:
             return MatSeries.identity(mod.d, mod.p, mod.cap, mod.prec)
         if c < 0:
-            return self.mat(-c).act(galois.tau(c), mod.prec).inverse(mod.prec)
+            # the chain's matrices are cut at prec, so tau^c commutes with
+            # the inverse (see `mat_of`)
+            return self.mat(-c).inverse(mod.prec).act(galois.tau(c), mod.prec)
         # acc = Mat(tau^n) for n the digits of c below level i
         acc = None
         i = 0
@@ -299,12 +344,27 @@ class _TauChain:
 
 def cocycle_check(module: PhiTauModule, g: GroupElem):
     """Residual of P phi(Mat(g)) - Mat(g) (g.P) to the module's
-    precision; returns (ok, floor)."""
+    precision; returns (ok, floor).
+
+    Each residual entry (i, j) is one `ring.dot` over the 2d pairs
+    (P_ik, phi(Mat g)_kj) and (Mat(g)_ik, -(g.P)_kj), cut at the
+    precision: its cap is the least over both products' pairs, so the
+    entry is that of (lhs - rhs).truncate(prec), with no lhs, rhs or
+    difference matrix built."""
     prec = module.prec
     mat_g = mat_of(module, g)
-    lhs = module.frob.truncate(prec) * mat_g.frobenius()
-    rhs = mat_g * module.frob.act(g, prec)
-    resid = (lhs - rhs).truncate(prec)
+    bound = ring.key_bound(prec, module.p, module.cap)
+    phi_cols = tuple(zip(*mat_g.frobenius().rows))
+    neg_cols = tuple(zip(*module.frob.act(g, prec).map(operator.neg).rows))
+    resid = MatSeries.from_rows(
+        [
+            [
+                ring.dot([*zip(frob_row, phi_col), *zip(mat_row, neg_col)], cut=bound)
+                for phi_col, neg_col in zip(phi_cols, neg_cols)
+            ]
+            for frob_row, mat_row in zip(module.frob.truncate(prec).rows, mat_g.rows)
+        ]
+    )
     return resid.is_zero(), resid.val_floor()
 
 

@@ -339,7 +339,7 @@ def _lead_key(term):
     return term[0][0]
 
 
-def dot(pairs, alternating=False) -> PerfSeries:
+def dot(pairs, alternating=False, cut=None) -> PerfSeries:
     """The sum of products x_1*y_1 + ... + x_n*y_n over the (x, y) pairs,
     or the alternating sum x_1*y_1 - x_2*y_2 + ... with ``alternating``,
     as in a cofactor expansion; at least one pair is needed.
@@ -348,11 +348,13 @@ def dot(pairs, alternating=False) -> PerfSeries:
     `make_series` under the least of the products' key bounds
     min(key0(x) + K_y, key0(y) + K_x).  The terms and cap are exactly
     those of the chained products and sums: each product keeps every key
-    below its own bound, and coefficients add mod p either way.
+    below its own bound, and coefficients add mod p either way.  A key
+    bound ``cut`` joins that least bound, so the result is
+    ``dot(pairs).cut(cut)`` with one normalization.
     """
     acc = {}
     get = acc.get
-    bound = None
+    bound = cut
     p = cap = None
     sign = 1
     for x, y in pairs:

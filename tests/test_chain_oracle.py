@@ -1,13 +1,21 @@
 """`phitau.mat_of`'s base-p chain against the square-and-multiply chain
 it replaced, kept here as the oracle: every Mat(tau^c) must have the same
 repr, terms and O(.) caps alike, and the chain may take no more matrix
-products where the sweeps ask for Mat(g), at g = tau^(m p^j)."""
+products where the sweeps ask for Mat(g), at g = tau^(m p^j).
 
+The chain inverts Mat(tau^n) before it applies tau^(-n); the oracle
+applies tau^(-n) first, as the chain once did, and the equivariance
+oracle below checks the two orders on random matrices cut at the
+precision.  `phitau.cocycle_check` forms each residual entry as one cut
+`ring.dot`; its oracle is the two-product residual
+(P phi(M) - M g(P)).truncate(prec)."""
+
+import dataclasses
 import random
 
 import pytest
 
-from tilted import galois, phitau, ring
+from tilted import galois, holder, phitau, ring
 from tilted.phitau import MatSeries
 
 # -- the oracle ---------------------------------------------------------
@@ -107,6 +115,12 @@ def test_matches_binary_chain(p):
         for c in EXPONENTS:
             g = galois.tau(c)
             assert outcome(phitau.mat_of, mod, g) == outcome(oracle_mat_of, mod, g), (name, c)
+    # the inverse-first order of a negative c, where the minors are many
+    for d in (4, 5):
+        mod = phitau.basechange_generate(d, seed=d + p, p=p, prec=PREC)
+        for c in (-1, -2, -3):
+            g = galois.tau(c)
+            assert outcome(phitau.mat_of, mod, g) == outcome(oracle_mat_of, mod, g), (d, c)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -178,3 +192,115 @@ def test_large_p_digit_by_square_and_multiply(monkeypatch):
     assert count_products(monkeypatch, oracle_mat_of, mod, g) == 8
     assert count_products(monkeypatch, phitau.mat_of, mod, g) <= 8
     assert repr(phitau.mat_of(mod, g)) == repr(oracle_mat_of(mod, g))
+
+
+# -- tau commutes with the inverse of a cut matrix ----------------------
+
+
+def random_entry(rng, p, cap):
+    """The exact zero, a zero known mod O(q), or a few monomials with
+    integer t-exponents of either sign and u-exponents >= 0 (exponents
+    in p^-1 Z make inverses of many thousand terms at p = 7)."""
+    kind = rng.random()
+    if kind < 0.15:
+        return ring.zero(p, cap)
+    if kind < 0.25:
+        return ring.zero(p, cap, rng.randint(0, 6))
+    x = ring.zero(p, cap)
+    for _ in range(rng.randint(1, 3)):
+        x = x + ring.monomial(p, cap, rng.randint(1, p - 1), rng.randint(0, 2), rng.randint(-1, 3))
+    return x
+
+
+def random_cut_matrix(rng, d, p, prec):
+    """A random matrix cut at prec; one in two is Id plus entries of
+    positive valuation, so that it inverts."""
+    cap = ring.DEFAULT_DENOM_CAP
+    rows = [[random_entry(rng, p, cap) for _ in range(d)] for _ in range(d)]
+    m = MatSeries.from_rows(rows)
+    if rng.random() < 0.5:
+        m = m.scale_series(ring.t_var(p, cap)) + MatSeries.identity(d, p, cap)
+    return m.truncate(prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_tau_commutes_with_inverse_of_cut_matrices(d, p):
+    # tau keeps every leading monomial and every cap, so on a matrix cut
+    # at prec both orders give the same repr, or the same exception
+    prec = 6
+    rng = random.Random(100 * d + p)
+    inverted = 0
+    for _ in range(36):
+        m = random_cut_matrix(rng, d, p, prec)
+        for c in (1, -1, 2, -2, p, -p, 3 * p + 1):
+            g = galois.tau(c)
+            first_act = outcome(lambda: m.act(g, prec).inverse(prec))
+            first_inv = outcome(lambda: m.inverse(prec).act(g, prec))
+            assert first_act == first_inv, (d, p, c, repr(m))
+            inverted += first_act.startswith("MatSeries")
+    assert inverted >= 36 * 7 // 3
+
+
+def test_uncut_exact_zero_breaks_the_reorder():
+    # why the chain alone inverts first: on an uncut matrix the action
+    # turns an exact zero into O(prec), so the orders raise differently
+    m = MatSeries.from_rows([[ring.zero(3)]])
+    g = galois.tau(-1)
+    assert outcome(lambda: m.act(g, PREC).inverse(PREC)).startswith("PrecisionRequired")
+    assert outcome(lambda: m.inverse(PREC).act(g, PREC)).startswith("ZeroDivisor")
+    cut = m.truncate(PREC)
+    assert outcome(lambda: cut.act(g, PREC).inverse(PREC)) == outcome(
+        lambda: cut.inverse(PREC).act(g, PREC)
+    )
+
+
+# -- the cocycle residual -----------------------------------------------
+
+
+def oracle_cocycle(module, g):
+    """(ok, floor) of the two-product residual, its floor the least entry
+    `val_floor` as a Fraction."""
+    prec = module.prec
+    mat_g = phitau.mat_of(module, g)
+    lhs = module.frob.truncate(prec) * mat_g.frobenius()
+    rhs = mat_g * module.frob.act(g, prec)
+    resid = (lhs - rhs).truncate(prec)
+    floor = holder.min_known(e.val_floor() for row in resid.rows for e in row)
+    return resid.is_zero(), floor
+
+
+def perturbed(mod):
+    """mod with t added to Mat(tau)[0][0], so that the cocycle fails."""
+    rows = [list(row) for row in mod.mat_tau.rows]
+    rows[0][0] = (rows[0][0] + ring.t_var(mod.p, mod.cap)).truncate(mod.prec)
+    return dataclasses.replace(mod, mat_tau=MatSeries.from_rows(rows))
+
+
+def scaled(mod):
+    """mod with P scaled by t^6 and Mat(tau) by t^7: every product's cap
+    lies above the precision, so only the cut at it sets the residual's
+    cap, and terms above it must go."""
+    def t_pow(e):
+        return ring.monomial(mod.p, mod.cap, 1, 0, e)
+
+    return dataclasses.replace(
+        mod,
+        frob=mod.frob.scale_series(t_pow(6)),
+        mat_tau=mod.mat_tau.scale_series(t_pow(7)).truncate(mod.prec),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cocycle_residual_matches_two_products(p):
+    mods = modules(p)
+    mods["d=4"] = phitau.basechange_generate(4, seed=4 + p, p=p, prec=PREC)
+    broken = {"perturbed": perturbed(mods["d=2"]), "scaled": scaled(mods["d=2"])}
+    for name, mod in {**mods, **broken}.items():
+        verdicts = []
+        for g in (*map(galois.tau, (1, 2, p, -1)), galois.GroupElem(1, 2)):
+            got = outcome(phitau.cocycle_check, mod, g)
+            assert got == outcome(oracle_cocycle, mod, g), (name, g)
+            verdicts.append(got.split(",")[0])
+        # gamma_2 is no unit at p = 2
+        assert ("(False" in verdicts) == (name in broken), (name, verdicts)

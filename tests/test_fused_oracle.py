@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from tilted import galois, phitau, ring
+from tilted import galois, holder, phitau, ring
 from tilted.errors import PrecisionRequired, TiltedError
 from tilted.phitau import MatSeries
 from tilted.ring import make_series, min_prec
@@ -258,6 +258,20 @@ def test_dot_matches_chained_products(p, cap):
         assert view(x * y) == view(oracle_mul(x, y))
 
 
+@pytest.mark.parametrize("p, cap", RINGS)
+def test_dot_cut_is_dot_then_cut(p, cap):
+    rng = random.Random(p * 300 + cap)
+    for _ in range(60):
+        pairs = [
+            tuple(random_series(rng, p, cap, rng.choice(KINDS), neg_u=True) for _ in range(2))
+            for _ in range(rng.randint(1, 4))
+        ]
+        bound = rng.choice([None, rng.randint(-10 * p**cap, 30 * p**cap)])
+        for alternating in (False, True):
+            want = oracle_cut(ring.dot(pairs, alternating=alternating), bound)
+            assert view(ring.dot(pairs, alternating=alternating, cut=bound)) == view(want)
+
+
 def test_dot_rejects_mixed_rings_and_no_pairs():
     x = ring.one(3, 6)
     with pytest.raises(ValueError, match="different p"):
@@ -389,6 +403,38 @@ def test_inverse_matches_chained(d, p):
     adj = m._adjugate(want)
     want_inv = [[view(oracle_mul(detinv, e).truncate(prec)) for e in row] for row in adj.rows]
     assert mat_view(m.inverse(prec)) == want_inv
+
+
+def oracle_val_floor(m):
+    """The least entry `val_floor` as a Fraction, exact zeros skipped."""
+    return holder.min_known(e.val_floor() for row in m.rows for e in row)
+
+
+@pytest.mark.parametrize("p, cap", RINGS)
+def test_matrix_val_floor_matches_entry_floors(p, cap):
+    rng = random.Random(3000 * p + cap)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return termless(rng, p, cap)
+        return random_series(rng, p, cap, rng.choice(KINDS), neg_u=True)
+
+    for d in (1, 2, 3):
+        for _ in range(40):
+            m = MatSeries.from_rows([[entry() for _ in range(d)] for _ in range(d)])
+            got, want = m.val_floor(), oracle_val_floor(m)
+            assert got == want and type(got) is type(want), (got, want)
+        zeros = MatSeries.from_rows([[ring.zero(p, cap)] * d] * d)
+        assert zeros.val_floor() is None and oracle_val_floor(zeros) is None
+    # a negative leading key, and a termless cap below every known term
+    m = MatSeries.from_rows(
+        [
+            [ring.monomial(p, cap, 1, Fraction(-1, p), 0), ring.zero(p, cap)],
+            [ring.zero(p, cap, -3), ring.one(p, cap)],
+        ]
+    )
+    assert m.val_floor() == oracle_val_floor(m) == -3
 
 
 # -- the group action --------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilted import holder, ring
+from tilted import galois, holder, ring
 from tilted.errors import DegenerateOrbit, PrecisionRequired
 from tilted.holder import FamilyKind, PPow, Status, SubgroupFamily
 
@@ -176,6 +176,19 @@ class TestShTest:
         # a multiplier divisible by p is not a level element
         with pytest.raises(ValueError):
             TAU0.element(0, 3, P)
+
+    def test_elements_from_shared_level_powers(self):
+        # the memo of p^(k+i) must give m p^(k+i) whatever order the
+        # levels, rings and families are asked in
+        rng = random.Random(5)
+        fams = [SubgroupFamily(kind, k) for kind in FamilyKind for k in (1, 4)]
+        for _ in range(300):
+            p = rng.choice([2, 3, 5, 7])
+            fam = rng.choice(fams)
+            i, m = rng.randint(0, 4), rng.randrange(1, p)
+            step = m * p ** (fam.k + i)
+            want = galois.tau(step) if fam.kind is FamilyKind.TAU else galois.gamma(1 + step)
+            assert fam.element(i, m, p) == want
 
 
 class TestShEstimate:
