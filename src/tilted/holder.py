@@ -5,11 +5,18 @@ val((g-1)x) >= p^lambda * p^i + mu for every tested g in the i-th level
 subgroup.  Exponents p^lambda are carried as exact values q * p^s with
 rational q and s, so that even irrational targets like p^(c_p + 1/2)
 compare exactly against rational valuations.
+
+The tests read the levels i = 0..i_max in turn, and a fit reads none
+after the first that vanished to precision.  For the tau families
+val((g-1)x) is read off x's terms, one value per level (`_tau_levels`);
+the gamma families act with each sample and subtract (`level_samples`).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,12 +66,15 @@ class PPow:
 
         With q = qn/qd and s = e + r/b, 0 <= r < b, this is the sign of
         (qn * den * p^e)^b * p^r - (num * qd)^b, compared on integers,
-        with p^|e| moved to the right-hand side when e < 0.  Both sides
-        were scaled by den^b > 0, which keeps the sign whatever factors
-        num and den share.
+        with p^|e| moved to the right-hand side when e < 0.  num/den is
+        put in lowest terms first: both sides are b-th powers, so a factor
+        they share would be raised to the b-th power with them.
         """
         if num <= 0:
             return 1
+        common = math.gcd(num, den)
+        num //= common
+        den //= common
         b = self.s.denominator
         e, r = divmod(self.s.numerator, b)
         lhs = self.q.numerator * den
@@ -163,27 +173,41 @@ def _orbit_measure(x: PerfSeries):
     """The measure g -> (least key, key floor) of (g-1)x, on x's key
     lattice: a key k is the valuation k / ((p-1)*p^cap).  The least key
     is None when no term of (g-1)x is known; the floor is then the key
-    bound, or None for the exact zero.
+    bound, or None for the exact zero.  g acts and x is subtracted, which
+    is how the gamma families measure; tau families read `_tau_levels`."""
 
-    For an exact tau^c, c != 0, the answer is read off x's terms.  tau^c
-    fixes u and sends t^B to eps^(cB) t^B, eps = 1+u, so
-    (tau^c - 1)x = sum over B of t^B f_B (eps^(cB) - 1), with f_B the
-    column of x's terms in t^B.  Columns of distinct B share no
-    monomial, so nothing cancels between them; the valuation is
-    multiplicative, so a column's valuation is that of its leading term
-    plus val(eps^(cB) - 1) = p^(v_p(cB)) p/(p-1) (`eps_val_formula`, v_p
-    taken on Z[1/p]), which is the key shift p^(v_p(c) + v_p(b) + 1) for
-    b = B p^cap, B's units.  So val((tau^c - 1)x) is the least
-    key + shift over the terms with B != 0, known when it lies below x's
-    key bound; otherwise (None, bound), as for an x with no term that
-    moves.
+    def measure(g: GroupElem):
+        d = galois.act(g, x) - x
+        return (d.terms[0][0][0] if d.terms else None), d.key_floor()
 
-    x's moving terms are read once, as (key, b / p^v_p(b), p^v_p(b));
-    a sample then strips p from c only while the shift can still matter:
-    below bound - (least moving key) for a capped x, and for an exact x
-    until the expansion (1+v)^n, n = cB / p^min(v_p(cB), cap), would be
-    refused anyway.  An exact x refuses the same expansions as the
-    action, in the same term order.  Every other g acts and subtracts.
+    return measure
+
+
+def _tau_levels(x: PerfSeries, k: int, units):
+    """The tau level table of x: for the levels i = 0, 1, ... in turn, the
+    least key of (tau^c - 1)x over c = u p^(k+i), u in `units` (prime to
+    p), or None once it vanished to precision, the floor then being x's key
+    bound.  Lazy and endless: a caller that stops at a level reads no
+    later one.
+
+    The value is read off x's terms.  tau^c fixes u and sends t^B to
+    eps^(cB) t^B, eps = 1+u, so (tau^c - 1)x = sum over B of
+    t^B f_B (eps^(cB) - 1), with f_B the column of x's terms in t^B.
+    Columns of distinct B share no monomial, so nothing cancels between
+    them; the valuation is multiplicative, so a column's valuation is that
+    of its leading term plus val(eps^(cB) - 1) = p^(v_p(cB)) p/(p-1)
+    (`eps_val_formula`, v_p taken on Z[1/p]), which is the key shift
+    p^(v_p(c) + v_p(b) + 1) for b = B p^cap, B's units.  So the value is
+    the least key + shift over the terms with B != 0, and it depends on c
+    through v_p(c) = k + i only: one value per level.
+
+    x's moving terms are read once, as (key, b / p^v_p(b), p^v_p(b)).
+    The shift p^(v_p(c)+1) grows by one factor p per level only while it
+    can still matter: below bound - (least moving key) for a capped x, past
+    which every level has vanished, and for an exact x until the expansion
+    (1+v)^n, n = cB / p^min(v_p(cB), cap), would be refused anyway.  An
+    exact x refuses the same expansions as the action, sample by sample and
+    term by term, with the action's own message.
     """
     p, cap, bound = x.p, x.cap, x.bound
     moving = []
@@ -195,50 +219,64 @@ def _orbit_measure(x: PerfSeries):
                 b //= p
                 pv *= p
             moving.append((m[0], b, pv))
-    top = p ** (cap + 1)
-    if bound is None:
-        # p^(v_p(c)+1) >= limit makes |n| >= p^(v_p(c)-cap) too large
-        limit = (galois.EXACT_POWER_LIMIT + 1) * top
-    elif moving:
-        limit = bound - moving[0][0]
-
-    def measure(g: GroupElem):
-        if g.a != 1 or g.nacc is not None or not g.c:
-            d = galois.act(g, x) - x
-            return (d.terms[0][0][0] if d.terms else None), d.key_floor()
-        if not moving:
-            return None, bound
-        c, shift = g.c, p
-        while shift < limit and c % p == 0:
-            c //= p
+    if moving:
+        top = p ** (cap + 1)
+        if bound is None:
+            # p^(v_p(c)+1) >= limit makes |n| >= p^(v_p(c)-cap) too large
+            limit = (galois.EXACT_POWER_LIMIT + 1) * top
+        else:
+            limit = bound - moving[0][0]
+        # a level whose shift reaches limit has vanished (capped x) or
+        # refuses every expansion, first the first term's at the first
+        # sample (exact x); no later level is read, so a base level k past
+        # it takes into the shift only the powers of p that reach limit
+        shift = p
+        for _ in range(k):
+            if shift >= limit:
+                break
             shift *= p
-        least = None
-        for key, b, pv in moving:
-            s = shift * pv
+        for v in itertools.count(k):
             if bound is None:
-                n = c * b if s <= top else c * b * s // top
-                if not 0 <= n <= galois.EXACT_POWER_LIMIT:
-                    # refused: the action's own check, on its own n
-                    galois.check_exact_power(ring.lowest_terms(g.c * b * pv, p, cap)[0])
-            elif key + s >= bound:
-                continue
-            if least is None or key + s < least:
-                least = key + s
-        if least is None:
-            return None, bound
-        return least, least
+                # n = cB / p^min(v_p(cB), cap) at c = p^v; sample u's is u n
+                ns = [b * max(shift * pv // top, 1) for _, b, pv in moving]
+                for u in units:
+                    for n, (_, b, pv) in zip(ns, moving):
+                        if not 0 <= u * n <= galois.EXACT_POWER_LIMIT:
+                            # refused: the action's own check, on its own n
+                            galois.check_exact_power(ring.lowest_terms(u * p**v * b * pv, p, cap)[0])
+            least = min(key + shift * pv for key, _, pv in moving)
+            if bound is not None and least >= bound:
+                break
+            yield least
+            shift *= p
+    yield from itertools.repeat(None)
 
-    return measure
+
+def _series_levels(x: PerfSeries, fam: SubgroupFamily, i_max: int):
+    """For each level i = 0..i_max in turn, the list of (g, (least key,
+    key floor)) over the level's samples g.  A gamma family acts with every
+    sample (`level_samples`).  A tau family reads `_tau_levels`, where every
+    sample of a level has the same value: its list has one entry, whose g
+    None stands for the level's first sample fam.element(i, 1, p), built
+    only where a caller needs it."""
+    if fam.kind is FamilyKind.GAMMA:
+        yield from level_samples(_orbit_measure(x), fam, x.p, i_max)
+        return
+    for key in itertools.islice(_tau_levels(x, fam.k, default_samples(x.p)), i_max + 1):
+        yield [(None, (key, x.bound if key is None else key))]
 
 
 def sh_test(
     x: PerfSeries, fam: SubgroupFamily, plam: PPow | Fraction, mu, i_max: int
 ) -> ShVerdict:
-    """Check val((g-1)x) >= p^lambda p^i + mu on sampled level elements.
+    """Check val((g-1)x) >= p^lambda p^i + mu on sampled level elements:
+    for a tau family one value per level, which all its samples share, for
+    a gamma family each sample's own (`_series_levels`).
 
     Pass requires every bound to hold with the bound strictly below the
     available precision; a bound at or beyond precision yields
-    Inconclusive rather than an unsound Pass.
+    Inconclusive rather than an unsound Pass.  A failing level reports its
+    first failing sample as the witness.
     """
     plam = PPow.of(plam)
     mu = Fraction(mu)
@@ -256,15 +294,16 @@ def sh_test(
     margins = []
     witness = None
     inconclusive = False
-    for i, level in enumerate(level_samples(_orbit_measure(x), fam, p, i_max)):
+    for i, level in enumerate(_series_levels(x, fam, i_max)):
         bound_i = plam.shift(i)
         for g, (v, floor) in level:
             if v is None:
                 # difference vanished; is the bound inside certified range?
-                if floor is not None and excess(bound_i, floor) >= 0:
+                # bound_i grows with i, so once it is not, it never is again
+                if not inconclusive and floor is not None and excess(bound_i, floor) >= 0:
                     inconclusive = True
             elif witness is None and excess(bound_i, v) > 0:
-                witness = (i, g)
+                witness = (i, fam.element(i, 1, p) if g is None else g)
         level_min = min_known(v for _, (v, _) in level)
         if level_min is not None:
             observed = ring.bound_prec(level_min, p, cap)
@@ -291,8 +330,8 @@ class ShEstimate:
 def check_fit_horizon(i_max: int) -> None:
     """A fit compares consecutive level differences v_{i+1} - v_i, so
     claiming it consistent, or worsening, needs two of them: the levels
-    0..i_max with i_max >= 2.  `fit_levels` runs this before measuring
-    anything."""
+    0..i_max with i_max >= 2.  `_fit_rows` runs this before reading any
+    level."""
     if i_max < 2:
         raise ValueError(f"need i_max >= 2 to compare level differences, got i_max={i_max}")
 
@@ -301,18 +340,37 @@ def fit_levels(measure, fam: SubgroupFamily, p: int, i_max: int):
     """The level minima behind every fit: one tuple of levels 0..i_max per
     track, each level a track's least value over the level's samples, where
     measure(g) gives one value per track, None when it vanished to precision.
+    The sweep ends as `_fit_rows` says."""
+    rows = (
+        [min_known(track) for track in zip(*(vs for _, vs in level))]
+        for level in level_samples(measure, fam, p, i_max)
+    )
+    return _fit_rows(rows, i_max)
+
+
+def _fit_rows(rows, i_max: int):
+    """The tracks of levels 0..i_max from the lazy rows, one value per track
+    and level, None when it vanished to precision, after `check_fit_horizon`.
     The sweep ends at the first level where some track has no value: at
     level 0 nothing moved above precision (DegenerateOrbit); later, precision
     ran out before the fit horizon (PrecisionRequired)."""
     check_fit_horizon(i_max)
-    rows = []
-    for i, level in enumerate(level_samples(measure, fam, p, i_max)):
-        row = [min_known(track) for track in zip(*(vs for _, vs in level))]
+    kept = []
+    for i, row in zip(range(i_max + 1), rows):
         if None in row:
             error = PrecisionRequired if i else DegenerateOrbit
             raise error(f"orbit differences vanish to precision at level {i} of 0..{i_max}")
-        rows.append(row)
-    return tuple(zip(*rows))
+        kept.append(row)
+    return tuple(zip(*kept))
+
+
+def _series_fit_keys(x: PerfSeries, fam: SubgroupFamily, i_max: int):
+    """The least key per level 0..i_max behind `sh_estimate` and
+    `nonmembership_witness`, from `_series_levels`, ended as `_fit_rows`
+    says."""
+    rows = ([min_known(v for _, (v, _) in level)] for level in _series_levels(x, fam, i_max))
+    (keys,) = _fit_rows(rows, i_max)
+    return keys
 
 
 def fit_exponent(levels, p):
@@ -329,8 +387,7 @@ def fit_exponent(levels, p):
 def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int) -> ShEstimate:
     """Fit (p^lambda, mu) from measured margins: consecutive level minima
     satisfy v_{i+1} - v_i = p^lambda p^i (p-1) for a true exponent."""
-    orbit = _orbit_measure(x)
-    (keys,) = fit_levels(lambda g: orbit(g)[:1], fam, x.p, i_max)
+    keys = _series_fit_keys(x, fam, i_max)
     levels = tuple(ring.bound_prec(k, x.p, x.cap) for k in keys)
     return ShEstimate(*fit_exponent(levels, x.p), levels)
 
@@ -360,9 +417,8 @@ def nonmembership_witness(
     """
     plam = PPow.of(plam)
     p, cap = x.p, x.cap
-    orbit = _orbit_measure(x)
     try:
-        (keys,) = fit_levels(lambda g: orbit(g)[:1], fam, p, i_max)
+        keys = _series_fit_keys(x, fam, i_max)
     except DegenerateOrbit:
         if x.bound is not None:
             raise
@@ -370,11 +426,12 @@ def nonmembership_witness(
     # the level differences v_{i+1} - v_i on the key lattice, over den
     den = (p - 1) * p**cap
     steps = [b - a for a, b in zip(keys, keys[1:])]
-    # m_{i+1} < m_i  <=>  bound growth exceeds margin growth
-    falls = [PPow(plam.q * (p - 1), plam.s + i).cmp_ratio(steps[i], den, p) > 0 for i in range(i_max)]
+    # m_{i+1} < m_i  <=>  bound growth exceeds margin growth:
+    # q p^(s+i) (p-1) > step/den, that is q p^s > step / (den (p-1) p^i)
+    falls = [plam.cmp_ratio(steps[i], den * (p - 1) * p**i, p) > 0 for i in range(i_max)]
     # d_{i+1} <= d_i  <=>  second difference of v below bound's second difference
     worsening = all(
-        PPow(plam.q * (p - 1) ** 2, plam.s + i).cmp_ratio(steps[i + 1] - steps[i], den, p) >= 0
+        plam.cmp_ratio(steps[i + 1] - steps[i], den * (p - 1) ** 2 * p**i, p) >= 0
         for i in range(i_max - 1)
     )
     first_decrease = falls.index(True) if True in falls else None

@@ -486,14 +486,7 @@ class TestHostileArgv:
         ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
     )
     def test_exit_contract(self, files, argv, code):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-m", "tilted", *(files.get(a, a) for a in argv)],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
+        run = self.tilted([files.get(a, a) for a in argv])
         prefix = {2: "inconclusive: ", 3: "error: "}[code]
         assert run.returncode == code, run.stderr
         assert run.stdout == "" and "Traceback" not in run.stderr
@@ -502,19 +495,43 @@ class TestHostileArgv:
     def test_capped_huge_level_passes(self):
         # each sample's shift p^(10^6 + 1) lies far past O(20), so no level
         # moves, and every bound lies below the certified floor 20
-        src = str(Path(cli.__file__).resolve().parents[1])
         argv = ["sh-test", "t+O(20)", "--plambda", "3/2", "--mu", "1", "--k", "1000000", "--imax", "2"]
-        run = subprocess.run(
+        run = self.tilted(argv)
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        report = json.loads(run.stdout)
+        assert report["status"] == "pass"
+        assert [(m["observed"], m["floor"]) for m in report["margins"]] == [(None, "20")] * 3
+
+    def test_fractional_exponent_with_a_large_denominator(self):
+        # num/den of each comparison is reduced before both sides are
+        # raised to the power b = 10^6 of the exponent's denominator
+        run = self.tilted(["sh-test", "t", "--plambda", "3/2*p^{1/1000000}", "--mu", "0", "--imax", "1"])
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        assert json.loads(run.stdout)["status"] == "pass"
+
+    def test_dead_levels_end_in_time(self):
+        # every level from 3 on has vanished below O(20) with its bound past
+        # the floor: level 3 makes the verdict inconclusive, and the rest
+        # need no comparison
+        run = self.tilted(["sh-test", "t+O(20)", "--plambda", "3/2", "--mu", "1", "--imax", "100000"])
+        assert run.returncode == 2 and run.stderr == "", run.stderr
+        report = json.loads(run.stdout)
+        assert report["status"] == "inconclusive"
+        last = report["margins"][-1]
+        assert (last["i"], last["observed"], last["floor"]) == (100000, None, "20")
+
+    @staticmethod
+    def tilted(argv):
+        """A fresh ``python -m tilted *argv`` from this tree, under the
+        class's 30 s timeout."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        return subprocess.run(
             [sys.executable, "-m", "tilted", *argv],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
             timeout=30,
         )
-        assert run.returncode == 0 and run.stderr == "", run.stderr
-        report = json.loads(run.stdout)
-        assert report["status"] == "pass"
-        assert [(m["observed"], m["floor"]) for m in report["margins"]] == [(None, "20")] * 3
 
     def test_inconclusive_family(self):
         # exactly these exit 2; every other TiltedError exits 1

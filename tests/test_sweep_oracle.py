@@ -7,6 +7,7 @@ every level and then apply the vanished-level rule: the first level at
 which some difference vanished to precision raises DegenerateOrbit when
 it is level 0 and PrecisionRequired otherwise."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -261,9 +262,23 @@ def test_tau_orbit_floor_matches_act(case):
     assert outcome(keyed_orbit_floor, x, g) == outcome(oracle_orbit_floor, x, g)
 
 
+def split_p(c, p):
+    """(v_p(c), c / p^v_p(c)) for c != 0, in O(log v_p(c)) divisions:
+    c / p is split at p^2, whose unit part may keep one factor p."""
+    if c % p:
+        return 0, c
+    v, u = split_p(c // p, p * p)
+    if u % p:
+        return 1 + 2 * v, u
+    return 2 + 2 * v, u // p
+
+
 def keyed_orbit_floor(x, g):
-    """`holder._orbit_measure`'s keys as the valuations they stand for."""
-    keys = holder._orbit_measure(x)(g)
+    """The first level of `holder._tau_levels` at k = v_p(c), sampled by
+    c's unit part alone, as the (value, floor) valuations it stands for."""
+    k, unit = split_p(g.c, x.p)
+    key = next(holder._tau_levels(x, k, (unit,)))
+    keys = (None, x.bound) if key is None else (key, key)
     return tuple(None if k is None else Fraction(k, (x.p - 1) * x.p**x.cap) for k in keys)
 
 
@@ -361,28 +376,121 @@ def test_series_fits_match_loops(case):
 
 def _dead_level_cases():
     """Each fitting entry point on an input whose first vanished level,
-    with i_max = 4, is the one given."""
+    with i_max = 4, is the one given, and what reads its levels: the tau
+    level table for a series, `SubgroupFamily.element` for a module."""
     tau0 = SubgroupFamily(FamilyKind.TAU, 0)
     x = ring.parse_series("t+O(5)", 3, 6)
     mod = phitau.basechange_generate(1, seed=0, p=5, prec=18)
     return [
-        pytest.param(lambda: holder.sh_estimate(x, tau0, 4), 1, id="sh_estimate"),
-        pytest.param(lambda: holder.nonmembership_witness(x, tau0, 2, 4), 1, id="witness"),
-        pytest.param(lambda: phitau.matrix_sh_test(mod, 0, i_max=4), 2, id="matrix_sh_test"),
-        pytest.param(lambda: phitau.module_sh_test(mod, 0, i_max=4), 2, id="module_sh_test"),
+        pytest.param(lambda: holder.sh_estimate(x, tau0, 4), 1, "table", id="sh_estimate"),
+        pytest.param(lambda: holder.nonmembership_witness(x, tau0, 2, 4), 1, "table", id="witness"),
+        pytest.param(lambda: phitau.matrix_sh_test(mod, 0, i_max=4), 2, "element", id="matrix_sh_test"),
+        pytest.param(lambda: phitau.module_sh_test(mod, 0, i_max=4), 2, "element", id="module_sh_test"),
     ]
 
 
-@pytest.mark.parametrize("call, dead", _dead_level_cases())
-def test_no_level_after_the_first_vanished_is_measured(call, dead, monkeypatch):
+@pytest.mark.parametrize("call, dead, reader", _dead_level_cases())
+def test_no_level_after_the_first_vanished_is_measured(call, dead, reader, monkeypatch):
     levels = []
-    element = SubgroupFamily.element
+    if reader == "table":
+        table = holder._tau_levels
 
-    def counted(fam, i, m, p):
-        levels.append(i)
-        return element(fam, i, m, p)
+        def counted_table(*args):
+            for i, key in enumerate(table(*args)):
+                levels.append(i)
+                yield key
 
-    monkeypatch.setattr(SubgroupFamily, "element", counted)
+        monkeypatch.setattr(holder, "_tau_levels", counted_table)
+    else:
+        element = SubgroupFamily.element
+
+        def counted(fam, i, m, p):
+            levels.append(i)
+            return element(fam, i, m, p)
+
+        monkeypatch.setattr(SubgroupFamily, "element", counted)
     with pytest.raises(PrecisionRequired, match=f"at level {dead} of 0..4"):
         call()
     assert max(levels) == dead
+
+
+# -- the tau level table against the sampled sweep ----------------------
+
+
+@st.composite
+def tau_sweep_cases(draw):
+    """(x, tau family, p^lambda, mu, i_max): x exact or capped on the key
+    lattice, so that levels vanish at level 0, partway or never, and an
+    exact x meets the expansion limit within a few levels at p = 7."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cap = draw(st.sampled_from([1, 2, 4]))
+    prec = draw(st.none() | st.builds(lambda n: Fraction(n, p - 1), st.integers(0, 12 * p)))
+    x = draw(series_strategy(p=p, cap=cap, max_terms=3, prec=prec))
+    fam = SubgroupFamily(FamilyKind.TAU, draw(st.integers(0, 2)))
+    plam = draw(
+        st.sampled_from([Fraction(3, 2), Fraction(p, p - 1), PPow(Fraction(p, p - 1), Fraction(1, 2))])
+    )
+    mu = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)]))
+    return x, fam, plam, mu, draw(st.integers(2, 5))
+
+
+TAU0 = SubgroupFamily(FamilyKind.TAU, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau_sweep_cases())
+# level 10: m = 1 expands (1+u)^59049, and m = 2's (1+u)^118098 is refused
+@example((ring.parse_series("t", 3, 6), TAU0, Fraction(3, 2), Fraction(0), 12))
+# level 1: both samples refuse, t^(3^9+1) at m = 2 and t^(2*3^9+1) at m = 1;
+# the sample comes first, then the term
+@example((ring.parse_series("t^{19684}+t^{39367}", 3, 6), TAU0, Fraction(3, 2), Fraction(0), 3))
+@example((ring.parse_series("t+O(5)", 3, 6), TAU0, Fraction(2), Fraction(1), 4))
+@example((ring.parse_series("u+t^{-1}", 7, 2), SubgroupFamily(FamilyKind.TAU, 1), Fraction(3, 2), Fraction(0), 3))
+def test_tau_sweeps_match_sampled_sweep(case):
+    """The oracles act with every sample m of every level through
+    `galois.act`; the tau sweeps read one value per level off x's terms."""
+    x, fam, plam, mu, i_max = case
+    assert outcome(holder.sh_test, x, fam, plam, mu, i_max) == outcome(
+        oracle_sh_test, x, fam, plam, mu, i_max
+    )
+    assert outcome(holder.sh_estimate, x, fam, i_max) == outcome(oracle_sh_estimate, x, fam, i_max)
+    assert outcome(holder.nonmembership_witness, x, fam, plam, i_max) == outcome(
+        oracle_witness, x, fam, plam, i_max
+    )
+
+
+def test_exact_refusal_is_the_samples_own():
+    # every sample of level 10 has the same value, but only m = 2's
+    # expansion is too large: the sweeps refuse with its message
+    x, fam = ring.parse_series("t", 3, 6), TAU0
+    galois.act(fam.element(10, 1, 3), x)
+    refused = re.escape("exact expansion of (1+u)^118098 is too large")
+    for sweep in (
+        lambda: holder.sh_test(x, fam, Fraction(3, 2), 0, 12),
+        lambda: holder.sh_estimate(x, fam, 12),
+        lambda: holder.nonmembership_witness(x, fam, Fraction(3, 2), 12),
+    ):
+        with pytest.raises(PrecisionRequired, match=refused):
+            sweep()
+    holder.sh_test(x, fam, Fraction(3, 2), 0, 9)
+
+
+@pytest.mark.parametrize("text", ["t^{2}+u*t^{1/7}", "u*t^{-1}+t^{3}+O(9)"])
+def test_tau_sweeps_build_no_sample(text, monkeypatch):
+    # at p = 7 a level has 6 samples; a tau sweep builds none of them, and
+    # sh_test builds one element, its witness, only at the level that fails
+    x, fam = ring.parse_series(text, 7, 6), TAU0
+    built = []
+    init = galois.GroupElem.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(galois.GroupElem, "__init__", counted)
+    outcome(holder.sh_estimate, x, fam, 4)
+    outcome(holder.nonmembership_witness, x, fam, Fraction(3, 2), 4)
+    assert holder.sh_test(x, fam, Fraction(1, 100), 0, 4).status is not Status.FAIL
+    assert built == []
+    verdict = holder.sh_test(x, fam, Fraction(100), 0, 4)
+    assert verdict.status is Status.FAIL and built == [(verdict.witness[1].c, 1)]
