@@ -9,7 +9,8 @@ compare exactly against rational valuations.
 The tests read the levels i = 0..i_max in turn, and a fit reads none
 after the first that vanished to precision.  For the tau families
 val((g-1)x) is read off x's terms, one value per level (`_tau_levels`);
-the gamma families act with each sample and subtract (`level_samples`).
+the gamma families act with each element of `SubgroupFamily.levels` and
+subtract.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import galois, ring
@@ -100,10 +101,6 @@ class SubgroupFamily:
 
     kind: FamilyKind
     k: int = 0
-    # [(p, n, p^n)] for the latest level asked, replaced whole: a level's
-    # p - 1 samples share one power, and the next level's is one
-    # multiplication away
-    _last: list = field(default_factory=lambda: [(0, 0, 1)], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is FamilyKind.GAMMA and self.k < 1:
@@ -115,12 +112,20 @@ class SubgroupFamily:
     def element(self, i: int, m: int, p: int) -> GroupElem:
         if m % p == 0:
             raise ValueError("sample multiplier must be coprime to p")
-        n = self.k + i
-        last_p, last_n, power = self._last[0]
-        if last_p != p or last_n != n:
-            power = power * p if last_p == p and last_n == n - 1 else p**n
-            self._last[0] = (p, n, power)
-        step = m * power
+        return self._element(m * p ** (self.k + i))
+
+    def levels(self, p: int):
+        """The levels i = 0, 1, ... in turn, each the list of its elements
+        for m in `default_samples(p)`.  Lazy and endless: a caller that
+        stops at a level builds no later one, and each level's p^(k+i) is
+        one multiplication from the last."""
+        samples = default_samples(p)
+        power = p**self.k
+        while True:
+            yield [self._element(m * power) for m in samples]
+            power *= p
+
+    def _element(self, step: int) -> GroupElem:
         if self.kind is FamilyKind.TAU:
             return galois.tau(step)
         return galois.gamma(1 + step)
@@ -128,15 +133,6 @@ class SubgroupFamily:
 
 def default_samples(p: int):
     return tuple(range(1, p))
-
-
-def level_samples(measure, fam: SubgroupFamily, p: int, i_max: int):
-    """For each level i = 0..i_max in turn, the list of (g, measure(g))
-    over the level elements g = fam.element(i, m, p), m = 1..p-1.  Lazy:
-    a caller that stops at a level measures no later one."""
-    samples = default_samples(p)
-    for i in range(i_max + 1):
-        yield [(g, measure(g)) for g in (fam.element(i, m, p) for m in samples)]
 
 
 def min_known(values):
@@ -167,20 +163,6 @@ class ShVerdict:
 
     def __bool__(self):
         return self.status is Status.PASS
-
-
-def _orbit_measure(x: PerfSeries):
-    """The measure g -> (least key, key floor) of (g-1)x, on x's key
-    lattice: a key k is the valuation k / ((p-1)*p^cap).  The least key
-    is None when no term of (g-1)x is known; the floor is then the key
-    bound, or None for the exact zero.  g acts and x is subtracted, which
-    is how the gamma families measure; tau families read `_tau_levels`."""
-
-    def measure(g: GroupElem):
-        d = galois.act(g, x) - x
-        return (d.terms[0][0][0] if d.terms else None), d.key_floor()
-
-    return measure
 
 
 def _tau_levels(x: PerfSeries, k: int, units):
@@ -253,17 +235,22 @@ def _tau_levels(x: PerfSeries, k: int, units):
 
 
 def _series_levels(x: PerfSeries, fam: SubgroupFamily, i_max: int):
-    """For each level i = 0..i_max in turn, the list of (g, (least key,
-    key floor)) over the level's samples g.  A gamma family acts with every
-    sample (`level_samples`).  A tau family reads `_tau_levels`, where every
-    sample of a level has the same value: its list has one entry, whose g
-    None stands for the level's first sample fam.element(i, 1, p), built
-    only where a caller needs it."""
-    if fam.kind is FamilyKind.GAMMA:
-        yield from level_samples(_orbit_measure(x), fam, x.p, i_max)
+    """For each level i = 0..i_max in turn, the rows (m, least key, key
+    floor) of (g-1)x over the level's samples g = fam.element(i, m, p), on
+    x's key lattice: a key k is the valuation k / ((p-1)*p^cap).  The least
+    key is None when no term is known, the floor then the key bound, or
+    None for the exact zero.  A tau family reads one row, m = 1, off
+    `_tau_levels` and builds no element; a gamma family acts with each."""
+    samples = default_samples(x.p)
+    if fam.kind is FamilyKind.TAU:
+        for key in itertools.islice(_tau_levels(x, fam.k, samples), i_max + 1):
+            yield [(1, key, x.bound if key is None else key)]
         return
-    for key in itertools.islice(_tau_levels(x, fam.k, default_samples(x.p)), i_max + 1):
-        yield [(None, (key, x.bound if key is None else key))]
+    for level in itertools.islice(fam.levels(x.p), i_max + 1):
+        diffs = [galois.act(g, x) - x for g in level]
+        yield [
+            (m, d.terms[0][0][0] if d.terms else None, d.key_floor()) for m, d in zip(samples, diffs)
+        ]
 
 
 def sh_test(
@@ -296,21 +283,19 @@ def sh_test(
     inconclusive = False
     for i, level in enumerate(_series_levels(x, fam, i_max)):
         bound_i = plam.shift(i)
-        for g, (v, floor) in level:
+        for m, v, floor in level:
             if v is None:
                 # difference vanished; is the bound inside certified range?
                 # bound_i grows with i, so once it is not, it never is again
                 if not inconclusive and floor is not None and excess(bound_i, floor) >= 0:
                     inconclusive = True
             elif witness is None and excess(bound_i, v) > 0:
-                witness = (i, fam.element(i, 1, p) if g is None else g)
-        level_min = min_known(v for _, (v, _) in level)
-        if level_min is not None:
-            observed = ring.bound_prec(level_min, p, cap)
-            margins.append(LevelMargin(i, observed, observed, bound_i, mu))
-        else:
-            level_floor = min_known(floor for _, (_, floor) in level)
-            margins.append(LevelMargin(i, None, ring.bound_prec(level_floor, p, cap), bound_i, mu))
+                witness = (i, fam.element(i, m, p))
+        least = min_known(v for _, v, _ in level)
+        floor = min_known(f for _, _, f in level) if least is None else least
+        observed_floor = ring.bound_prec(floor, p, cap)
+        observed = None if least is None else observed_floor
+        margins.append(LevelMargin(i, observed, observed_floor, bound_i, mu))
     margins = tuple(margins)
     if witness is not None:
         return ShVerdict(Status.FAIL, margins, witness)
@@ -342,8 +327,8 @@ def fit_levels(measure, fam: SubgroupFamily, p: int, i_max: int):
     measure(g) gives one value per track, None when it vanished to precision.
     The sweep ends as `_fit_rows` says."""
     rows = (
-        [min_known(track) for track in zip(*(vs for _, vs in level))]
-        for level in level_samples(measure, fam, p, i_max)
+        [min_known(track) for track in zip(*map(measure, level))]
+        for level in itertools.islice(fam.levels(p), i_max + 1)
     )
     return _fit_rows(rows, i_max)
 
@@ -368,7 +353,7 @@ def _series_fit_keys(x: PerfSeries, fam: SubgroupFamily, i_max: int):
     """The least key per level 0..i_max behind `sh_estimate` and
     `nonmembership_witness`, from `_series_levels`, ended as `_fit_rows`
     says."""
-    rows = ([min_known(v for _, (v, _) in level)] for level in _series_levels(x, fam, i_max))
+    rows = ([min_known(v for _, v, _ in level)] for level in _series_levels(x, fam, i_max))
     (keys,) = _fit_rows(rows, i_max)
     return keys
 

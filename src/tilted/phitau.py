@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import galois, holder, ring
+from . import errors, galois, holder, ring
 from .errors import DegenerateOrbit, NonConvergence, ParseError, PrecisionRequired, PreconditionViolated
 from .galois import GroupElem
 from .holder import PPow
@@ -300,6 +300,7 @@ class _TauChain:
     def __init__(self, module: PhiTauModule):
         self.module = module
         self.units = {(0, 1): module.mat_tau.truncate(module.prec)}
+        self.top = 0  # the highest level whose generator Mat(tau^(p^i)) is built
 
     def _compose(self, mat_a, a, mat_b):
         """Mat(tau^(a+b)) = Mat(tau^a) * tau^a(Mat(tau^b))."""
@@ -307,14 +308,18 @@ class _TauChain:
         return (mat_a * mat_b.act(galois.tau(a), prec)).truncate(prec)
 
     def unit(self, i, e):
-        """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply."""
+        """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply from
+        level i's generator.  The missing generators Mat(tau^(p^(j+1))) =
+        unit(j, p) are built in a loop, up from the highest level built, so
+        no recursion depth bounds i."""
+        p = self.module.p
+        while self.top < i:
+            self.units[self.top + 1, 1] = self.unit(self.top, p)
+            self.top += 1
         key = (i, e)
         if key not in self.units:
-            p = self.module.p
-            if e == 1:
-                val = self.unit(i - 1, p)
-            elif e % 2:
-                val = self._compose(self.unit(i, e - 1), (e - 1) * p**i, self.unit(i, 1))
+            if e % 2:
+                val = self._compose(self.unit(i, e - 1), (e - 1) * p**i, self.units[i, 1])
             else:
                 half = self.unit(i, e // 2)
                 val = self._compose(half, e // 2 * p**i, half)
@@ -771,10 +776,13 @@ def module_sh_test(
     every Mat(g), each level from the one below.  Without a lattice the
     lattice levels and fit are None.  Both valuations of every basis vector
     are `holder.fit_levels` tracks, and one that vanishes ends the sweep."""
+    p, d, cap, prec = module.p, module.d, module.cap, module.prec
     if n < 0:
         raise ValueError(f"need n >= 0 to scale by t^(1/p^n), got n={n}")
+    if n > cap:
+        # refused before p^n is built: n may have any number of digits
+        raise errors.CapExceeded(f"scaling by t^(1/p^{n}) needs denominator p^{n} > p^{cap}")
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
-    p, d, cap, prec = module.p, module.d, module.cap, module.prec
     scalar = (
         ring.one(p, cap)
         if n == 0

@@ -1,7 +1,9 @@
 """`phitau.mat_of`'s base-p chain against the square-and-multiply chain
 it replaced, kept here as the oracle: every Mat(tau^c) must have the same
 repr, terms and O(.) caps alike, and the chain may take no more matrix
-products where the sweeps ask for Mat(g), at g = tau^(m p^j).
+products where the sweeps ask for Mat(g), at g = tau^(m p^j).  The
+chain builds its levels in a loop; the recursive chain it replaced is
+kept here too, and every level matrix must match it.
 
 The chain inverts Mat(tau^n) before it applies tau^(-n); the oracle
 applies tau^(-n) first, as the chain once did, and the equivariance
@@ -42,6 +44,27 @@ def oracle_mat_of(module, g):
             n += 1
         acc = acc.truncate(prec)
     return acc
+
+
+class RecursiveChain(phitau._TauChain):
+    """The chain as it was before its levels were built in a loop: a
+    level's generator unit(i, 1) = unit(i - 1, p) recurses through every
+    level below it."""
+
+    def unit(self, i, e):
+        """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply."""
+        key = (i, e)
+        if key not in self.units:
+            p = self.module.p
+            if e == 1:
+                val = self.unit(i - 1, p)
+            elif e % 2:
+                val = self._compose(self.unit(i, e - 1), (e - 1) * p**i, self.unit(i, 1))
+            else:
+                half = self.unit(i, e // 2)
+                val = self._compose(half, e // 2 * p**i, half)
+            self.units[key] = val
+        return self.units[key]
 
 
 def outcome(fn, *args):
@@ -135,6 +158,22 @@ def test_order_independent(p):
         for c in order:
             want = phitau.mat_of(mod, galois.tau(c))
             assert repr(chain.mat(c)) == repr(want), (name, c)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_level_loop_matches_recursive_chain(p):
+    # every level matrix, asked in a shuffled order of one chain, is the
+    # recursive chain's: the loop keeps each composition and its order.
+    # Products are associative, so only the caps can tell a bracketing
+    # apart, and they do on the full negative module.
+    keys = [(i, e) for i in range(41) for e in range(1, p + 1)]
+    random.Random(p).shuffle(keys)
+    mods = modules(p)
+    mods["full negative"] = negative_module(p, full=True)[0]
+    for name, mod in mods.items():
+        chain, oracle = phitau._TauChain(mod), RecursiveChain(mod)
+        for i, e in keys:
+            assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

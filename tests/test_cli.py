@@ -479,6 +479,10 @@ class TestHostileArgv:
             (["newton", "--n", "100000"], 3),
             (["newton", "--n", "10000000"], 3),
             (["module", "sh", "@d2", "--imax", "1"], 3),
+            # the chain builds its 3000 levels in a loop, not by recursion
+            (["module", "sh", "@d2", "--k", "3000", "--imax", "2"], 2),
+            # refused before p^100000 is built
+            (["module", "sh", "@d2", "--n", "100000"], 2),
             (["sh-test", "t", "--plambda", "2", "--mu", "0", "--imax", "1", "--refute"], 3),
             # level 1 vanishes to precision: nothing was refuted
             (["sh-test", "t+O(5)", "--plambda", "2", "--mu", "0", "--imax", "2", "--refute"], 2),
@@ -491,6 +495,13 @@ class TestHostileArgv:
         assert run.returncode == code, run.stderr
         assert run.stdout == "" and "Traceback" not in run.stderr
         assert run.stderr.startswith(prefix) and run.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command, key", [("check", "ok"), ("descend", "matches_direct")])
+    def test_huge_tau_power(self, files, command, key):
+        # Mat(tau^(3^500)) takes 500 chain levels, built in a loop
+        run = self.tilted(["module", command, files["@d2"], "--c", str(3**500)])
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        assert json.loads(run.stdout)[key] is True
 
     def test_capped_huge_level_passes(self):
         # each sample's shift p^(10^6 + 1) lies far past O(20), so no level
@@ -576,7 +587,7 @@ SMALL = st.integers(-3, 3).map(str)
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(
-        st.tuples(st.just("module sh"), SMALL, SMALL, SMALL),
+        st.tuples(st.just("module sh"), SMALL | st.sampled_from(["400", "3000"]), SMALL, SMALL),
         st.tuples(st.sampled_from(["t", "u", "t^{1/3}+u*t", "t+O(4)"]), SMALL, SMALL),
     )
 )

@@ -377,15 +377,15 @@ def test_series_fits_match_loops(case):
 def _dead_level_cases():
     """Each fitting entry point on an input whose first vanished level,
     with i_max = 4, is the one given, and what reads its levels: the tau
-    level table for a series, `SubgroupFamily.element` for a module."""
+    level table for a series, `SubgroupFamily.levels` for a module."""
     tau0 = SubgroupFamily(FamilyKind.TAU, 0)
     x = ring.parse_series("t+O(5)", 3, 6)
     mod = phitau.basechange_generate(1, seed=0, p=5, prec=18)
     return [
         pytest.param(lambda: holder.sh_estimate(x, tau0, 4), 1, "table", id="sh_estimate"),
         pytest.param(lambda: holder.nonmembership_witness(x, tau0, 2, 4), 1, "table", id="witness"),
-        pytest.param(lambda: phitau.matrix_sh_test(mod, 0, i_max=4), 2, "element", id="matrix_sh_test"),
-        pytest.param(lambda: phitau.module_sh_test(mod, 0, i_max=4), 2, "element", id="module_sh_test"),
+        pytest.param(lambda: phitau.matrix_sh_test(mod, 0, i_max=4), 2, "levels", id="matrix_sh_test"),
+        pytest.param(lambda: phitau.module_sh_test(mod, 0, i_max=4), 2, "levels", id="module_sh_test"),
     ]
 
 
@@ -402,13 +402,14 @@ def test_no_level_after_the_first_vanished_is_measured(call, dead, reader, monke
 
         monkeypatch.setattr(holder, "_tau_levels", counted_table)
     else:
-        element = SubgroupFamily.element
+        family_levels = SubgroupFamily.levels
 
-        def counted(fam, i, m, p):
-            levels.append(i)
-            return element(fam, i, m, p)
+        def counted(fam, p):
+            for i, level in enumerate(family_levels(fam, p)):
+                levels.append(i)
+                yield level
 
-        monkeypatch.setattr(SubgroupFamily, "element", counted)
+        monkeypatch.setattr(SubgroupFamily, "levels", counted)
     with pytest.raises(PrecisionRequired, match=f"at level {dead} of 0..4"):
         call()
     assert max(levels) == dead
