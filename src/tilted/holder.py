@@ -69,7 +69,9 @@ class PPow:
         (qn * den * p^e)^b * p^r - (num * qd)^b, compared on integers,
         with p^|e| moved to the right-hand side when e < 0.  num/den is
         put in lowest terms first: both sides are b-th powers, so a factor
-        they share would be raised to the b-th power with them.
+        they share would be raised to the b-th power with them.  A huge |e|
+        decides the sign before p^|e| is built, as p^|e| >= 2^|e| and
+        1 <= p^(r/b) < p.
         """
         if num <= 0:
             return 1
@@ -80,6 +82,10 @@ class PPow:
         e, r = divmod(self.s.numerator, b)
         lhs = self.q.numerator * den
         rhs = num * self.q.denominator
+        if e >= rhs.bit_length():
+            return 1
+        if -e >= (lhs * p).bit_length():
+            return -1
         if e >= 0:
             lhs *= p**e
         else:

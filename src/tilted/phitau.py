@@ -311,9 +311,13 @@ class _TauChain:
         """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply from
         level i's generator.  The missing generators Mat(tau^(p^(j+1))) =
         unit(j, p) are built in a loop, up from the highest level built, so
-        no recursion depth bounds i."""
+        no recursion depth bounds i.  It stops at a generator for which
+        `_is_fixed` holds: every level above it is that matrix."""
         p = self.module.p
         while self.top < i:
+            top = self.units[self.top, 1]
+            if _is_fixed(top):
+                return top
             self.units[self.top + 1, 1] = self.unit(self.top, p)
             self.top += 1
         key = (i, e)
@@ -345,6 +349,20 @@ class _TauChain:
                 acc = high if acc is None else self._compose(high, e * mod.p**i, acc)
             i += 1
         return acc
+
+
+def _is_fixed(mat: MatSeries) -> bool:
+    """mat tau^a(mat), cut at the precision, is mat, caps included, when mat
+    has Id's terms and key bounds with K_ik + K_kj >= K_ij: tau fixes those
+    terms and caps, and `ring.dot` caps the product's entry (i, j) at K_ij
+    and the sums K_ik + K_kj for k != i, j."""
+    span = range(mat.d)
+    rows = mat.rows
+    one = ((ring.MONO_ONE, 1),)
+    if any(rows[i][j].terms != (one if i == j else ()) for i in span for j in span):
+        return False
+    caps = [[e.bound for e in row] for row in rows]
+    return all(caps[i][k] + caps[k][j] >= caps[i][j] for i in span for j in span for k in span)
 
 
 def cocycle_check(module: PhiTauModule, g: GroupElem):
@@ -769,13 +787,14 @@ class ModuleShBasisReport:
 def module_sh_test(
     module: PhiTauModule, k: int, n: int = 0, i_max: int = 2
 ) -> tuple[ModuleShBasisReport, ...]:
-    """For each basis vector (scaled by t^(1/p^n) when n >= 1), measure
+    """For each basis vector (scaled by s = t^(1/p^n) when n >= 1), measure
     val((g-1) x) under both the basis valuation and the lattice valuation
     over the tau family at base level k, g = tau^(m p^(k+i)) for
     m = 1..p-1 and i = 0..i_max, and fit the exponents.  One chain builds
-    every Mat(g), each level from the one below.  Without a lattice the
-    lattice levels and fit are None.  Both valuations of every basis vector
-    are `holder.fit_levels` tracks, and one that vanishes ends the sweep."""
+    every Mat(g).  Column j of D = Mat(g) g(s) - s Id is (g-1) s e_j, and
+    of W^{-1} D its lattice coordinates: these columns are the
+    `holder.fit_levels` tracks, and one that vanishes ends the sweep.
+    Without a lattice the lattice levels and fit are None."""
     p, d, cap, prec = module.p, module.d, module.cap, module.prec
     if n < 0:
         raise ValueError(f"need n >= 0 to scale by t^(1/p^n), got n={n}")
@@ -783,34 +802,21 @@ def module_sh_test(
         # refused before p^n is built: n may have any number of digits
         raise errors.CapExceeded(f"scaling by t^(1/p^{n}) needs denominator p^{n} > p^{cap}")
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
-    scalar = (
-        ring.one(p, cap)
-        if n == 0
-        else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
-    )
-    basis = [tuple(scalar if l == j else ring.zero(p, cap) for l in range(d)) for j in range(d)]
+    scalar = ring.one(p, cap) if n == 0 else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
+    # s Id, then the cut: Id cut first would cap s Id at prec + val(s)
+    scaled = MatSeries.identity(d, p, cap).scale_series(scalar).truncate(prec)
     w_inv = module.lattice_inverse() if module.lattice is not None else None
     chain = _TauChain(module)
 
     def measure(g):
-        # v_tau, then v_tilde when there is a lattice, of (g-1) x for each basis vector x
-        mat_g = chain.mat(g.c)
-        out = []
-        for coords in basis:
-            moved = mat_g.vecmul(tuple(galois.act(g, c, prec) for c in coords))
-            diff = tuple(a - b.truncate(prec) for a, b in zip(moved, coords))
-            out.append(v_tau(diff))
-            if w_inv is not None:
-                out.append(v_tau(w_inv.vecmul(diff)))
-        return out
+        diff = chain.mat(g.c).scale_series(galois.act(g, scalar, prec)) - scaled
+        mats = (diff,) if w_inv is None else (diff, w_inv * diff)
+        return [v_tau(col) for mat in mats for col in zip(*mat.rows)]
 
     levels = holder.fit_levels(measure, fam, p, i_max)
-    pairs = zip(levels[::2], levels[1::2]) if w_inv is not None else ((vt, None) for vt in levels)
     return tuple(
-        ModuleShBasisReport(
-            j, vt, vtd, holder.fit_exponent(vt, p), vtd and holder.fit_exponent(vtd, p)
-        )
-        for j, (vt, vtd) in enumerate(pairs)
+        ModuleShBasisReport(j, vt, vtd, holder.fit_exponent(vt, p), vtd and holder.fit_exponent(vtd, p))
+        for j, (vt, vtd) in enumerate(zip(levels[:d], levels[d:] or (None,) * d))
     )
 
 
@@ -820,19 +826,11 @@ _HEADER_KEYS = ("p", "d", "prec", "cap")
 
 
 def module_to_text(module: PhiTauModule) -> str:
-    lines = [
-        f"p={module.p} d={module.d} prec={module.prec} cap={module.cap}",
-        "[P]",
-    ]
-    for row in module.frob.rows:
-        lines.extend(ring.format_series(e) for e in row)
-    lines.append("[tau]")
-    for row in module.mat_tau.rows:
-        lines.extend(ring.format_series(e) for e in row)
-    if module.lattice is not None:
-        lines.append("[lattice]")
-        for row in module.lattice.rows:
-            lines.extend(ring.format_series(e) for e in row)
+    lines = [f"p={module.p} d={module.d} prec={module.prec} cap={module.cap}"]
+    for name, mat in (("P", module.frob), ("tau", module.mat_tau), ("lattice", module.lattice)):
+        if mat is not None:
+            lines.append(f"[{name}]")
+            lines.extend(ring.format_series(e) for row in mat.rows for e in row)
     return "\n".join(lines) + "\n"
 
 

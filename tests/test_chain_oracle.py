@@ -2,8 +2,9 @@
 it replaced, kept here as the oracle: every Mat(tau^c) must have the same
 repr, terms and O(.) caps alike, and the chain may take no more matrix
 products where the sweeps ask for Mat(g), at g = tau^(m p^j).  The
-chain builds its levels in a loop; the recursive chain it replaced is
-kept here too, and every level matrix must match it.
+chain builds its levels in a loop and stops at a generator that is its
+own product; the recursive chain it replaced is kept here too, and every
+level matrix must match it, also past that generator.
 
 The chain inverts Mat(tau^n) before it applies tau^(-n); the oracle
 applies tau^(-n) first, as the chain once did, and the equivariance
@@ -14,6 +15,7 @@ precision.  `phitau.cocycle_check` forms each residual entry as one cut
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -174,6 +176,53 @@ def test_level_loop_matches_recursive_chain(p):
         chain, oracle = phitau._TauChain(mod), RecursiveChain(mod)
         for i, e in keys:
             assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_chain_stops_at_a_fixed_generator(p):
+    # every module here reaches a generator that `_is_fixed` accepts; the
+    # chain builds no level above it, and each level there, up to 10 past
+    # it, is still the recursive chain's
+    mods = modules(p)
+    mods["full negative"] = negative_module(p, full=True)[0]
+    for name, mod in mods.items():
+        chain, oracle = phitau._TauChain(mod), RecursiveChain(mod)
+        top = next(i for i in range(20) if phitau._is_fixed(oracle.unit(i, 1)))
+        for i in range(top + 11):
+            for e in range(1, p + 1):
+                assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
+        assert chain.unit(10**6, 1) is chain.unit(top, 1)
+        assert chain.top == top, name
+
+
+def _capped_identity(rng, p, d):
+    """Id with a random cap on every entry: 1 + O(q) on the diagonal,
+    O(q) off it, each q at most PREC and off the diagonal maybe <= 0."""
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            q = Fraction(rng.randint(1 if i == j else -3, 2 * PREC), 2)
+            row.append(ring.one(p).truncate(q) if i == j else ring.zero(p, prec=q))
+        rows.append(row)
+    return MatSeries.from_rows(rows)
+
+
+def test_fixed_matrices_are_their_own_products():
+    # `_is_fixed(M)` exactly when the chain's product M tau^a(M), cut at
+    # the precision, is M again, caps included
+    rng = random.Random(3)
+    seen = set()
+    for _ in range(400):
+        p, d = rng.choice([2, 3, 5]), rng.randint(1, 4)
+        mat = _capped_identity(rng, p, d)
+        a = rng.choice([1, 2, p, p**3 + 1])
+        fixed = repr((mat * mat.act(galois.tau(a), PREC)).truncate(PREC)) == repr(mat)
+        assert phitau._is_fixed(mat) == fixed, mat
+        seen.add(fixed)
+    assert seen == {True, False}
+    # terms other than Id's are never fixed
+    assert not phitau._is_fixed(phitau.basechange_generate(2, seed=1).mat_tau)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -481,6 +481,8 @@ class TestHostileArgv:
             (["module", "sh", "@d2", "--imax", "1"], 3),
             # the chain builds its 3000 levels in a loop, not by recursion
             (["module", "sh", "@d2", "--k", "3000", "--imax", "2"], 2),
+            # the chain stops at its fixed generator, far below level 30000
+            (["module", "sh", "@d2", "--k", "30000", "--imax", "2"], 2),
             # refused before p^100000 is built
             (["module", "sh", "@d2", "--n", "100000"], 2),
             (["sh-test", "t", "--plambda", "2", "--mu", "0", "--imax", "1", "--refute"], 3),
@@ -512,6 +514,13 @@ class TestHostileArgv:
         report = json.loads(run.stdout)
         assert report["status"] == "pass"
         assert [(m["observed"], m["floor"]) for m in report["margins"]] == [(None, "20")] * 3
+
+    @pytest.mark.parametrize("exponent, code, status", [("100000000", 1, "fail"), ("-100000000", 0, "pass")])
+    def test_huge_integer_exponent(self, exponent, code, status):
+        # p^|e| >= 2^|e| decides each comparison before p^(10^8) is built
+        run = self.tilted(["sh-test", "t", "--plambda", f"3/2*p^{{{exponent}}}", "--mu", "0", "--imax", "1"])
+        assert run.returncode == code and run.stderr == "", run.stderr
+        assert json.loads(run.stdout)["status"] == status
 
     def test_fractional_exponent_with_a_large_denominator(self):
         # num/den of each comparison is reduced before both sides are

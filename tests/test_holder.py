@@ -119,12 +119,13 @@ def test_ppow_cmp_matches_float(q, sexp, v):
 
 @st.composite
 def ratio_cases(draw):
-    """(p^lambda, num, den, p): s with denominators 1..6 and either
-    sign; num/den of either sign, or q * p^s itself when s is an
-    integer; num and den scaled by a shared factor."""
+    """(p^lambda, num, den, p): s with integer parts -300..300 and
+    denominators 1..6; num/den of either sign, or q * p^s itself when s
+    is an integer; num and den scaled by a shared factor."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     q = draw(st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30))
-    sexp = Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+    b = draw(st.integers(1, 6))
+    sexp = draw(st.integers(-300, 300)) + Fraction(draw(st.integers(0, b - 1)), b)
     if sexp.denominator == 1 and draw(st.booleans()):
         v = q * Fraction(p) ** sexp.numerator
     else:
@@ -133,12 +134,37 @@ def ratio_cases(draw):
     return PPow(q, sexp), v.numerator * shared, v.denominator * shared, p
 
 
+def oracle_cmp_ratio(b, num, den, p):
+    """Sign of q * p^s - num/den in Fractions: (q p^e)^b' p^r against
+    (num/den)^b' for s = e + r/b'."""
+    if num <= 0:
+        return 1
+    e, r = divmod(b.s.numerator, b.s.denominator)
+    lhs = (b.q * Fraction(p) ** e) ** b.s.denominator * p**r
+    rhs = Fraction(num, den) ** b.s.denominator
+    return (lhs > rhs) - (lhs < rhs)
+
+
 @settings(max_examples=400, deadline=None)
 @given(ratio_cases())
 def test_cmp_ratio_matches_cmp(case):
     # the integer core takes num/den in any terms
     b, num, den, p = case
-    assert b.cmp_ratio(num, den, p) == b.cmp(Fraction(num, den), p)
+    want = oracle_cmp_ratio(b, num, den, p)
+    assert b.cmp_ratio(num, den, p) == want
+    assert b.cmp(Fraction(num, den), p) == want
+
+
+def test_cmp_ratio_across_the_bit_length_cuts():
+    # every integer part around the cuts e >= bit_length(num qd) and
+    # -e >= bit_length(qn den p), where the sign is decided before p^|e|
+    for p in (2, 3, 5, 7):
+        for q in (Fraction(1, 30), Fraction(3, 2), Fraction(29)):
+            for num, den in ((1, 1), (7, 3), (10**9, 7), (1, 10**9)):
+                for e in range(-45, 46):
+                    for frac in (Fraction(0), Fraction(5, 6)):
+                        b = PPow(q, e + frac)
+                        assert b.cmp_ratio(num, den, p) == oracle_cmp_ratio(b, num, den, p), (p, q, num, den, e)
 
 
 class TestShTest:
@@ -178,8 +204,8 @@ class TestShTest:
             TAU0.element(0, 3, P)
 
     def test_elements_from_shared_level_powers(self):
-        # the memo of p^(k+i) must give m p^(k+i) whatever order the
-        # levels, rings and families are asked in
+        # element(i, m, p) must give m p^(k+i) whatever order the levels,
+        # rings and families are asked in
         rng = random.Random(5)
         fams = [SubgroupFamily(kind, k) for kind in FamilyKind for k in (1, 4)]
         for _ in range(300):
