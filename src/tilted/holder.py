@@ -1,16 +1,19 @@
 """Super-Hölder membership certification and exponent estimation.
 
 A vector x passes at level family (k) with parameters (p^lambda, mu) when
-val((g-1)x) >= p^lambda * p^i + mu for every tested g in the i-th level
+val((g-1)x) >= p^lambda * p^i + mu for every g in the i-th level
 subgroup.  Exponents p^lambda are carried as exact values q * p^s with
 rational q and s, so that even irrational targets like p^(c_p + 1/2)
 compare exactly against rational valuations.
 
 The tests read the levels i = 0..i_max in turn, and a fit reads none
-after the first that vanished to precision.  For the tau families
-val((g-1)x) is read off x's terms, one value per level (`_tau_levels`);
-the gamma families act with each element of `SubgroupFamily.levels` and
-subtract.
+after the first that vanished to precision.  A series sweep reads one
+value per level, that of the level's generator, which is the least over
+the whole level subgroup (`_series_levels`): for the tau families it is
+read off x's terms (`_tau_levels`), and the gamma families act with the
+generator and subtract.  The module sweeps (`fit_levels`) act with every
+element of `SubgroupFamily.levels`, since Mat(g) need not act as an
+isometry for the basis valuation.
 """
 
 from __future__ import annotations
@@ -171,12 +174,11 @@ class ShVerdict:
         return self.status is Status.PASS
 
 
-def _tau_levels(x: PerfSeries, k: int, units):
+def _tau_levels(x: PerfSeries, k: int):
     """The tau level table of x: for the levels i = 0, 1, ... in turn, the
-    least key of (tau^c - 1)x over c = u p^(k+i), u in `units` (prime to
-    p), or None once it vanished to precision, the floor then being x's key
-    bound.  Lazy and endless: a caller that stops at a level reads no
-    later one.
+    least key of (tau^c - 1)x for the level's generator c = p^(k+i), or
+    None once it vanished to precision, the floor then being x's key bound.
+    Lazy and endless: a caller that stops at a level reads no later one.
 
     The value is read off x's terms.  tau^c fixes u and sends t^B to
     eps^(cB) t^B, eps = 1+u, so (tau^c - 1)x = sum over B of
@@ -187,15 +189,15 @@ def _tau_levels(x: PerfSeries, k: int, units):
     (`eps_val_formula`, v_p taken on Z[1/p]), which is the key shift
     p^(v_p(c) + v_p(b) + 1) for b = B p^cap, B's units.  So the value is
     the least key + shift over the terms with B != 0, and it depends on c
-    through v_p(c) = k + i only: one value per level.
+    through v_p(c) = k + i only: every element of the level has it.
 
     x's moving terms are read once, as (key, b / p^v_p(b), p^v_p(b)).
     The shift p^(v_p(c)+1) grows by one factor p per level only while it
     can still matter: below bound - (least moving key) for a capped x, past
     which every level has vanished, and for an exact x until the expansion
     (1+v)^n, n = cB / p^min(v_p(cB), cap), would be refused anyway.  An
-    exact x refuses the same expansions as the action, sample by sample and
-    term by term, with the action's own message.
+    exact x refuses the generator's expansions as the action does, term by
+    term, with the action's own message.
     """
     p, cap, bound = x.p, x.cap, x.bound
     moving = []
@@ -215,9 +217,9 @@ def _tau_levels(x: PerfSeries, k: int, units):
         else:
             limit = bound - moving[0][0]
         # a level whose shift reaches limit has vanished (capped x) or
-        # refuses every expansion, first the first term's at the first
-        # sample (exact x); no later level is read, so a base level k past
-        # it takes into the shift only the powers of p that reach limit
+        # refuses every expansion, first the first term's (exact x); no
+        # later level is read, so a base level k past it takes into the
+        # shift only the powers of p that reach limit
         shift = p
         for _ in range(k):
             if shift >= limit:
@@ -225,13 +227,11 @@ def _tau_levels(x: PerfSeries, k: int, units):
             shift *= p
         for v in itertools.count(k):
             if bound is None:
-                # n = cB / p^min(v_p(cB), cap) at c = p^v; sample u's is u n
-                ns = [b * max(shift * pv // top, 1) for _, b, pv in moving]
-                for u in units:
-                    for n, (_, b, pv) in zip(ns, moving):
-                        if not 0 <= u * n <= galois.EXACT_POWER_LIMIT:
-                            # refused: the action's own check, on its own n
-                            galois.check_exact_power(ring.lowest_terms(u * p**v * b * pv, p, cap)[0])
+                for _, b, pv in moving:
+                    # n = cB / p^min(v_p(cB), cap) at c = p^v
+                    if not 0 <= b * max(shift * pv // top, 1) <= galois.EXACT_POWER_LIMIT:
+                        # refused: the action's own check, on its own n
+                        galois.check_exact_power(ring.lowest_terms(p**v * b * pv, p, cap)[0])
             least = min(key + shift * pv for key, _, pv in moving)
             if bound is not None and least >= bound:
                 break
@@ -241,35 +241,47 @@ def _tau_levels(x: PerfSeries, k: int, units):
 
 
 def _series_levels(x: PerfSeries, fam: SubgroupFamily, i_max: int):
-    """For each level i = 0..i_max in turn, the rows (m, least key, key
-    floor) of (g-1)x over the level's samples g = fam.element(i, m, p), on
-    x's key lattice: a key k is the valuation k / ((p-1)*p^cap).  The least
-    key is None when no term is known, the floor then the key bound, or
-    None for the exact zero.  A tau family reads one row, m = 1, off
-    `_tau_levels` and builds no element; a gamma family acts with each."""
-    samples = default_samples(x.p)
+    """For each level i = 0..i_max in turn, (least key, key floor) of
+    (g-1)x for the level's generator g = fam.element(i, 1, p), on x's key
+    lattice: a key k is the valuation k / ((p-1)*p^cap).  The least key is
+    None when no term is known, the floor then the key bound, or None for
+    the exact zero.
+
+    The generator gives the least value over its whole level: each level
+    is the closure of the powers of its generator (pro-cyclic), g acts as
+    an isometry, and (g^n - 1)x = sum_{j<n} g^j (g-1)x.  A tau family reads
+    `_tau_levels` and builds no element.  A gamma family acts with the
+    generator and subtracts, until a level has no known term: every later
+    generator lies in that level's subgroup, and the cap does not depend
+    on the level, so its row repeats.  3 does not generate 1 + 2Z_2, so
+    at p = 2 the level with k + i = 1 does not end the sweep."""
+    p = x.p
     if fam.kind is FamilyKind.TAU:
-        for key in itertools.islice(_tau_levels(x, fam.k, samples), i_max + 1):
-            yield [(1, key, x.bound if key is None else key)]
+        for key in itertools.islice(_tau_levels(x, fam.k), i_max + 1):
+            yield key, x.bound if key is None else key
         return
-    for level in itertools.islice(fam.levels(x.p), i_max + 1):
-        diffs = [galois.act(g, x) - x for g in level]
-        yield [
-            (m, d.terms[0][0][0] if d.terms else None, d.key_floor()) for m, d in zip(samples, diffs)
-        ]
+    for i in range(i_max + 1):
+        d = galois.act(fam.element(i, 1, p), x) - x
+        row = (d.terms[0][0][0] if d.terms else None, d.key_floor())
+        yield row
+        if not d.terms and (p, fam.k + i) != (2, 1):
+            yield from itertools.repeat(row, i_max - i)
+            return
 
 
 def sh_test(
     x: PerfSeries, fam: SubgroupFamily, plam: PPow | Fraction, mu, i_max: int
 ) -> ShVerdict:
-    """Check val((g-1)x) >= p^lambda p^i + mu on sampled level elements:
-    for a tau family one value per level, which all its samples share, for
-    a gamma family each sample's own (`_series_levels`).
+    """Check val((g-1)x) >= p^lambda p^i + mu on each level i = 0..i_max,
+    from the value of the level's generator (`_series_levels`), which is
+    the least over the whole level: a verdict covers every element of the
+    levels it read, not only samples (of the gamma level 1 + 2Z_2 at
+    p = 2, the closed subgroup that 3 generates).
 
     Pass requires every bound to hold with the bound strictly below the
     available precision; a bound at or beyond precision yields
-    Inconclusive rather than an unsound Pass.  A failing level reports its
-    first failing sample as the witness.
+    Inconclusive rather than an unsound Pass.  The first failing level
+    reports its generator as the witness.
     """
     plam = PPow.of(plam)
     mu = Fraction(mu)
@@ -287,20 +299,17 @@ def sh_test(
     margins = []
     witness = None
     inconclusive = False
-    for i, level in enumerate(_series_levels(x, fam, i_max)):
+    for i, (v, floor) in enumerate(_series_levels(x, fam, i_max)):
         bound_i = plam.shift(i)
-        for m, v, floor in level:
-            if v is None:
-                # difference vanished; is the bound inside certified range?
-                # bound_i grows with i, so once it is not, it never is again
-                if not inconclusive and floor is not None and excess(bound_i, floor) >= 0:
-                    inconclusive = True
-            elif witness is None and excess(bound_i, v) > 0:
-                witness = (i, fam.element(i, m, p))
-        least = min_known(v for _, v, _ in level)
-        floor = min_known(f for _, _, f in level) if least is None else least
+        if v is None:
+            # difference vanished; is the bound inside certified range?
+            # bound_i grows with i, so once it is not, it never is again
+            if not inconclusive and floor is not None and excess(bound_i, floor) >= 0:
+                inconclusive = True
+        elif witness is None and excess(bound_i, v) > 0:
+            witness = (i, fam.element(i, 1, p))
         observed_floor = ring.bound_prec(floor, p, cap)
-        observed = None if least is None else observed_floor
+        observed = None if v is None else observed_floor
         margins.append(LevelMargin(i, observed, observed_floor, bound_i, mu))
     margins = tuple(margins)
     if witness is not None:
@@ -359,7 +368,7 @@ def _series_fit_keys(x: PerfSeries, fam: SubgroupFamily, i_max: int):
     """The least key per level 0..i_max behind `sh_estimate` and
     `nonmembership_witness`, from `_series_levels`, ended as `_fit_rows`
     says."""
-    rows = ([min_known(v for _, v, _ in level)] for level in _series_levels(x, fam, i_max))
+    rows = ([v] for v, _ in _series_levels(x, fam, i_max))
     (keys,) = _fit_rows(rows, i_max)
     return keys
 

@@ -341,14 +341,37 @@ class _TauChain:
             return self.mat(-c).inverse(mod.prec).act(galois.tau(c), mod.prec)
         # acc = Mat(tau^n) for n the digits of c below level i
         acc = None
-        i = 0
-        while c:
-            c, e = divmod(c, mod.p)
+        for i, e in enumerate(_digits(c, mod.p)):
             if e:
                 high = self.unit(i, e)
                 acc = high if acc is None else self._compose(high, e * mod.p**i, acc)
-            i += 1
         return acc
+
+
+def _digits(c: int, p: int) -> list[int]:
+    """The base-p digits of c > 0, lowest first, up to the leading one.
+    c is halved on p^(2^j), from the largest such power below it down,
+    where one divmod per digit would be quadratic in their number."""
+    powers = [p]
+    while powers[-1] <= c:
+        powers.append(powers[-1] ** 2)
+    digits = []
+
+    def split(n, j):
+        # append the 2^j digits of n < p^(2^j), lowest first
+        if not j:
+            digits.append(n)
+        elif not n:
+            digits.extend([0] * 2**j)
+        else:
+            high, low = divmod(n, powers[j - 1])
+            split(low, j - 1)
+            split(high, j - 1)
+
+    split(c, len(powers) - 1)
+    while not digits[-1]:
+        digits.pop()
+    return digits
 
 
 def _is_fixed(mat: MatSeries) -> bool:

@@ -4,7 +4,9 @@ repr, terms and O(.) caps alike, and the chain may take no more matrix
 products where the sweeps ask for Mat(g), at g = tau^(m p^j).  The
 chain builds its levels in a loop and stops at a generator that is its
 own product; the recursive chain it replaced is kept here too, and every
-level matrix must match it, also past that generator.
+level matrix must match it, also past that generator.  It reads c's
+base-p digits from a split that halves c; the divmod loop it replaced is
+the oracle.
 
 The chain inverts Mat(tau^n) before it applies tau^(-n); the oracle
 applies tau^(-n) first, as the chain once did, and the equivariance
@@ -193,6 +195,25 @@ def test_chain_stops_at_a_fixed_generator(p):
                 assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
         assert chain.unit(10**6, 1) is chain.unit(top, 1)
         assert chain.top == top, name
+
+
+def oracle_digits(c, p):
+    """c's base-p digits, lowest first, by one divmod per digit."""
+    digits = []
+    while c:
+        c, e = divmod(c, p)
+        digits.append(e)
+    return digits
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_digit_split_matches_divmod(p):
+    # the chain reads the same digits, so it makes the same compositions
+    rng = random.Random(p)
+    cases = [1, p - 1, p, p**64 - 1, p**64, 3**500, 2 * p**1000]
+    cases += [rng.getrandbits(rng.randint(1, 3000)) | 1 for _ in range(200)]
+    for c in cases:
+        assert phitau._digits(c, p) == oracle_digits(c, p), c
 
 
 def _capped_identity(rng, p, d):

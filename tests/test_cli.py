@@ -418,7 +418,7 @@ class TestModuleEntryPoint:
         "argv, message",
         [
             (["sh-test", "t", "--plambda", "3/2", "--mu", "1", "--imax", "1000000"],
-             "exact expansion of (1+u)^118098 is too large"),
+             "exact expansion of (1+u)^177147 is too large"),
             (["sh-test", "t", "--plambda", "3/2", "--mu", "1", "--k", "1000000"],
              "exact expansion of (1+u)^m, m of more than 4300 digits, is too large"),
             (["sh-estimate", "t", "--k", "1000000"],
@@ -438,6 +438,17 @@ class TestModuleEntryPoint:
         )
         message = message.replace("4300", str(sys.get_int_max_str_digits()))
         assert (run.returncode, run.stdout, run.stderr) == (2, "", f"inconclusive: {message}\n")
+
+    def test_generator_expansion_certifies(self):
+        # level 10's generator expands (1+u)^59049, which is made, and its
+        # value holds for the whole level; sample m = 2's (1+u)^118098
+        # would be refused
+        argv = ["sh-test", "t", "--plambda", "3/2", "--mu", "1", "--k", "10", "--imax", "0"]
+        run = TestHostileArgv.tilted(argv)
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        report = json.loads(run.stdout)
+        assert report["status"] == "pass"
+        assert [m["observed"] for m in report["margins"]] == ["177149/2"]
 
 
 PSI_12 = "318665857834031151167461"  # 399165290221 * 798330580441
@@ -483,6 +494,8 @@ class TestHostileArgv:
             (["module", "sh", "@d2", "--k", "3000", "--imax", "2"], 2),
             # the chain stops at its fixed generator, far below level 30000
             (["module", "sh", "@d2", "--k", "30000", "--imax", "2"], 2),
+            # c's 300001 base-3 digits come from halving c, not one divmod each
+            (["module", "sh", "@d2", "--k", "300000", "--imax", "2"], 2),
             # refused before p^100000 is built
             (["module", "sh", "@d2", "--n", "100000"], 2),
             (["sh-test", "t", "--plambda", "2", "--mu", "0", "--imax", "1", "--refute"], 3),
@@ -530,15 +543,22 @@ class TestHostileArgv:
         assert json.loads(run.stdout)["status"] == "pass"
 
     def test_dead_levels_end_in_time(self):
-        # every level from 3 on has vanished below O(20) with its bound past
-        # the floor: level 3 makes the verdict inconclusive, and the rest
-        # need no comparison
-        run = self.tilted(["sh-test", "t+O(20)", "--plambda", "3/2", "--mu", "1", "--imax", "100000"])
-        assert run.returncode == 2 and run.stderr == "", run.stderr
-        report = json.loads(run.stdout)
-        assert report["status"] == "inconclusive"
-        last = report["margins"][-1]
-        assert (last["i"], last["observed"], last["floor"]) == (100000, None, "20")
+        cases = [
+            # tau: every level from 3 on has vanished below O(20) with its
+            # bound past the floor: level 3 makes the verdict inconclusive,
+            # and the rest need no comparison
+            ["t+O(20)", "--mu", "1"],
+            # gamma: level 2's generator leaves no known term below O(20),
+            # so no later level acts
+            ["u+O(20)", "--family", "gamma", "--k", "1", "--mu", "0"],
+        ]
+        for argv in cases:
+            run = self.tilted(["sh-test", *argv, "--plambda", "3/2", "--imax", "100000"])
+            assert run.returncode == 2 and run.stderr == "", (argv, run.stderr)
+            report = json.loads(run.stdout)
+            assert report["status"] == "inconclusive"
+            last = report["margins"][-1]
+            assert (last["i"], last["observed"], last["floor"]) == (100000, None, "20")
 
     @staticmethod
     def tilted(argv):

@@ -5,7 +5,12 @@ kept here as the oracle: every report must have the same repr, and every
 failure the same exception type and message.  The fit oracles measure
 every level and then apply the vanished-level rule: the first level at
 which some difference vanished to precision raises DegenerateOrbit when
-it is level 0 and PrecisionRequired otherwise."""
+it is level 0 and PrecisionRequired otherwise.
+
+The series sweeps read each level's generator m = 1 alone, whose value
+is the least over the whole level; the series oracles act with every
+sample, skipping a sample m >= 2 whose exact expansion the action
+refuses."""
 
 import re
 from fractions import Fraction
@@ -28,12 +33,26 @@ def oracle_orbit_floor(x, g):
     return d.val(), d.val_floor()
 
 
+def sampled_orbit_floors(x, fam, i):
+    """(m, value, floor) of (g-1)x for each sample g = fam.element(i, m, p),
+    skipping a sample m >= 2 whose exact expansion the action refuses: the
+    generator m = 1 stands for the whole level, and its own refusal is
+    raised."""
+    rows = []
+    for m in holder.default_samples(x.p):
+        try:
+            rows.append((m, *oracle_orbit_floor(x, fam.element(i, m, x.p))))
+        except PrecisionRequired:
+            if m == 1:
+                raise
+    return rows
+
+
 def oracle_sh_test(x, fam, plam, mu, i_max):
     if not isinstance(plam, PPow):
         plam = PPow.rational(plam)
     mu = Fraction(mu)
     p = x.p
-    m_samples = holder.default_samples(p)
     margins = []
     witness = None
     inconclusive = False
@@ -41,9 +60,7 @@ def oracle_sh_test(x, fam, plam, mu, i_max):
         bound_i = plam.shift(i)
         level_min = None
         level_floor = None
-        for m in m_samples:
-            g = fam.element(i, m, p)
-            v, floor = oracle_orbit_floor(x, g)
+        for m, v, floor in sampled_orbit_floors(x, fam, i):
             if v is None:
                 if floor is not None and bound_i.cmp(floor - mu, p) >= 0:
                     inconclusive = True
@@ -51,7 +68,7 @@ def oracle_sh_test(x, fam, plam, mu, i_max):
                 continue
             level_min = v if level_min is None else min(level_min, v)
             if bound_i.cmp(v - mu, p) > 0 and witness is None:
-                witness = (i, g)
+                witness = (i, fam.element(i, m, p))
         if level_min is not None:
             margins.append(LevelMargin(i, level_min, level_min, bound_i, mu))
         else:
@@ -77,11 +94,9 @@ def oracle_vanished(tracks, i_max):
 def oracle_series_levels(x, fam, i_max):
     """Least exact val((g-1)x) per level 0..i_max, None where every
     sampled difference vanished."""
-    p = x.p
     levels = []
     for i in range(i_max + 1):
-        vals = [oracle_orbit_floor(x, fam.element(i, m, p))[0] for m in holder.default_samples(p)]
-        known = [v for v in vals if v is not None]
+        known = [v for _, v, _ in sampled_orbit_floors(x, fam, i) if v is not None]
         levels.append(min(known) if known else None)
     return levels
 
@@ -259,8 +274,16 @@ def tau_orbit_cases(draw):
 @example((ring.parse_series("t + O(20)", 3, 6), galois.tau(3**100000)))
 @example((ring.parse_series("t", 3, 6), galois.tau(3**100000)))
 def test_tau_orbit_floor_matches_act(case):
+    # the table's level k = v_p(c) is the generator tau^(p^k)'s, outcome
+    # for outcome; every other element of the level has the same value
+    # wherever both actions answer
     x, g = case
-    assert outcome(keyed_orbit_floor, x, g) == outcome(oracle_orbit_floor, x, g)
+    k = split_p(g.c, x.p)[0]
+    keyed = outcome(keyed_orbit_floor, x, k)
+    assert keyed == outcome(oracle_orbit_floor, x, galois.tau(x.p**k))
+    acted = outcome(oracle_orbit_floor, x, g)
+    if not any(o.startswith("PrecisionRequired") for o in (keyed, acted)):
+        assert keyed == acted
 
 
 def split_p(c, p):
@@ -274,11 +297,10 @@ def split_p(c, p):
     return 2 + 2 * v, u // p
 
 
-def keyed_orbit_floor(x, g):
-    """The first level of `holder._tau_levels` at k = v_p(c), sampled by
-    c's unit part alone, as the (value, floor) valuations it stands for."""
-    k, unit = split_p(g.c, x.p)
-    key = next(holder._tau_levels(x, k, (unit,)))
+def keyed_orbit_floor(x, k):
+    """The first level of `holder._tau_levels` at base level k, as the
+    (value, floor) valuations it stands for."""
+    key = next(holder._tau_levels(x, k))
     keys = (None, x.bound) if key is None else (key, key)
     return tuple(None if k is None else Fraction(k, (x.p - 1) * x.p**x.cap) for k in keys)
 
@@ -303,8 +325,10 @@ def test_tau_sweeps_do_not_act(text, monkeypatch):
     for i_max in (1, 3):
         holder.sh_test(x, SubgroupFamily(FamilyKind.TAU, 1), Fraction(3, 2), 0, i_max)
     assert (len(acts), len(expansions)) == (0, 0)
-    holder.sh_test(x, SubgroupFamily(FamilyKind.GAMMA, 1), Fraction(3, 2), 0, 1)
-    assert len(acts) == 2 * 2
+    # a gamma sweep acts once per level, up to its first vanished level
+    verdict = holder.sh_test(x, SubgroupFamily(FamilyKind.GAMMA, 1), Fraction(3, 2), 0, 3)
+    observed = [m.observed for m in verdict.margins]
+    assert len(acts) == (observed.index(None) + 1 if None in observed else len(observed))
 
 
 @pytest.mark.parametrize("text", ["t", "u*t^{1/3} + t^{2} + O(12)", "u^{2}*t^{-1} + u + O(9)"])
@@ -442,16 +466,18 @@ TAU0 = SubgroupFamily(FamilyKind.TAU, 0)
 
 @settings(max_examples=200, deadline=None)
 @given(tau_sweep_cases())
-# level 10: m = 1 expands (1+u)^59049, and m = 2's (1+u)^118098 is refused
+# level 10: m = 1 expands (1+u)^59049, and m = 2's (1+u)^118098 is refused;
+# level 11's generator is refused
 @example((ring.parse_series("t", 3, 6), TAU0, Fraction(3, 2), Fraction(0), 12))
-# level 1: both samples refuse, t^(3^9+1) at m = 2 and t^(2*3^9+1) at m = 1;
-# the sample comes first, then the term
+# level 1: the generator expands t^(3^9+1)'s (1+u)^59052 and refuses
+# t^(2*3^9+1)'s (1+u)^118101, the later term
 @example((ring.parse_series("t^{19684}+t^{39367}", 3, 6), TAU0, Fraction(3, 2), Fraction(0), 3))
 @example((ring.parse_series("t+O(5)", 3, 6), TAU0, Fraction(2), Fraction(1), 4))
 @example((ring.parse_series("u+t^{-1}", 7, 2), SubgroupFamily(FamilyKind.TAU, 1), Fraction(3, 2), Fraction(0), 3))
 def test_tau_sweeps_match_sampled_sweep(case):
     """The oracles act with every sample m of every level through
-    `galois.act`; the tau sweeps read one value per level off x's terms."""
+    `galois.act`, skipping a sample m >= 2 whose exact expansion is
+    refused; the tau sweeps read one value per level off x's terms."""
     x, fam, plam, mu, i_max = case
     assert outcome(holder.sh_test, x, fam, plam, mu, i_max) == outcome(
         oracle_sh_test, x, fam, plam, mu, i_max
@@ -462,12 +488,18 @@ def test_tau_sweeps_match_sampled_sweep(case):
     )
 
 
-def test_exact_refusal_is_the_samples_own():
-    # every sample of level 10 has the same value, but only m = 2's
-    # expansion is too large: the sweeps refuse with its message
+def test_exact_refusal_is_the_generators_own():
+    # level 10's generator expands (1+u)^59049, and sample m = 2's
+    # (1+u)^118098 is refused; the level certifies with the value that a
+    # capped x gives m = 2, and the sweeps refuse at level 11's generator
     x, fam = ring.parse_series("t", 3, 6), TAU0
-    galois.act(fam.element(10, 1, 3), x)
-    refused = re.escape("exact expansion of (1+u)^118098 is too large")
+    with pytest.raises(PrecisionRequired, match=re.escape("(1+u)^118098 is too large")):
+        galois.act(fam.element(10, 2, 3), x)
+    capped = ring.parse_series("t + O(100000)", 3, 6)
+    v, _ = oracle_orbit_floor(capped, fam.element(10, 2, 3))
+    verdict = holder.sh_test(x, SubgroupFamily(FamilyKind.TAU, 10), Fraction(3, 2), 1, 0)
+    assert verdict.status is Status.PASS and verdict.margins[0].observed == v
+    refused = re.escape("exact expansion of (1+u)^177147 is too large")
     for sweep in (
         lambda: holder.sh_test(x, fam, Fraction(3, 2), 0, 12),
         lambda: holder.sh_estimate(x, fam, 12),
@@ -475,7 +507,7 @@ def test_exact_refusal_is_the_samples_own():
     ):
         with pytest.raises(PrecisionRequired, match=refused):
             sweep()
-    holder.sh_test(x, fam, Fraction(3, 2), 0, 9)
+    holder.sh_test(x, fam, Fraction(3, 2), 0, 10)
 
 
 @pytest.mark.parametrize("text", ["t^{2}+u*t^{1/7}", "u*t^{-1}+t^{3}+O(9)"])
@@ -497,3 +529,44 @@ def test_tau_sweeps_build_no_sample(text, monkeypatch):
     assert built == []
     verdict = holder.sh_test(x, fam, Fraction(100), 0, 4)
     assert verdict.status is Status.FAIL and built == [(verdict.witness[1].c, 1)]
+
+
+# -- each level's generator against its samples ---------------------------
+
+
+@st.composite
+def level_cases(draw):
+    """(x, family): x capped on the key lattice, so that levels vanish at
+    level 0, partway or never, and a family of either kind."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cap = draw(st.sampled_from([1, 2, 4]))
+    prec = draw(st.builds(lambda n: Fraction(n, p - 1), st.integers(0, 12 * p)))
+    x = draw(series_strategy(p=p, cap=cap, max_terms=3, prec=prec))
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    return x, SubgroupFamily(kind, draw(st.integers(kind is FamilyKind.GAMMA, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_cases())
+# gamma at p = 2, k = 1: level 0 has no known term, but 3 does not
+# generate 1 + 2Z_2, so the sweep acts at level 1 too
+@example((ring.parse_series("u + O(3)", 2, 2), SubgroupFamily(FamilyKind.GAMMA, 1)))
+def test_generator_stands_for_its_level(case):
+    # on levels 0..5 every sample's (least key, key floor) of (g-1)x is the
+    # generator's; a gamma level whose generator left no known term repeats
+    # at every later level, except at p = 2 and k + i = 1; and the sweeps'
+    # rows are the generators'
+    x, fam = case
+    p = x.p
+
+    def row(g):
+        d = galois.act(g, x) - x
+        return d.terms[0][0][0] if d.terms else None, d.key_floor()
+
+    rows = [[row(fam.element(i, m, p)) for m in holder.default_samples(p)] for i in range(6)]
+    assert all(set(level) == {level[0]} for level in rows)
+    generators = [level[0] for level in rows]
+    for i, (key, _) in enumerate(generators):
+        if fam.kind is FamilyKind.GAMMA and key is None and (p, fam.k + i) != (2, 1):
+            assert set(generators[i:]) == {generators[i]}
+    assert list(holder._series_levels(x, fam, 5)) == generators
