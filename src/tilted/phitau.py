@@ -218,12 +218,35 @@ class PhiTauModule:
     lattice: MatSeries | None = None
     lattice_inv: MatSeries | None = None
 
+    # The three values below are computed on first use and kept for as
+    # long as the module lives, outside the fields, equality and hash.
+    # None of them refers back to the module, so reference counting still
+    # frees it; the chain fills its table in place, so the memo is not
+    # thread-safe.
+
+    @functools.cached_property
+    def _tau_chain(self) -> _TauChain:
+        """The level matrices Mat(tau^(e p^i)), built as calls ask for them."""
+        return _TauChain(self.mat_tau, self.prec)
+
+    @functools.cached_property
+    def _p_inverse(self) -> MatSeries:
+        """P^{-1} to the module's precision."""
+        return self.frob.truncate(self.prec).inverse(self.prec)
+
+    @functools.cached_property
+    def _lattice_inverse(self) -> MatSeries:
+        """W^{-1} to the module's precision."""
+        return self.lattice.inverse(self.prec)
+
     def lattice_inverse(self):
+        """W^{-1}: `lattice_inv` when given, else W inverted to the module's
+        precision once per module."""
         if self.lattice is None:
             raise PreconditionViolated("module has no lattice")
         if self.lattice_inv is not None:
             return self.lattice_inv
-        return self.lattice.inverse(self.prec)
+        return self._lattice_inverse
 
 
 def _check_pure_t(mat: MatSeries):
@@ -288,24 +311,28 @@ def mat_of(module: PhiTauModule, g: GroupElem) -> MatSeries:
     chain gives the same series; where an entry has negative valuation,
     each product lowers the O(.) caps by its factors' leading terms, so
     the caps depend on the chain.
+
+    The level matrices are the module's own: built on the first call that
+    needs them and kept for every later call on the same module, so a
+    sweep, the cocycle check and the descent share them.
     """
-    return _TauChain(module).mat(g.c)
+    return module._tau_chain.mat(g.c)
 
 
 class _TauChain:
-    """Mat(tau^c) for the c asked of one call.  The level matrices
-    Mat(tau^(e p^i)) are memoized by (i, e), so a sweep over
-    tau^(m p^(k+i)) builds each level once, from the level below."""
+    """The level matrices Mat(tau^(e p^i)) of one module, memoized by
+    (i, e) for as long as the module lives, so every call builds each
+    level at most once, from the level below.  The chain keeps Mat(tau)
+    and the precision, not the module."""
 
-    def __init__(self, module: PhiTauModule):
-        self.module = module
-        self.units = {(0, 1): module.mat_tau.truncate(module.prec)}
+    def __init__(self, mat_tau: MatSeries, prec: Fraction):
+        self.d, self.p, self.cap, self.prec = mat_tau.d, mat_tau.p, mat_tau.cap, prec
+        self.units = {(0, 1): mat_tau.truncate(prec)}
         self.top = 0  # the highest level whose generator Mat(tau^(p^i)) is built
 
     def _compose(self, mat_a, a, mat_b):
         """Mat(tau^(a+b)) = Mat(tau^a) * tau^a(Mat(tau^b))."""
-        prec = self.module.prec
-        return (mat_a * mat_b.act(galois.tau(a), prec)).truncate(prec)
+        return (mat_a * mat_b.act(galois.tau(a), self.prec)).truncate(self.prec)
 
     def unit(self, i, e):
         """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply from
@@ -313,7 +340,7 @@ class _TauChain:
         unit(j, p) are built in a loop, up from the highest level built, so
         no recursion depth bounds i.  It stops at a generator for which
         `_is_fixed` holds: every level above it is that matrix."""
-        p = self.module.p
+        p = self.p
         while self.top < i:
             top = self.units[self.top, 1]
             if _is_fixed(top):
@@ -331,20 +358,30 @@ class _TauChain:
         return self.units[key]
 
     def mat(self, c):
-        """Mat(tau^c), to the module's precision."""
-        mod = self.module
+        """Mat(tau^c), to the module's precision.
+
+        The digits at the levels above a fixed generator M fold into one
+        composition, Mat(tau^c) = M tau^(c-n)(Mat(tau^n)) for n the digits
+        below them: tau fixes M, and the caps of M, which `_is_fixed`
+        bounds by K_ik + K_kj >= K_ij, make M (M X) cut at the precision
+        equal to M X cut there, caps included, for every chain matrix X."""
+        p, prec = self.p, self.prec
         if c == 0:
-            return MatSeries.identity(mod.d, mod.p, mod.cap, mod.prec)
+            return MatSeries.identity(self.d, p, self.cap, prec)
         if c < 0:
             # the chain's matrices are cut at prec, so tau^c commutes with
             # the inverse (see `mat_of`)
-            return self.mat(-c).inverse(mod.prec).act(galois.tau(c), mod.prec)
+            return self.mat(-c).inverse(prec).act(galois.tau(c), prec)
         # acc = Mat(tau^n) for n the digits of c below level i
-        acc = None
-        for i, e in enumerate(_digits(c, mod.p)):
+        acc, n = None, 0
+        for i, e in enumerate(_digits(c, p)):
             if e:
                 high = self.unit(i, e)
-                acc = high if acc is None else self._compose(high, e * mod.p**i, acc)
+                if i > self.top:  # high is the fixed generator
+                    return high if acc is None else self._compose(high, c - n, acc)
+                step = e * p**i
+                acc = high if acc is None else self._compose(high, step, acc)
+                n += step
         return acc
 
 
@@ -561,10 +598,12 @@ def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport
     (report, matches_direct).
 
     r defaults to the least adequate radius and c to p^l for the least
-    adequate level l.  P is inverted once: the radius reads its floor, and
-    the fixed point takes (g.P)^{-1} as g(P^{-1}).  One chain serves the
-    level search, the fixed point and the direct check.  A target <= 0 or
-    an r < 1 raises ValueError.
+    adequate level l.  These are the public steps, in order, on the twisted
+    module, which keeps P^{-1} and its tau chain: P is inverted once (the
+    radius reads its floor, and the fixed point takes (g.P)^{-1} as
+    g(P^{-1})), and the level search, the fixed point and the direct check
+    read one set of level matrices.  A target <= 0 or an r < 1 raises
+    ValueError.
     """
     target = Fraction(target)
     if target <= 0:
@@ -572,14 +611,12 @@ def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport
     if r is not None and r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
     module = integral_twist(module)
-    p_inv = _p_inverse(module)
-    r = _radius(p_inv, r)
-    chain = _TauChain(module)
+    r = _radius(module, r)
     if c is None:
-        c = module.p ** _least_level(chain, r)
-    mat_g = chain.mat(c)
-    rep = _fixed_point(module, galois.tau(c), r, target, p_inv, mat_g)
-    return rep, _matches_direct(module, mat_g, rep, target)
+        c = module.p ** minimal_descent_level(module, r)
+    g = galois.tau(c)
+    rep = descend_fixed_point(module, g, r, target)
+    return rep, descent_matches_direct(module, g, rep, target)
 
 
 def integral_twist(module: PhiTauModule) -> PhiTauModule:
@@ -613,20 +650,15 @@ def integral_twist(module: PhiTauModule) -> PhiTauModule:
     )
 
 
-def _p_inverse(module: PhiTauModule) -> MatSeries:
-    prec = module.prec
-    return module.frob.truncate(prec).inverse(prec)
-
-
 def minimal_descent_radius(module: PhiTauModule) -> int:
     """Least r >= 1 with t^r P^{-1} in t * (integral matrices)."""
-    return _radius(_p_inverse(module))
+    return _radius(module)
 
 
-def _radius(p_inv: MatSeries, r: int | None = None) -> int:
+def _radius(module: PhiTauModule, r: int | None = None) -> int:
     """r, checked to put t^r P^{-1} in t * (integral matrices), or the
     least such r >= 1 when r is None."""
-    floor = p_inv.val_floor()
+    floor = module._p_inverse.val_floor()
     if floor is None:
         raise PrecisionRequired("P^{-1} vanishes to precision")
     if r is None:
@@ -641,16 +673,11 @@ MAX_DESCENT_ITERATIONS = 200
 
 
 def minimal_descent_level(module: PhiTauModule, r: int) -> int:
-    """Least l <= MAX_DESCENT_LEVEL with val(Mat(tau^(p^l)) - Id) >= r * val(t)."""
-    return _least_level(_TauChain(module), r)
-
-
-def _least_level(chain: _TauChain, r: int) -> int:
-    """The level search on one chain, so Mat(tau^(p^(l+1))) comes from
-    level l's matrices, and Mat(tau^(p^l)) stays in the chain."""
-    p = chain.module.p
+    """Least l <= MAX_DESCENT_LEVEL with val(Mat(tau^(p^l)) - Id) >= r * val(t).
+    Each Mat(tau^(p^(l+1))) comes from level l's matrices in the module's chain."""
+    p = module.p
     for l in range(MAX_DESCENT_LEVEL + 1):
-        if _deviation(chain.module, chain.mat(p**l), p**l, r) is None:
+        if _deviation(module, mat_of(module, galois.tau(p**l)), p**l, r) is None:
             return l
     raise PreconditionViolated(f"no level <= {MAX_DESCENT_LEVEL} brings Mat(g) within t^{r}")
 
@@ -676,27 +703,23 @@ def descend_fixed_point(
     r: int,
     target_prec,
 ) -> DescentReport:
-    """`descend`'s fixed point for a given g and r on an integral module."""
-    p_inv = _p_inverse(module)
-    _radius(p_inv, r)
-    return _fixed_point(module, g, r, target_prec, p_inv, mat_of(module, g))
-
-
-def _fixed_point(module, g, r, target_prec, p_inv, mat_g) -> DescentReport:
-    """Solve H = f0 + P phi(H) Q_g by fixed-point iteration, where
+    """`descend`'s fixed point for a given g and r on an integral module:
+    solve H = f0 + P phi(H) Q_g by fixed-point iteration, where
     Q_g = t^(r(p-1)) (g.P)^{-1} and f0 = t^(-r) (P (g.P)^{-1} - Id).
 
     The solution satisfies Mat(g) = Id + t^r H.  Convergence is the
     ultrametric contraction val(X_{j+1} - X_j) >= p val(X_j - X_{j-1})
     + val(P) + val(Q_g), so each step gains at least val(Q_g) > 0.
     """
+    _radius(module, r)
+    mat_g = mat_of(module, g)
     target_prec = Fraction(target_prec)
     p, d, cap = module.p, module.d, module.cap
     prec = module.prec
     frob_mat = module.frob.truncate(prec)
 
     # g is a ring automorphism, so (g.P)^{-1} = g(P^{-1}), with the floor of P^{-1}
-    gp_inv = p_inv.act(g, prec)
+    gp_inv = module._p_inverse.act(g, prec)
     dev = _deviation(module, mat_g, g.c, r)
     if dev is not None:
         raise PreconditionViolated(
@@ -737,14 +760,10 @@ def _fixed_point(module, g, r, target_prec, p_inv, mat_g) -> DescentReport:
 
 def descent_matches_direct(module, g, report: DescentReport, target_prec) -> bool:
     """Oracle: t^{-r} (Mat(g) - Id) equals the recovered H to target."""
-    return _matches_direct(module, mat_of(module, g), report, target_prec)
-
-
-def _matches_direct(module, mat_g, report: DescentReport, target_prec) -> bool:
     p, cap, d = module.p, module.cap, module.d
     ident = MatSeries.identity(d, p, cap, module.prec)
     t_neg_r = ring.monomial(p, cap, 1, 0, -report.r)
-    direct = (mat_g - ident).scale_series(t_neg_r)
+    direct = (mat_of(module, g) - ident).scale_series(t_neg_r)
     target_prec = Fraction(target_prec)
     # every known term of diff lies below the target, so a floor at the
     # target says diff vanishes there; a difference known only below the
@@ -769,7 +788,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     """Measure val(Mat(g) - Id) over the tau family at base level k,
     g = tau^(m p^(k+i)) for m = 1..p-1 and i = 0..i_max, and fit the
     exponent of the matrix-valued orbit map, all to the module's precision.
-    One chain builds every Mat(g), each level from the one below.
+    The module's chain builds every Mat(g), each level from the one below.
     When a target p^lambda = q p^s (a `PPow`, or a rational q) is supplied,
     the status records whether the fitted exponent equals it, compared
     exactly by `PPow.cmp`; a target <= 0 raises ValueError.
@@ -782,10 +801,9 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     p, d = module.p, module.d
     ident = MatSeries.identity(d, p, module.cap, module.prec)
-    chain = _TauChain(module)
 
     def measure(g):
-        return (_certified_val(chain.mat(g.c) - ident),)
+        return (_certified_val(mat_of(module, g) - ident),)
 
     (levels,) = holder.fit_levels(measure, fam, p, i_max)
     plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
@@ -813,8 +831,8 @@ def module_sh_test(
     """For each basis vector (scaled by s = t^(1/p^n) when n >= 1), measure
     val((g-1) x) under both the basis valuation and the lattice valuation
     over the tau family at base level k, g = tau^(m p^(k+i)) for
-    m = 1..p-1 and i = 0..i_max, and fit the exponents.  One chain builds
-    every Mat(g).  Column j of D = Mat(g) g(s) - s Id is (g-1) s e_j, and
+    m = 1..p-1 and i = 0..i_max, and fit the exponents.  The module's chain
+    builds every Mat(g).  Column j of D = Mat(g) g(s) - s Id is (g-1) s e_j, and
     of W^{-1} D its lattice coordinates: these columns are the
     `holder.fit_levels` tracks, and one that vanishes ends the sweep.
     Without a lattice the lattice levels and fit are None."""
@@ -829,10 +847,9 @@ def module_sh_test(
     # s Id, then the cut: Id cut first would cap s Id at prec + val(s)
     scaled = MatSeries.identity(d, p, cap).scale_series(scalar).truncate(prec)
     w_inv = module.lattice_inverse() if module.lattice is not None else None
-    chain = _TauChain(module)
 
     def measure(g):
-        diff = chain.mat(g.c).scale_series(galois.act(g, scalar, prec)) - scaled
+        diff = mat_of(module, g).scale_series(galois.act(g, scalar, prec)) - scaled
         mats = (diff,) if w_inv is None else (diff, w_inv * diff)
         return [v_tau(col) for mat in mats for col in zip(*mat.rows)]
 

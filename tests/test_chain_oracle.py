@@ -6,7 +6,8 @@ chain builds its levels in a loop and stops at a generator that is its
 own product; the recursive chain it replaced is kept here too, and every
 level matrix must match it, also past that generator.  It reads c's
 base-p digits from a split that halves c; the divmod loop it replaced is
-the oracle.
+the oracle.  It folds the digits above a fixed generator into one
+composition; the digit-by-digit product it replaced is the oracle.
 
 The chain inverts Mat(tau^n) before it applies tau^(-n); the oracle
 applies tau^(-n) first, as the chain once did, and the equivariance
@@ -59,7 +60,7 @@ class RecursiveChain(phitau._TauChain):
         """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply."""
         key = (i, e)
         if key not in self.units:
-            p = self.module.p
+            p = self.p
             if e == 1:
                 val = self.unit(i - 1, p)
             elif e % 2:
@@ -69,6 +70,21 @@ class RecursiveChain(phitau._TauChain):
                 val = self._compose(half, e // 2 * p**i, half)
             self.units[key] = val
         return self.units[key]
+
+
+class DigitChain(phitau._TauChain):
+    """The chain as it was before the digits above a fixed generator were
+    folded: one composition per nonzero digit of c."""
+
+    def mat(self, c):
+        if c <= 0:
+            return super().mat(c)
+        acc = None
+        for i, e in enumerate(phitau._digits(c, self.p)):
+            if e:
+                high = self.unit(i, e)
+                acc = high if acc is None else self._compose(high, e * self.p**i, acc)
+        return acc
 
 
 def outcome(fn, *args):
@@ -152,16 +168,17 @@ def test_matches_binary_chain(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_order_independent(p):
-    # one chain asked in a shuffled order gives what a fresh one gives
+    # a module's chain asked in a shuffled order gives what a fresh copy
+    # of the module gives
     order = EXPONENTS[:]
     random.Random(p).shuffle(order)
     mods = modules(p)
     for name in ("d=2", "negative"):
         mod = mods[name]
-        chain = phitau._TauChain(mod)
         for c in order:
-            want = phitau.mat_of(mod, galois.tau(c))
-            assert repr(chain.mat(c)) == repr(want), (name, c)
+            g = galois.tau(c)
+            want = phitau.mat_of(dataclasses.replace(mod), g)
+            assert repr(phitau.mat_of(mod, g)) == repr(want), (name, c)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -175,7 +192,8 @@ def test_level_loop_matches_recursive_chain(p):
     mods = modules(p)
     mods["full negative"] = negative_module(p, full=True)[0]
     for name, mod in mods.items():
-        chain, oracle = phitau._TauChain(mod), RecursiveChain(mod)
+        chain = phitau._TauChain(mod.mat_tau, mod.prec)
+        oracle = RecursiveChain(mod.mat_tau, mod.prec)
         for i, e in keys:
             assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
 
@@ -188,13 +206,67 @@ def test_chain_stops_at_a_fixed_generator(p):
     mods = modules(p)
     mods["full negative"] = negative_module(p, full=True)[0]
     for name, mod in mods.items():
-        chain, oracle = phitau._TauChain(mod), RecursiveChain(mod)
+        chain = phitau._TauChain(mod.mat_tau, mod.prec)
+        oracle = RecursiveChain(mod.mat_tau, mod.prec)
         top = next(i for i in range(20) if phitau._is_fixed(oracle.unit(i, 1)))
         for i in range(top + 11):
             for e in range(1, p + 1):
                 assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
         assert chain.unit(10**6, 1) is chain.unit(top, 1)
         assert chain.top == top, name
+
+
+def above_the_fixed_level(rng, p):
+    """c > 0 of 30 to 60 base-p digits, its lowest digits often zero, and
+    p^60 with one digit below it."""
+    cases = [p**60, p**60 + 1]
+    for _ in range(6):
+        c = rng.randrange(p**30, p**60)
+        cases.append(c - c % p ** rng.randrange(3))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_folded_digits_match_digit_by_digit(p):
+    # the digits above the fixed generator make one composition, with the
+    # series and caps of one composition per digit, also where the caps
+    # depend on the chain; a negative c inverts the same matrix
+    rng = random.Random(p)
+    mods = modules(p)
+    mods["full negative"] = negative_module(p, full=True)[0]
+    for name, mod in mods.items():
+        oracle = DigitChain(mod.mat_tau, mod.prec)
+        for c in above_the_fixed_level(rng, p) + [-(p**40) - 1]:
+            got = outcome(phitau.mat_of, mod, galois.tau(c))
+            assert got == outcome(oracle.mat, c), (name, c)
+        assert oracle.top == mod._tau_chain.top < 30, name
+
+
+def test_one_composition_above_the_fixed_level(monkeypatch):
+    # c of 8,500 base-3 digits: with every level up to the fixed one
+    # built, Mat(tau^c) takes one composition per nonzero digit up to that
+    # level, after the lowest, and one for all the digits above it
+    mod = phitau.basechange_generate(2, seed=4, p=3, prec=PREC)
+    chain = mod._tau_chain
+    rng = random.Random(8500)
+    cs = [rng.randrange(3**8499, 3**8500) for _ in range(3)]
+    phitau.mat_of(mod, galois.tau(cs[0]))
+    for i in range(chain.top + 1):
+        for e in range(1, 4):
+            chain.unit(i, e)
+    composes = []
+    compose = phitau._TauChain._compose
+
+    def counting(self, *args):
+        composes.append(args)
+        return compose(self, *args)
+
+    monkeypatch.setattr(phitau._TauChain, "_compose", counting)
+    for c in cs:
+        composes.clear()
+        phitau.mat_of(mod, galois.tau(c))
+        below = sum(1 for e in phitau._digits(c, 3)[: chain.top + 1] if e)
+        assert len(composes) == below <= chain.top + 1, c
 
 
 def oracle_digits(c, p):

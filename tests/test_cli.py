@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -517,6 +518,14 @@ class TestHostileArgv:
         run = self.tilted(["module", command, files["@d2"], "--c", str(3**500)])
         assert run.returncode == 0 and run.stderr == "", run.stderr
         assert json.loads(run.stdout)[key] is True
+
+    def test_tau_power_of_many_digits(self, files):
+        # c has 8,500 base-3 digits: the chain composes them digit by digit
+        # up to its fixed generator, and all those above it in one product
+        c = random.Random(8500).randrange(3**8499, 3**8500)
+        run = self.tilted(["module", "check", files["@d2"], "--c", str(c)])
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        assert json.loads(run.stdout)["ok"] is True
 
     def test_capped_huge_level_passes(self):
         # each sample's shift p^(10^6 + 1) lies far past O(20), so no level

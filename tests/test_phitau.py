@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -268,12 +269,18 @@ class TestDescent:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.dispatch(["module", "descend", str(path)]) == 0
         assert len(calls) == 1
-        mod = phitau.integral_twist(mod_d2)
-        r = phitau.minimal_descent_radius(mod)
-        g = galois.tau(P ** phitau.minimal_descent_level(mod, r))
+        # the module keeps P^-1: a second call on it inverts nothing
+        twisted = phitau.integral_twist(mod_d2)
+        r = phitau.minimal_descent_radius(twisted)
+        g = galois.tau(P ** phitau.minimal_descent_level(twisted, r))
+        mod = dataclasses.replace(twisted)
         calls.clear()
         phitau.descend_fixed_point(mod, g, r, 10)
         assert len(calls) == 1
+        calls.clear()
+        phitau.descend_fixed_point(mod, g, r, 10)
+        assert phitau.minimal_descent_radius(mod) == r
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -372,7 +379,12 @@ class TestDescend:
         monkeypatch.setattr(phitau._TauChain, "_compose", counting_compose)
         rep, matches = phitau.descend(mod, 12)
         assert (rep.r, rep.c, matches) == (5, 9, True)
-        # the five calls take 2 inversions and 12 compositions
+        assert (len(inverses), len(composes)) == (1, 4)
+        # the five public calls read the one P^-1 and chain of the twisted
+        # module they share, as `descend` does
+        inverses.clear()
+        composes.clear()
+        assert summary(*five_calls(mod, 12)) == summary(rep, matches)
         assert (len(inverses), len(composes)) == (1, 4)
 
 
@@ -390,8 +402,7 @@ class TestValuations:
         assert abs(vt - vtd) <= phitau.equiv_constant(mod_1pt)[1]
 
     def test_file_lattice_inverted_once(self, mod_d2, monkeypatch):
-        mod = phitau.module_from_text(phitau.module_to_text(mod_d2))
-        assert mod.lattice_inv is None
+        text = phitau.module_to_text(mod_d2)
         calls = []
         inverse = MatSeries.inverse
 
@@ -400,11 +411,24 @@ class TestValuations:
             return inverse(m, prec)
 
         monkeypatch.setattr(MatSeries, "inverse", counting)
-        phitau.equiv_constant(mod, samples=5)
-        assert calls == [mod.lattice]
-        calls.clear()
-        phitau.module_sh_test(mod, 0, i_max=2)
-        assert calls == [mod.lattice]
+        coords = (s("t"), s("u*t^{2}"))
+        readers = [
+            lambda mod: phitau.equiv_constant(mod, samples=5),
+            lambda mod: phitau.module_sh_test(mod, 0, i_max=2),
+            lambda mod: phitau.v_tilde(mod, coords),
+        ]
+        # whichever reads W^-1 first inverts W; the module keeps W^-1, so
+        # every later reader on it inverts nothing
+        for first in readers:
+            mod = phitau.module_from_text(text)
+            assert mod.lattice_inv is None
+            calls.clear()
+            first(mod)
+            assert calls == [mod.lattice]
+            calls.clear()
+            for reader in readers:
+                reader(mod)
+            assert calls == []
 
     def test_lattice_valuation_invariant(self, mod_d2):
         coords = (s("t"), s("u*t^{2}"))
@@ -476,15 +500,22 @@ class TestModuleSh:
 
     @pytest.mark.parametrize("fn", [phitau.matrix_sh_test, phitau.module_sh_test])
     def test_one_chain_per_sweep(self, mod_d2, fn, monkeypatch):
+        mod = dataclasses.replace(mod_d2)
+        w_inv = mod.lattice_inverse()
+        lattice_products = 6 if fn is phitau.module_sh_test else 0
         calls = count_products(monkeypatch)
-        fn(mod_d2, 0, i_max=2)
+        fn(mod, 0, i_max=2)
         # tau^(m 3^i), m = 1, 2, i = 0..2: Mat(tau^2) from Mat(tau), then
         # each level's generator and its double from the level below; one
         # Mat(g) per element took 15 products.  module_sh_test adds one
         # W^-1 D per element for the lattice valuations
-        w_inv = mod_d2.lattice_inverse()
         assert sum(a is not w_inv for a in calls) == 5
-        assert len(calls) == 5 + (6 if fn is phitau.module_sh_test else 0)
+        assert len(calls) == 5 + lattice_products
+        # a second sweep on the module reads the levels the first built
+        calls.clear()
+        fn(mod, 0, i_max=2)
+        assert sum(a is not w_inv for a in calls) == 0
+        assert len(calls) == lattice_products
 
     def test_without_lattice(self, mod_d2):
         text = phitau.module_to_text(mod_d2).split("[lattice]")[0]

@@ -1,0 +1,104 @@
+"""Wall time and work of the first pass over a workload's operations
+against the later passes.
+
+    python3 tools/pass_times.py                        # module, seed 1
+    python3 tools/pass_times.py --workload cli --seed 7 --runs 5 --tree ../other-checkout
+
+Each run imports the library afresh, builds the operation list of
+``bench/workloads.py`` for the workload and seed, as ``bench/run.py``
+builds it, and calls every operation once per pass, ``--passes`` times,
+with no warm-up: pass 1 meets every input for the first time, and the
+later passes meet the same objects again, so they read whatever the
+library kept from pass 1.  For pass 1 and for the later passes the output
+gives the median in-process wall time over the runs, and the number of
+chain compositions (``phitau._TauChain._compose``) and matrix inversions
+(``phitau.MatSeries.inverse``) that one pass made; a range means that
+the later passes differ.  A workload whose operations never meet the
+same input twice shows no gap between the two rows.
+
+The library and the benchmark code are imported from the tree named by
+``--tree`` (default: the tree this script sits in), as by
+``tools/op_digest.py``, with no bytecode written; the module files the
+operations need go to a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+sys.dont_write_bytecode = True
+
+from op_digest import WORKLOADS, load_bench  # noqa: E402  (sibling script)
+
+COUNTED = (("compose", "_TauChain", "_compose"), ("inverse", "MatSeries", "inverse"))
+
+
+def counting(cls, name, counts, key):
+    """Replace cls.name by a wrapper that adds 1 to counts[key] per call."""
+    fn = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    setattr(cls, name, wrapper)
+
+
+def one_run(run, workload, seed, passes, workdir):
+    """[(seconds, counts)] of each pass over freshly built operations."""
+    lib = run.load_library()
+    counts = dict.fromkeys((key for key, _, _ in COUNTED), 0)
+    for key, cls, name in COUNTED:
+        counting(getattr(lib.phitau, cls), name, counts, key)
+    ops = run.W.WORKLOADS[workload](lib, seed, workdir)
+    out = []
+    for _ in range(passes):
+        for key in counts:
+            counts[key] = 0
+        start = time.perf_counter()
+        for op in ops:
+            run._call(op)
+        out.append((time.perf_counter() - start, dict(counts)))
+    return len(ops), out
+
+
+def span(values):
+    lo, hi = min(values), max(values)
+    return str(lo) if lo == hi else f"{lo}-{hi}"
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", choices=WORKLOADS, default="module")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--runs", type=int, default=3, help="fresh imports and inputs (default 3)")
+    parser.add_argument("--passes", type=int, default=4, help="passes per run, at least 2 (default 4)")
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent)
+    args = parser.parse_args(argv)
+    if args.runs < 1 or args.passes < 2:
+        parser.error("need --runs >= 1 and --passes >= 2")
+    run = load_bench(args.tree.resolve())
+    firsts, laters = [], []
+    with tempfile.TemporaryDirectory(prefix="pass-times-") as workdir:
+        for r in range(args.runs):
+            files = Path(workdir) / f"run{r}"
+            files.mkdir()
+            n_ops, passes = one_run(run, args.workload, args.seed, args.passes, files)
+            firsts.append(passes[0])
+            laters.extend(passes[1:])
+    print(f"{args.workload} seed {args.seed}: {n_ops} ops, {args.runs} runs of {args.passes} passes")
+    print(f"{'pass':<8}{'median_ms':>10}" + "".join(f"{key:>10}" for key, _, _ in COUNTED))
+    for label, rows in (("1", firsts), (f"2-{args.passes}", laters)):
+        ms = statistics.median(dt for dt, _ in rows) * 1e3
+        cols = "".join(f"{span([c[key] for _, c in rows]):>10}" for key, _, _ in COUNTED)
+        print(f"{label:<8}{ms:>10.1f}{cols}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
