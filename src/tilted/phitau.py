@@ -45,12 +45,8 @@ class MatSeries:
 
     @staticmethod
     def identity(d, p, cap=ring.DEFAULT_DENOM_CAP, prec=None):
-        return MatSeries.from_rows(
-            [
-                [ring.one(p, cap).truncate(prec) if i == j else ring.zero(p, cap, prec) for j in range(d)]
-                for i in range(d)
-            ]
-        )
+        one, zero = ring.one(p, cap).truncate(prec), ring.zero(p, cap, prec)
+        return MatSeries.from_rows([[one if i == j else zero for j in range(d)] for i in range(d)])
 
     def map(self, fn):
         return MatSeries.from_rows([[fn(e) for e in row] for row in self.rows])
@@ -65,16 +61,28 @@ class MatSeries:
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
-    def __mul__(self, other):
+    def mul(self, other, prec=None):
+        """The product self * other, cut at prec inside each entry's
+        `ring.dot`: (self * other).truncate(prec), with no pair formed
+        that the cut drops."""
+        bound = ring.key_bound(prec, self.p, self.cap)
         cols = tuple(zip(*other.rows))
         return MatSeries.from_rows(
-            [[ring.dot(zip(row, col)) for col in cols] for row in self.rows]
+            [[ring.dot(zip(row, col), cut=bound) for col in cols] for row in self.rows]
         )
+
+    def __mul__(self, other):
+        return self.mul(other)
 
     def vecmul(self, coords):
         return tuple(ring.dot([(x, coords[l]) for l, x in enumerate(row)]) for row in self.rows)
 
     def scale_series(self, s: PerfSeries):
+        """s * self; an exact one-term s, a monomial such as t^r, shifts
+        each entry (`PerfSeries.mono_shift`), which gives that product."""
+        if s.bound is None and len(s.terms) == 1:
+            ((mono, coeff),) = s.terms
+            return self.map(lambda e: e.mono_shift(mono, coeff))
         return self.map(lambda e: s * e)
 
     def truncate(self, prec):
@@ -314,7 +322,9 @@ def mat_of(module: PhiTauModule, g: GroupElem) -> MatSeries:
 
     The level matrices are the module's own: built on the first call that
     needs them and kept for every later call on the same module, so a
-    sweep, the cocycle check and the descent share them.
+    sweep, the cocycle check and the descent share them.  So are Id, the
+    matrix of c = 0 that every `Mat(g) - Id` reads, and Mat(tau^c) for
+    each c < 0 asked, inverted once per module.
     """
     return module._tau_chain.mat(g.c)
 
@@ -322,17 +332,20 @@ def mat_of(module: PhiTauModule, g: GroupElem) -> MatSeries:
 class _TauChain:
     """The level matrices Mat(tau^(e p^i)) of one module, memoized by
     (i, e) for as long as the module lives, so every call builds each
-    level at most once, from the level below.  The chain keeps Mat(tau)
-    and the precision, not the module."""
+    level at most once, from the level below; and, by c, Id for c = 0 and
+    Mat(tau^c) for each c < 0 asked, so neither is built or inverted
+    twice.  The chain keeps Mat(tau) and the precision, not the module."""
 
     def __init__(self, mat_tau: MatSeries, prec: Fraction):
         self.d, self.p, self.cap, self.prec = mat_tau.d, mat_tau.p, mat_tau.cap, prec
         self.units = {(0, 1): mat_tau.truncate(prec)}
         self.top = 0  # the highest level whose generator Mat(tau^(p^i)) is built
+        self.nonpositive = {}  # Mat(tau^c) for c <= 0, by c
 
     def _compose(self, mat_a, a, mat_b):
-        """Mat(tau^(a+b)) = Mat(tau^a) * tau^a(Mat(tau^b))."""
-        return (mat_a * mat_b.act(galois.tau(a), self.prec)).truncate(self.prec)
+        """Mat(tau^(a+b)) = Mat(tau^a) * tau^a(Mat(tau^b)), cut at the
+        precision inside the product."""
+        return mat_a.mul(mat_b.act(galois.tau(a), self.prec), self.prec)
 
     def unit(self, i, e):
         """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply from
@@ -366,12 +379,17 @@ class _TauChain:
         bounds by K_ik + K_kj >= K_ij, make M (M X) cut at the precision
         equal to M X cut there, caps included, for every chain matrix X."""
         p, prec = self.p, self.prec
-        if c == 0:
-            return MatSeries.identity(self.d, p, self.cap, prec)
-        if c < 0:
-            # the chain's matrices are cut at prec, so tau^c commutes with
-            # the inverse (see `mat_of`)
-            return self.mat(-c).inverse(prec).act(galois.tau(c), prec)
+        if c <= 0:
+            val = self.nonpositive.get(c)
+            if val is None:
+                if c == 0:
+                    val = MatSeries.identity(self.d, p, self.cap, prec)
+                else:
+                    # the chain's matrices are cut at prec, so tau^c
+                    # commutes with the inverse (see `mat_of`)
+                    val = self.mat(-c).inverse(prec).act(galois.tau(c), prec)
+                self.nonpositive[c] = val
+            return val
         # acc = Mat(tau^n) for n the digits of c below level i
         acc, n = None, 0
         for i, e in enumerate(_digits(c, p)):
@@ -506,7 +524,7 @@ def _with_entry(m: MatSeries, i, j, x) -> MatSeries:
 def basechange_from_matrix(b: MatSeries, binv: MatSeries, prec) -> PhiTauModule:
     """Base-change module from an explicit B with known exact inverse."""
     frob = binv * b.frobenius()
-    mat_tau = (binv * b.act(galois.tau(1), Fraction(prec))).truncate(prec)
+    mat_tau = binv.mul(b.act(galois.tau(1), Fraction(prec)), prec)
     return make_module(frob, mat_tau, prec, lattice=binv, lattice_inv=b)
 
 
@@ -688,7 +706,7 @@ def _deviation(module: PhiTauModule, mat_g: MatSeries, c: int, r: int) -> Fracti
     O(.) cap sets vanished to precision and raises DegenerateOrbit: the
     `_certified_val` rule by which a `matrix_sh_test` sample vanishes,
     though there `holder.fit_levels` picks the error by level."""
-    diff = mat_g - MatSeries.identity(module.d, module.p, module.cap, module.prec)
+    diff = mat_g - module._tau_chain.mat(0)
     floor = diff.val_floor()
     if floor is None or floor >= r:
         return None
@@ -714,7 +732,7 @@ def descend_fixed_point(
     _radius(module, r)
     mat_g = mat_of(module, g)
     target_prec = Fraction(target_prec)
-    p, d, cap = module.p, module.d, module.cap
+    p, cap = module.p, module.cap
     prec = module.prec
     frob_mat = module.frob.truncate(prec)
 
@@ -734,15 +752,14 @@ def descend_fixed_point(
     if q_val <= 0:
         raise PreconditionViolated("Q_g is not topologically nilpotent")
     t_neg_r = ring.monomial(p, cap, 1, 0, -r)
-    ident = MatSeries.identity(d, p, cap, prec)
-    f0 = ((frob_mat * gp_inv) - ident).scale_series(t_neg_r)
+    f0 = ((frob_mat * gp_inv) - module._tau_chain.mat(0)).scale_series(t_neg_r)
 
     x = f0
     iterations = 0
     residual = None
     history = []
     while iterations < MAX_DESCENT_ITERATIONS:
-        nxt = f0 + (frob_mat * x.frobenius() * q_g).truncate(prec)
+        nxt = f0 + (frob_mat * x.frobenius()).mul(q_g, prec)
         delta = nxt - x
         residual = delta.val_floor()
         history.append(residual)
@@ -760,10 +777,8 @@ def descend_fixed_point(
 
 def descent_matches_direct(module, g, report: DescentReport, target_prec) -> bool:
     """Oracle: t^{-r} (Mat(g) - Id) equals the recovered H to target."""
-    p, cap, d = module.p, module.cap, module.d
-    ident = MatSeries.identity(d, p, cap, module.prec)
-    t_neg_r = ring.monomial(p, cap, 1, 0, -report.r)
-    direct = (mat_of(module, g) - ident).scale_series(t_neg_r)
+    t_neg_r = ring.monomial(module.p, module.cap, 1, 0, -report.r)
+    direct = (mat_of(module, g) - module._tau_chain.mat(0)).scale_series(t_neg_r)
     target_prec = Fraction(target_prec)
     # every known term of diff lies below the target, so a floor at the
     # target says diff vanishes there; a difference known only below the
@@ -799,8 +814,8 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     if plam is not None:
         plam = PPow.of(plam)
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
-    p, d = module.p, module.d
-    ident = MatSeries.identity(d, p, module.cap, module.prec)
+    p = module.p
+    ident = module._tau_chain.mat(0)
 
     def measure(g):
         return (_certified_val(mat_of(module, g) - ident),)
@@ -844,8 +859,9 @@ def module_sh_test(
         raise errors.CapExceeded(f"scaling by t^(1/p^{n}) needs denominator p^{n} > p^{cap}")
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     scalar = ring.one(p, cap) if n == 0 else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
-    # s Id, then the cut: Id cut first would cap s Id at prec + val(s)
-    scaled = MatSeries.identity(d, p, cap).scale_series(scalar).truncate(prec)
+    # s Id cut at prec: the cut after the scaling brings the caps of the
+    # module's Id, prec + val(s) once scaled, back to prec
+    scaled = module._tau_chain.mat(0).scale_series(scalar).truncate(prec)
     w_inv = module.lattice_inverse() if module.lattice is not None else None
 
     def measure(g):

@@ -34,11 +34,16 @@ products x_1*y_1 + ... + x_n*y_n in one dict and normalizes it once,
 under the least of the products' bounds.  Its terms and cap are those of
 the chained ``*`` and ``+``: each product keeps every key below its own
 bound, so below the least one, and coefficients add mod p either way.
-A product x*y is the one-pair `dot`.  An operand with no terms, the
-exact zero or a zero known modulo O(q), forms no term pair, but its cap
-still enters the least bound: 0 + O(q) times y is known below
-key0(y) + K.  Likewise a sum with a side that has no terms is the other
-side cut at that side's cap.
+It reads that least bound before it forms any product, and a term pair
+whose key reaches it is never formed.  A product x*y is the one-pair
+`dot`.  An operand with no terms, the exact zero or a zero known modulo
+O(q), forms no term pair, but its cap still enters the least bound:
+0 + O(q) times y is known below key0(y) + K.  Likewise a sum with a side
+that has no terms is the other side cut at that side's cap.
+
+Frobenius, its inverse and a monomial shift keep the order of the
+terms and keep them distinct, so they build the sorted terms directly,
+with no dict and no sort.
 """
 
 from __future__ import annotations
@@ -265,7 +270,17 @@ class PerfSeries:
         return self.scale(self.p - 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        """self + (-other) in one pass, with no negated copy of other."""
+        self._check_compatible(other)
+        if not other.terms:
+            return self.cut(other.bound)
+        if not self.terms:
+            return (-other).cut(self.bound)
+        acc = dict(self.terms)
+        get = acc.get
+        for m, c in other.terms:
+            acc[m] = get(m, 0) - c
+        return make_series(self.p, self.cap, acc, min_prec(self.bound, other.bound))
 
     def scale(self, c: int):
         """Multiply by a scalar in F_p."""
@@ -282,12 +297,19 @@ class PerfSeries:
         return dot(((self, other),))
 
     def mono_shift(self, mono: tuple[int, int], coeff: int = 1):
-        """Multiply by a single monomial coeff * mono (coeff a unit), mono
-        a (key, A) pair."""
-        coeff %= self.p
+        """Multiply by a single monomial coeff * mono, mono a (key, A)
+        pair: the product with the exact series coeff * mono, key bound
+        and all.  Adding a constant to every monomial keeps the terms
+        sorted and distinct, so they need no normalization; a coeff
+        divisible by p leaves no term."""
+        p = self.p
+        coeff %= p
         dk, da = mono
-        acc = {(k + dk, a + da): c * coeff for (k, a), c in self.terms}
-        return make_series(self.p, self.cap, acc, _plus(dk, self.bound))
+        bound = _plus(dk, self.bound)
+        if not coeff:
+            return PerfSeries(p, self.cap, bound, ())
+        terms = tuple(((k + dk, a + da), c * coeff % p) for (k, a), c in self.terms)
+        return PerfSeries(p, self.cap, bound, terms)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -342,20 +364,23 @@ def _lead_key(term):
 def dot(pairs, alternating=False, cut=None) -> PerfSeries:
     """The sum of products x_1*y_1 + ... + x_n*y_n over the (x, y) pairs,
     or the alternating sum x_1*y_1 - x_2*y_2 + ... with ``alternating``,
-    as in a cofactor expansion; at least one pair is needed.
+    as in a cofactor expansion; at least one pair is needed.  ``pairs``
+    may be any iterable, such as a `zip`: it is read once.
 
-    Every term product goes into one dict, normalized once by
-    `make_series` under the least of the products' key bounds
-    min(key0(x) + K_y, key0(y) + K_x).  The terms and cap are exactly
-    those of the chained products and sums: each product keeps every key
-    below its own bound, and coefficients add mod p either way.  A key
-    bound ``cut`` joins that least bound, so the result is
-    ``dot(pairs).cut(cut)`` with one normalization.
+    The result is known below the least of the products' key bounds
+    min(key0(x) + K_y, key0(y) + K_x), and below the key bound ``cut``
+    when one is given, so the result is ``dot(pairs).cut(cut)``.  That
+    least bound is read first, and a term pair whose key k1 + k2 reaches
+    it is never formed: the terms are sorted by key, so each inner loop
+    over y stops at the first such pair, and the loop over x stops once
+    x's key plus y's leading key reaches it.  The pairs below go into one
+    dict, normalized once by `make_series`.  The terms and cap are
+    exactly those of the chained products and sums: each product keeps
+    every key below its own bound, and coefficients add mod p either way.
     """
-    acc = {}
-    get = acc.get
     bound = cut
     p = cap = None
+    work = []  # (x terms, y terms, sign) of the pairs with terms on both sides
     sign = 1
     for x, y in pairs:
         if p is None:
@@ -375,15 +400,29 @@ def dot(pairs, alternating=False, cut=None) -> PerfSeries:
             if ky is not None and (bound is None or ky + bx < bound):
                 bound = ky + bx
         if xt and yt:
-            for (k1, a1), c1 in xt:
-                c1 *= sign
-                for (k2, a2), c2 in yt:
-                    m = (k1 + k2, a1 + a2)
-                    acc[m] = get(m, 0) + c1 * c2
+            work.append((xt, yt, sign))
         if alternating:
             sign = -sign
     if p is None:
         raise ValueError("dot needs at least one pair")
+    acc = {}
+    get = acc.get
+    for xt, yt, sign in work:
+        # an exact result keeps every pair: each key sum is below the
+        # last terms' keys plus one
+        top = bound if bound is not None else xt[-1][0][0] + yt[-1][0][0] + 1
+        y_lead = yt[0][0][0]
+        for (k1, a1), c1 in xt:
+            # the pairs kept are those with k2 < room
+            room = top - k1
+            if y_lead >= room:
+                break
+            c1 *= sign
+            for (k2, a2), c2 in yt:
+                if k2 >= room:
+                    break
+                m = (k1 + k2, a1 + a2)
+                acc[m] = get(m, 0) + c1 * c2
     return make_series(p, cap, acc, bound)
 
 
@@ -438,8 +477,9 @@ def t_var(p, cap=DEFAULT_DENOM_CAP):
 def frobenius(x: PerfSeries) -> PerfSeries:
     """Scale all exponents by p; coefficients are fixed since kappa = F_p."""
     p = x.p
-    acc = {(k * p, a * p): c for (k, a), c in x.terms}
-    return make_series(p, x.cap, acc, None if x.bound is None else x.bound * p)
+    # scaling both ints by p keeps the terms sorted and distinct
+    terms = tuple(((k * p, a * p), c) for (k, a), c in x.terms)
+    return PerfSeries(p, x.cap, None if x.bound is None else x.bound * p, terms)
 
 
 def frobenius_inv(x: PerfSeries) -> PerfSeries:
@@ -447,15 +487,16 @@ def frobenius_inv(x: PerfSeries) -> PerfSeries:
     cap.  The key bound K becomes ceil(K/p): a key >= K scales to one
     >= K/p, and keys are ints."""
     p, cap = x.p, x.cap
-    acc = {}
+    terms = []
     for m, c in x.terms:
         k, a = m
         # with p | A, p | B exactly when p | k
         if a % p or k % p:
             q = Fraction(a if a % p else mono_units(m, p)[1], p ** (cap + 1))
             raise CapExceeded(f"exponent {q} needs denominator p^{cap + 1} > p^{cap}")
-        acc[(k // p, a // p)] = c
-    return make_series(p, cap, acc, None if x.bound is None else -(-x.bound // p))
+        terms.append(((k // p, a // p), c))
+    # exact division by p keeps the terms sorted and distinct
+    return PerfSeries(p, cap, None if x.bound is None else -(-x.bound // p), tuple(terms))
 
 
 # -- inversion --------------------------------------------------------
@@ -502,7 +543,7 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
         neg_y = -y
         j_k = 0
         while j_k < top:
-            power = (power * neg_y).cut(top)
+            power = dot(((power, neg_y),), cut=top)
             if power.is_zero():
                 break
             acc = acc + power

@@ -343,14 +343,14 @@ def test_full_negative_module_caps(p):
 
 def count_products(monkeypatch, fn, *args):
     calls = []
-    mul = MatSeries.__mul__
+    mul = MatSeries.mul
 
-    def counting(a, b):
+    def counting(a, b, prec=None):
         calls.append(a)
-        return mul(a, b)
+        return mul(a, b, prec)
 
     with monkeypatch.context() as m:
-        m.setattr(MatSeries, "__mul__", counting)
+        m.setattr(MatSeries, "mul", counting)
         fn(*args)
     return len(calls)
 

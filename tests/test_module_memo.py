@@ -6,7 +6,8 @@ module (`dataclasses.replace`, which keeps the fields and none of the
 memo), series and O(.) caps alike.  The memo must not keep a module
 alive either: it refers to no module, so a module is freed by reference
 counting, also one that a CLI call loads.  And the calls of one command
-share the levels they build."""
+share the levels they build, the Id they subtract and the negative
+powers they invert."""
 
 import contextlib
 import dataclasses
@@ -17,7 +18,7 @@ import weakref
 
 import pytest
 
-from tilted import cli, galois, phitau
+from tilted import cli, galois, phitau, ring
 from tilted.errors import TiltedError
 
 PREC = 24
@@ -165,3 +166,72 @@ def test_module_check_shares_levels(module_file, monkeypatch):
         assert cli.dispatch(["module", "check", module_file]) == 0
     assert len(composes) == 2
 
+
+@pytest.fixture
+def twisted():
+    """An integral module on which descend(twisted, 12, c=-1) succeeds."""
+    return phitau.integral_twist(phitau.basechange_generate(2, seed=4, p=3, prec=PREC))
+
+
+@pytest.fixture
+def counted(monkeypatch, twisted):
+    """Counts of the matrix inversions, Id builds and chain compositions
+    made after `twisted` is built."""
+    counts = dict.fromkeys(("inverse", "identity", "compose"), 0)
+    for key, cls, name in (
+        ("inverse", phitau.MatSeries, "inverse"),
+        ("identity", phitau.MatSeries, "identity"),
+        ("compose", phitau._TauChain, "_compose"),
+    ):
+        fn = getattr(cls, name)
+
+        def counting(*args, fn=fn, key=key, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("c", [-1, -3, -5, 0])
+def test_nonpositive_powers_are_kept(c, twisted, counted):
+    first = phitau.mat_of(twisted, galois.tau(c))
+    built = dict(counted)
+    assert built["inverse" if c else "identity"] == 1
+    assert phitau.mat_of(twisted, galois.tau(c)) is first
+    assert counted == built
+
+
+def test_nonpositive_powers_match_their_definition():
+    for p in (2, 3, 5):
+        for name, mod in memo_modules(p).items():
+            prec = mod.prec
+            for c in (-1, -p, -(p + 2)):
+                want = phitau.mat_of(mod, galois.tau(-c)).inverse(prec).act(galois.tau(c), prec)
+                assert repr(phitau.mat_of(mod, galois.tau(c))) == repr(want), (name, c)
+            one, zero = ring.one(p, mod.cap).truncate(prec), ring.zero(p, mod.cap, prec)
+            ident = phitau.MatSeries.from_rows(
+                [[one if i == j else zero for j in range(mod.d)] for i in range(mod.d)]
+            )
+            assert repr(phitau.mat_of(mod, galois.tau(0))) == repr(ident), name
+
+
+def test_descend_inverts_negative_power_once(twisted, counted):
+    # P^-1 is built first, so every inversion left is the chain's: the
+    # fixed point and the direct check read one Mat(tau^-1)
+    assert phitau.integral_twist(twisted) is twisted
+    twisted._p_inverse
+    counted["inverse"] = 0
+    report, matches = phitau.descend(twisted, 12, c=-1)
+    assert report.reached and matches
+    assert counted["inverse"] == 1
+    assert counted["identity"] == 1
+
+
+def test_subtracting_id_builds_it_once_per_module(twisted, counted):
+    # the level search, the fixed point, the direct check and both sweeps
+    # subtract the module's one Id
+    phitau.descend(twisted, 12)
+    phitau.matrix_sh_test(twisted, 0, i_max=2)
+    phitau.module_sh_test(twisted, 0, n=1, i_max=2)
+    assert counted["identity"] == 1

@@ -75,15 +75,16 @@ def oracle_inverse(det, adj, prec):
 
 
 def count_products(monkeypatch):
-    """The list that every matrix product from now on appends to."""
+    """The list that every matrix product from now on appends to: `*`
+    and the chain's cut products both go through `MatSeries.mul`."""
     calls = []
-    mul = MatSeries.__mul__
+    mul = MatSeries.mul
 
-    def counting(a, b):
+    def counting(a, b, prec=None):
         calls.append(a)
-        return mul(a, b)
+        return mul(a, b, prec)
 
-    monkeypatch.setattr(MatSeries, "__mul__", counting)
+    monkeypatch.setattr(MatSeries, "mul", counting)
     return calls
 
 

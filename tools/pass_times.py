@@ -11,10 +11,14 @@ with no warm-up: pass 1 meets every input for the first time, and the
 later passes meet the same objects again, so they read whatever the
 library kept from pass 1.  For pass 1 and for the later passes the output
 gives the median in-process wall time over the runs, and the number of
-chain compositions (``phitau._TauChain._compose``) and matrix inversions
-(``phitau.MatSeries.inverse``) that one pass made; a range means that
-the later passes differ.  A workload whose operations never meet the
-same input twice shows no gap between the two rows.
+chain compositions (``phitau._TauChain._compose``), matrix inversions
+(``phitau.MatSeries.inverse``) and identity matrices built
+(``phitau.MatSeries.identity``) that one pass made; a range means that
+the later passes differ.  A module keeps its Id and each Mat(tau^c),
+c < 0, that it was asked for, so the later passes of ``module`` build
+no identity and invert only what no module keeps.  A workload whose
+operations never meet the same input twice shows no gap between the two
+rows.
 
 The library and the benchmark code are imported from the tree named by
 ``--tree`` (default: the tree this script sits in), as by
@@ -35,7 +39,11 @@ sys.dont_write_bytecode = True
 
 from op_digest import WORKLOADS, load_bench  # noqa: E402  (sibling script)
 
-COUNTED = (("compose", "_TauChain", "_compose"), ("inverse", "MatSeries", "inverse"))
+COUNTED = (
+    ("compose", "_TauChain", "_compose"),
+    ("inverse", "MatSeries", "inverse"),
+    ("identity", "MatSeries", "identity"),
+)
 
 
 def counting(cls, name, counts, key):
