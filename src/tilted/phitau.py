@@ -272,11 +272,19 @@ def _check_pure_t(mat: MatSeries):
 def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None):
     """The module, checked: P has pure-t integer exponents and a dominant
     leading determinant, the cocycle holds for tau, and prec > 0 (at
-    prec <= 0 nothing of Mat(tau) is known, so every check is vacuous)."""
+    prec <= 0 nothing of Mat(tau) is known, so every check is vacuous).
+    P, Mat(tau), W and W^-1, when given, must be d x d for d >= 1 the
+    number of P's rows, with entries over P's p and cap: else ValueError."""
     if Fraction(prec) <= 0:
         raise ValueError(f"module precision must be > 0, got prec={prec}")
-    d = frob.d
+    d = len(frob.rows)
+    mats = [m for m in (frob, mat_tau, lattice, lattice_inv) if m is not None]
+    rows = [r for m in mats for r in m.rows]
+    if not d or any(m.d != d or len(m.rows) != d for m in mats) or any(len(r) != d for r in rows):
+        raise ValueError(f"P, Mat(tau) and the lattice must be d x d for P's d={d} >= 1")
     p, cap = frob.p, frob.cap
+    if any(e.p != p or e.cap != cap for r in rows for e in r):
+        raise ValueError(f"every matrix entry must be over P's p={p} and cap={cap}")
     _check_pure_t(frob)
     mod = PhiTauModule(d, p, cap, Fraction(prec), frob, mat_tau, lattice, lattice_inv)
     # etaleness: dominant-leading determinant
@@ -302,8 +310,9 @@ def mat_of(module: PhiTauModule, g: GroupElem) -> MatSeries:
     and the step e = p is the next level's generator.  In characteristic
     p, (1+u)^(p^i) = 1 + u^(p^i), so Mat(tau^(p^i)) - Id gains valuation
     at every level and tau^(e p^i) acts on an entry through a sparse
-    Lucas expansion; a binary chain's Mat(tau^2), Mat(tau^4), ... gain
-    neither.  The digits combine from the lowest level up.
+    Lucas expansion.  The digits combine from the lowest level up, and c
+    is read only below the first generator M that every higher level
+    equals: the digits above it fold into one composition with M.
 
     A negative c takes Mat(tau^c) = tau^c(Mat(tau^(-c))^{-1}): the inverse
     of the positive power, then the action, which skips the minors of the
@@ -349,19 +358,10 @@ class _TauChain:
 
     def unit(self, i, e):
         """Mat(tau^(e p^i)) for 1 <= e <= p, by square-and-multiply from
-        level i's generator.  The missing generators Mat(tau^(p^(j+1))) =
-        unit(j, p) are built in a loop, up from the highest level built, so
-        no recursion depth bounds i.  It stops at a generator for which
-        `_is_fixed` holds: every level above it is that matrix."""
-        p = self.p
-        while self.top < i:
-            top = self.units[self.top, 1]
-            if _is_fixed(top):
-                return top
-            self.units[self.top + 1, 1] = self.unit(self.top, p)
-            self.top += 1
+        level i's generator, which `mat` has built."""
         key = (i, e)
         if key not in self.units:
+            p = self.p
             if e % 2:
                 val = self._compose(self.unit(i, e - 1), (e - 1) * p**i, self.units[i, 1])
             else:
@@ -373,11 +373,16 @@ class _TauChain:
     def mat(self, c):
         """Mat(tau^c), to the module's precision.
 
-        The digits at the levels above a fixed generator M fold into one
-        composition, Mat(tau^c) = M tau^(c-n)(Mat(tau^n)) for n the digits
-        below them: tau fixes M, and the caps of M, which `_is_fixed`
-        bounds by K_ik + K_kj >= K_ij, make M (M X) cut at the precision
-        equal to M X cut there, caps included, for every chain matrix X."""
+        The generators Mat(tau^(p^(j+1))) = unit(j, p) are built first, in
+        a loop up from the highest level built, so no recursion depth
+        bounds c.  The loop stops at the level of c's leading digit, or at
+        a generator M for which `_is_fixed` holds: every level above M is
+        M.  Then c is read only as n = c mod p^(top+1): its digits compose
+        from the lowest level up, and the digits above fold into one
+        composition, Mat(tau^c) = M tau^(c-n)(Mat(tau^n)): tau fixes M,
+        and the caps of M, which `_is_fixed` bounds by K_ik + K_kj >= K_ij,
+        make M (M X) cut at the precision equal to M X cut there, caps
+        included, for every chain matrix X."""
         p, prec = self.p, self.prec
         if c <= 0:
             val = self.nonpositive.get(c)
@@ -390,43 +395,24 @@ class _TauChain:
                     val = self.mat(-c).inverse(prec).act(galois.tau(c), prec)
                 self.nonpositive[c] = val
             return val
-        # acc = Mat(tau^n) for n the digits of c below level i
-        acc, n = None, 0
-        for i, e in enumerate(_digits(c, p)):
+        place = p ** (self.top + 1)
+        while place <= c and not _is_fixed(self.units[self.top, 1]):
+            self.units[self.top + 1, 1] = self.unit(self.top, p)
+            self.top += 1
+            place *= p
+        low = c % place
+        # acc = Mat(tau^n) for n the digits of low below level i
+        acc, rest, i = None, low, 0
+        while rest:
+            rest, e = divmod(rest, p)
             if e:
                 high = self.unit(i, e)
-                if i > self.top:  # high is the fixed generator
-                    return high if acc is None else self._compose(high, c - n, acc)
-                step = e * p**i
-                acc = high if acc is None else self._compose(high, step, acc)
-                n += step
-        return acc
-
-
-def _digits(c: int, p: int) -> list[int]:
-    """The base-p digits of c > 0, lowest first, up to the leading one.
-    c is halved on p^(2^j), from the largest such power below it down,
-    where one divmod per digit would be quadratic in their number."""
-    powers = [p]
-    while powers[-1] <= c:
-        powers.append(powers[-1] ** 2)
-    digits = []
-
-    def split(n, j):
-        # append the 2^j digits of n < p^(2^j), lowest first
-        if not j:
-            digits.append(n)
-        elif not n:
-            digits.extend([0] * 2**j)
-        else:
-            high, low = divmod(n, powers[j - 1])
-            split(low, j - 1)
-            split(high, j - 1)
-
-    split(c, len(powers) - 1)
-    while not digits[-1]:
-        digits.pop()
-    return digits
+                acc = high if acc is None else self._compose(high, e * p**i, acc)
+            i += 1
+        if low == c:
+            return acc
+        fixed = self.units[self.top, 1]
+        return fixed if acc is None else self._compose(fixed, c - low, acc)
 
 
 def _is_fixed(mat: MatSeries) -> bool:

@@ -237,9 +237,7 @@ class PerfSeries:
         """A certified lower bound for the valuation: the exact valuation
         for a nonzero series, prec for a series with no known terms, and
         None (= +infinity) for the exact zero."""
-        if self.terms:
-            return mono_val(self.terms[0][0], self.p, self.cap)
-        return self.prec
+        return bound_prec(self.key_floor(), self.p, self.cap)
 
     def key_floor(self) -> int | None:
         """`val_floor` as a key: the leading key, the key bound for a
@@ -254,33 +252,28 @@ class PerfSeries:
         if self.p != other.p or self.cap != other.cap:
             raise ValueError("series have different p or denominator cap")
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        """self + sign * other in one pass, with no scaled copy of other;
+        a side with no terms adds only its cap."""
         self._check_compatible(other)
-        # a side with no terms adds only its cap
-        if not self.terms:
-            return other.cut(self.bound)
         if not other.terms:
             return self.cut(other.bound)
+        if not self.terms:
+            return other.scale(sign).cut(self.bound)
         acc = dict(self.terms)
+        get = acc.get
         for m, c in other.terms:
-            acc[m] = acc.get(m, 0) + c
+            acc[m] = get(m, 0) + sign * c
         return make_series(self.p, self.cap, acc, min_prec(self.bound, other.bound))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
         return self.scale(self.p - 1)
 
     def __sub__(self, other):
-        """self + (-other) in one pass, with no negated copy of other."""
-        self._check_compatible(other)
-        if not other.terms:
-            return self.cut(other.bound)
-        if not self.terms:
-            return (-other).cut(self.bound)
-        acc = dict(self.terms)
-        get = acc.get
-        for m, c in other.terms:
-            acc[m] = get(m, 0) - c
-        return make_series(self.p, self.cap, acc, min_prec(self.bound, other.bound))
+        return self._plus(other, -1)
 
     def scale(self, c: int):
         """Multiply by a scalar in F_p."""

@@ -2,12 +2,12 @@
 it replaced, kept here as the oracle: every Mat(tau^c) must have the same
 repr, terms and O(.) caps alike, and the chain may take no more matrix
 products where the sweeps ask for Mat(g), at g = tau^(m p^j).  The
-chain builds its levels in a loop and stops at a generator that is its
-own product; the recursive chain it replaced is kept here too, and every
-level matrix must match it, also past that generator.  It reads c's
-base-p digits from a split that halves c; the divmod loop it replaced is
-the oracle.  It folds the digits above a fixed generator into one
-composition; the digit-by-digit product it replaced is the oracle.
+chain's `mat` builds the level generators in one loop and stops at a
+generator that is its own product; the recursive chain is kept here too,
+and every level matrix must match it, also past that generator.  `mat`
+reads c only below that generator and folds the digits above it into one
+composition; the oracle is the chain whose `unit` built the generators,
+with one composition per nonzero divmod digit of c.
 
 The chain inverts Mat(tau^n) before it applies tau^(-n); the oracle
 applies tau^(-n) first, as the chain once did, and the equivariance
@@ -72,7 +72,32 @@ class RecursiveChain(phitau._TauChain):
         return self.units[key]
 
 
-class DigitChain(phitau._TauChain):
+class LoopChain(phitau._TauChain):
+    """The chain as it was before `mat` built the generators: unit(i, e)
+    builds the missing generators Mat(tau^(p^(j+1))) = unit(j, p) in a
+    loop, up from the highest level built, and stops at a fixed generator,
+    which it returns for every level above it."""
+
+    def unit(self, i, e):
+        while self.top < i:
+            top = self.units[self.top, 1]
+            if phitau._is_fixed(top):
+                return top
+            self.units[self.top + 1, 1] = self.unit(self.top, self.p)
+            self.top += 1
+        return super().unit(i, e)
+
+
+def oracle_digits(c, p):
+    """c's base-p digits, lowest first, by one divmod per digit."""
+    digits = []
+    while c:
+        c, e = divmod(c, p)
+        digits.append(e)
+    return digits
+
+
+class DigitChain(LoopChain):
     """The chain as it was before the digits above a fixed generator were
     folded: one composition per nonzero digit of c."""
 
@@ -80,7 +105,7 @@ class DigitChain(phitau._TauChain):
         if c <= 0:
             return super().mat(c)
         acc = None
-        for i, e in enumerate(phitau._digits(c, self.p)):
+        for i, e in enumerate(oracle_digits(c, self.p)):
             if e:
                 high = self.unit(i, e)
                 acc = high if acc is None else self._compose(high, e * self.p**i, acc)
@@ -195,7 +220,7 @@ def test_level_loop_matches_recursive_chain(p):
         chain = phitau._TauChain(mod.mat_tau, mod.prec)
         oracle = RecursiveChain(mod.mat_tau, mod.prec)
         for i, e in keys:
-            assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
+            assert repr(chain.mat(e * p**i)) == repr(oracle.unit(i, e)), (name, i, e)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -211,8 +236,8 @@ def test_chain_stops_at_a_fixed_generator(p):
         top = next(i for i in range(20) if phitau._is_fixed(oracle.unit(i, 1)))
         for i in range(top + 11):
             for e in range(1, p + 1):
-                assert repr(chain.unit(i, e)) == repr(oracle.unit(i, e)), (name, i, e)
-        assert chain.unit(10**6, 1) is chain.unit(top, 1)
+                assert repr(chain.mat(e * p**i)) == repr(oracle.unit(i, e)), (name, i, e)
+        assert chain.mat(p ** 10**6) is chain.mat(p**top)
         assert chain.top == top, name
 
 
@@ -265,27 +290,8 @@ def test_one_composition_above_the_fixed_level(monkeypatch):
     for c in cs:
         composes.clear()
         phitau.mat_of(mod, galois.tau(c))
-        below = sum(1 for e in phitau._digits(c, 3)[: chain.top + 1] if e)
+        below = sum(1 for e in oracle_digits(c, 3)[: chain.top + 1] if e)
         assert len(composes) == below <= chain.top + 1, c
-
-
-def oracle_digits(c, p):
-    """c's base-p digits, lowest first, by one divmod per digit."""
-    digits = []
-    while c:
-        c, e = divmod(c, p)
-        digits.append(e)
-    return digits
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_digit_split_matches_divmod(p):
-    # the chain reads the same digits, so it makes the same compositions
-    rng = random.Random(p)
-    cases = [1, p - 1, p, p**64 - 1, p**64, 3**500, 2 * p**1000]
-    cases += [rng.getrandbits(rng.randint(1, 3000)) | 1 for _ in range(200)]
-    for c in cases:
-        assert phitau._digits(c, p) == oracle_digits(c, p), c
 
 
 def _capped_identity(rng, p, d):

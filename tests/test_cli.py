@@ -495,7 +495,7 @@ class TestHostileArgv:
             (["module", "sh", "@d2", "--k", "3000", "--imax", "2"], 2),
             # the chain stops at its fixed generator, far below level 30000
             (["module", "sh", "@d2", "--k", "30000", "--imax", "2"], 2),
-            # c's 300001 base-3 digits come from halving c, not one divmod each
+            # c is read only below the fixed generator, not by its 300001 digits
             (["module", "sh", "@d2", "--k", "300000", "--imax", "2"], 2),
             # refused before p^100000 is built
             (["module", "sh", "@d2", "--n", "100000"], 2),

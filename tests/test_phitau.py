@@ -12,6 +12,7 @@ from tilted.phitau import MatSeries
 
 P = 3
 CAP = 6
+I2 = MatSeries.identity(2, P)
 
 
 def s(text):
@@ -175,6 +176,27 @@ class TestModuleConstruction:
         tau_m = MatSeries.from_rows([[s("1+u*t")]])
         with pytest.raises(PreconditionViolated):
             phitau.make_module(frob, tau_m, 12)
+
+    # unchecked, a 3 x 3 or ragged Mat(tau) on a d = 2 module PASSes the
+    # cocycle check on what `zip` keeps of it, a 3 x 3 lattice and an
+    # empty P end in IndexError, and another p or cap fails only inside a
+    # later product
+    @pytest.mark.parametrize(
+        "frob, tau_m, lattices, match",
+        [
+            (I2, MatSeries.identity(3, P), (), "d x d"),
+            (I2, I2, (MatSeries.identity(3, P),), "d x d"),
+            (I2, I2, (I2, MatSeries.identity(1, P)), "d x d"),
+            (I2, MatSeries.from_rows([[s("1"), s("0")], [s("1")]]), (), "d x d"),
+            (MatSeries.from_rows([]), MatSeries.from_rows([]), (), "d=0"),
+            (I2, MatSeries.identity(2, 5), (), "p=3"),
+            (I2, MatSeries.identity(2, P, CAP - 1), (), "cap=6"),
+        ],
+        ids=["tau 3x3", "lattice 3x3", "inverse 1x1", "ragged tau", "d=0", "p=5", "cap-1"],
+    )
+    def test_rejects_mismatched_shapes(self, frob, tau_m, lattices, match):
+        with pytest.raises(ValueError, match=match):
+            phitau.make_module(frob, tau_m, 12, *lattices)
 
 
 class TestCocycle:
