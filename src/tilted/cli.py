@@ -16,9 +16,10 @@ which raises ValueError or ParseError (exit 3): p and cap in
 any work (`newton` checks its own p), and the fit horizon, three levels
 (--imax >= 2), in `holder.check_fit_horizon`, run by `holder.fit_levels`.
 
-Output is JSON on stdout with a "schema" field; rationals are rendered
-as "a/b" strings so that results are exact and byte-stable.  The
-environment variable TILTED_SEED overrides any --seed argument.
+Every series command (eval, val, act, sh-test, sh-estimate, deperfect)
+reads its x through `_series`, which cuts it at --prec.  Output is JSON
+on stdout with a "schema" field; rationals are rendered as "a/b" strings
+so that results are exact and byte-stable.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -95,7 +95,7 @@ def parse_ppow(text: str) -> PPow:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
+    sys.stdout.write(json.dumps({"schema": SCHEMA, **obj}) + "\n")
 
 
 def _series_obj(x) -> dict:
@@ -129,6 +129,30 @@ def _add_ring_args(sub, prec_default=None):
     )
 
 
+def _command(sub, name, run, help):
+    """The parser of the command `name`, whose body `dispatch` calls as
+    `run(args)`."""
+    s = sub.add_parser(name, help=help)
+    s.set_defaults(run=run)
+    return s
+
+
+def _series_parser(sub, name, run, help, *first):
+    """The parser of a series command: the positionals `first`, each a
+    (name, help) pair, then x and the ring options."""
+    s = _command(sub, name, run, help)
+    for dest, text in first:
+        s.add_argument(dest, help=text)
+    s.add_argument("x")
+    _add_ring_args(s)
+    return s
+
+
+def _series(args):
+    """The x of a series command, cut at --prec."""
+    return ring.parse_series(args.x, args.p, args.cap).truncate(args.prec)
+
+
 def _family(args) -> SubgroupFamily:
     kind = FamilyKind.TAU if args.family == "tau" else FamilyKind.GAMMA
     return SubgroupFamily(kind, args.k)
@@ -149,22 +173,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tilted")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("eval", help="parse a series and print its canonical form")
-    s.add_argument("x")
-    _add_ring_args(s)
+    _series_parser(sub, "eval", _cmd_eval, "parse a series and print its canonical form")
+    _series_parser(sub, "val", _cmd_val, "valuation of a series")
+    _series_parser(
+        sub, "act", _cmd_act, "apply a group element to a series",
+        ("g", 'group element, e.g. "tau^2*gamma_4"'),
+    )
 
-    s = sub.add_parser("val", help="valuation of a series")
-    s.add_argument("x")
-    _add_ring_args(s)
-
-    s = sub.add_parser("act", help="apply a group element to a series")
-    s.add_argument("g", help='group element, e.g. "tau^2*gamma_4"')
-    s.add_argument("x")
-    _add_ring_args(s)
-
-    s = sub.add_parser("sh-test", help="certify a continuity bound on an orbit")
-    s.add_argument("x")
-    _add_ring_args(s)
+    s = _series_parser(sub, "sh-test", _cmd_sh_test, "certify a continuity bound on an orbit")
     s.add_argument("--family", choices=("tau", "gamma"), default="tau")
     s.add_argument("--k", type=int, default=0, help="base subgroup level")
     s.add_argument("--plambda", required=True, help='exponent, e.g. "3/2" or "3/2*p^{1/2}"')
@@ -175,49 +191,44 @@ def _build_parser() -> _Parser:
         help="look for a nonmembership witness instead of certifying",
     )
 
-    s = sub.add_parser("sh-estimate", help="fit the orbit exponent from level minima")
-    s.add_argument("x")
-    _add_ring_args(s)
+    s = _series_parser(sub, "sh-estimate", _cmd_sh_estimate, "fit the orbit exponent from level minima")
     s.add_argument("--family", choices=("tau", "gamma"), default="tau")
     s.add_argument("--k", type=int, default=0)
     s.add_argument("--imax", type=int, default=3)
 
-    s = sub.add_parser("deperfect", help="least Frobenius power landing in kappa((t))")
-    s.add_argument("x")
-    _add_ring_args(s)
+    _series_parser(sub, "deperfect", _cmd_deperfect, "least Frobenius power landing in kappa((t))")
 
     m = sub.add_parser("module", help="(phi,tau)-module operations")
     msub = m.add_subparsers(dest="module_command", required=True)
 
-    s = msub.add_parser("gen", help="generate a base-change test module")
+    s = _command(msub, "gen", _cmd_module_gen, "generate a base-change test module")
     s.add_argument("--d", type=int, default=2)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--complexity", type=int, default=2)
     _add_ring_args(s, prec_default=Fraction(24))
     s.add_argument("--out", help="write the module file here instead of stdout")
 
-    s = msub.add_parser("check", help="verify the cocycle identity")
+    s = _command(msub, "check", _cmd_module_check, "verify the cocycle identity")
     s.add_argument("file")
     s.add_argument("--c", type=int, action="append", help="tau powers to test (repeatable)")
 
-    s = msub.add_parser("descend", help="recover Mat(g) = Id + t^r H by iteration")
+    s = _command(msub, "descend", _cmd_module_descend, "recover Mat(g) = Id + t^r H by iteration")
     s.add_argument("file")
     s.add_argument("--c", type=int, help="tau power (default: minimal adequate level)")
     s.add_argument("--r", type=int, help="radius (default: minimal adequate)")
     s.add_argument("--target", type=_fraction, default=Fraction(12))
 
-    s = msub.add_parser("sh", help="orbit exponents of the basis vectors")
+    s = _command(msub, "sh", _cmd_module_sh, "orbit exponents of the basis vectors")
     s.add_argument("file")
     s.add_argument("--k", type=int, default=0)
     s.add_argument("--n", type=int, default=0, help="scale coordinates by t^(1/p^n)")
     s.add_argument("--imax", type=int, default=2)
 
-    s = sub.add_parser("newton", help="Newton polygon of a Kummer tower step")
+    s = _command(sub, "newton", _cmd_newton, "Newton polygon of a Kummer tower step")
     s.add_argument("--p", type=int, default=3)
     s.add_argument("--eK", type=int, default=1)
     s.add_argument("--n", type=int, default=0)
 
-    s = sub.add_parser("selftest", help="run the acceptance criteria")
+    s = _command(sub, "selftest", _cmd_selftest, "run the acceptance criteria")
     s.add_argument("--only", action="append", help="criterion identifier (repeatable)")
 
     return parser
@@ -227,34 +238,30 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_eval(args) -> int:
-    x = ring.parse_series(args.x, args.p, args.cap).truncate(args.prec)
-    _emit({"schema": SCHEMA, **_series_obj(x)})
+    _emit(_series_obj(_series(args)))
     return EXIT_OK
 
 
 def _cmd_val(args) -> int:
-    x = ring.parse_series(args.x, args.p, args.cap).truncate(args.prec)
-    _emit({"schema": SCHEMA, "val": _frac(x.val()), "floor": _frac(x.val_floor())})
+    x = _series(args)
+    _emit({"val": _frac(x.val()), "floor": _frac(x.val_floor())})
     return EXIT_OK
 
 
 def _cmd_act(args) -> int:
-    x = ring.parse_series(args.x, args.p, args.cap)
-    g = parse_group(args.g)
-    y = galois.act(g, x, args.prec)
-    _emit({"schema": SCHEMA, **_series_obj(y)})
+    x = _series(args)
+    _emit(_series_obj(galois.act(parse_group(args.g), x)))
     return EXIT_OK
 
 
 def _cmd_sh_test(args) -> int:
-    x = ring.parse_series(args.x, args.p, args.cap).truncate(args.prec)
+    x = _series(args)
     fam = _family(args)
     plam = parse_ppow(args.plambda)
     if args.refute:
         rep = holder.nonmembership_witness(x, fam, plam, args.imax)
         _emit(
             {
-                "schema": SCHEMA,
                 "refuted": rep.refuted,
                 "levels": [_frac(v) for v in rep.levels],
                 "plambda": _ppow(rep.plam),
@@ -266,7 +273,6 @@ def _cmd_sh_test(args) -> int:
     verdict = holder.sh_test(x, fam, plam, args.mu, args.imax)
     _emit(
         {
-            "schema": SCHEMA,
             "status": verdict.status.value,
             "margins": [
                 {
@@ -284,11 +290,9 @@ def _cmd_sh_test(args) -> int:
 
 
 def _cmd_sh_estimate(args) -> int:
-    x = ring.parse_series(args.x, args.p, args.cap).truncate(args.prec)
-    est = holder.sh_estimate(x, _family(args), args.imax)
+    est = holder.sh_estimate(_series(args), _family(args), args.imax)
     _emit(
         {
-            "schema": SCHEMA,
             "plambda_hat": _frac(est.plam_hat),
             "mu_hat": _frac(est.mu_hat),
             "consistent": est.consistent,
@@ -299,23 +303,17 @@ def _cmd_sh_estimate(args) -> int:
 
 
 def _cmd_deperfect(args) -> int:
-    x = ring.parse_series(args.x, args.p, args.cap)
-    level = holder.deperfection_level(x)
-    _emit({"schema": SCHEMA, "level": level})
+    _emit({"level": holder.deperfection_level(_series(args))})
     return EXIT_OK
 
 
 def _cmd_module_gen(args) -> int:
-    seed = int(os.environ.get("TILTED_SEED", args.seed))
-    mod = phitau.basechange_generate(
-        args.d, seed=seed, complexity=args.complexity, p=args.p,
-        cap=args.cap, prec=args.prec,
-    )
+    mod = phitau.basechange_generate(args.d, seed=args.seed, p=args.p, cap=args.cap, prec=args.prec)
     text = phitau.module_to_text(mod)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-        _emit({"schema": SCHEMA, "out": args.out, "d": mod.d, "p": mod.p, "seed": seed})
+        _emit({"out": args.out, "d": mod.d, "p": mod.p, "seed": args.seed})
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -335,7 +333,7 @@ def _cmd_module_check(args) -> int:
         ok, floor = phitau.cocycle_check(mod, galois.tau(c))
         results.append({"c": c, "ok": ok, "residual_floor": _frac(floor)})
         all_ok = all_ok and ok
-    _emit({"schema": SCHEMA, "ok": all_ok, "checks": results})
+    _emit({"ok": all_ok, "checks": results})
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
@@ -350,7 +348,6 @@ def _cmd_module_descend(args) -> int:
         )
     _emit(
         {
-            "schema": SCHEMA,
             "r": rep.r,
             "c": rep.c,
             "iterations": rep.iterations,
@@ -390,7 +387,7 @@ def _cmd_module_sh(args) -> int:
                 "lattice_fit": _fit(rep.tilde_fit),
             }
         )
-    _emit({"schema": SCHEMA, "consistent": consistent, "vectors": out})
+    _emit({"consistent": consistent, "vectors": out})
     return EXIT_OK if consistent else EXIT_INCONCLUSIVE
 
 
@@ -398,7 +395,6 @@ def _cmd_newton(args) -> int:
     ok, slope, polygon = newton.verify_elementary(args.p, args.eK, args.n)
     _emit(
         {
-            "schema": SCHEMA,
             "elementary": ok,
             "slope": _frac(slope),
             "expected_slope": _frac(
@@ -418,7 +414,6 @@ def _cmd_selftest(args) -> int:
     results = selftest.run(set(args.only) if args.only else None)
     _emit(
         {
-            "schema": SCHEMA,
             "passed": all(r.passed for r in results),
             "results": [
                 {"id": r.ident, "title": r.title, "passed": r.passed, "detail": r.detail}
@@ -429,25 +424,6 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "val": _cmd_val,
-    "act": _cmd_act,
-    "sh-test": _cmd_sh_test,
-    "sh-estimate": _cmd_sh_estimate,
-    "deperfect": _cmd_deperfect,
-    "newton": _cmd_newton,
-    "selftest": _cmd_selftest,
-}
-
-_MODULE_COMMANDS = {
-    "gen": _cmd_module_gen,
-    "check": _cmd_module_check,
-    "descend": _cmd_module_descend,
-    "sh": _cmd_module_sh,
-}
-
-
 def dispatch(argv) -> int:
     parser = _build_parser()
     try:
@@ -456,9 +432,7 @@ def dispatch(argv) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     try:
-        if args.command == "module":
-            return _MODULE_COMMANDS[args.module_command](args)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (ParseError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -163,6 +163,13 @@ class TestShCommands:
         code, obj = run_json(capsys, "deperfect", "t^{1/9}")
         assert code == 0 and obj["level"] == 2
 
+    def test_deperfect_cuts_at_prec(self, capsys):
+        # x is cut at --prec as in every series command: both terms lie at
+        # valuation >= 1, so x is O(1), as `eval` prints it
+        argv = ["t + t^{10/9}", "--prec", "1"]
+        assert run_json(capsys, "eval", *argv)[1]["series"] == "O(1)"
+        assert run_json(capsys, "deperfect", *argv) == (0, {"schema": 1, "level": 0})
+
 
 class TestModuleCommands:
     @pytest.fixture
@@ -179,8 +186,8 @@ class TestModuleCommands:
         assert code == 0
         assert out.startswith("p=3 d=1 prec=24 cap=6\n[P]\n")
 
-    def test_seed_env_override(self, capsys, monkeypatch):
-        _, base, _ = run(capsys, "module", "gen", "--d", "1", "--seed", "3")
+    def test_seed_is_read_from_argv_only(self, capsys, monkeypatch):
+        _, base, _ = run(capsys, "module", "gen", "--d", "1", "--seed", "0")
         monkeypatch.setenv("TILTED_SEED", "3")
         _, out, _ = run(capsys, "module", "gen", "--d", "1", "--seed", "0")
         assert out == base
@@ -310,6 +317,15 @@ class TestModuleCommands:
                     assert out == "" and err.startswith("inconclusive:"), (d, seed, err)
                 codes[d, seed] = code
         assert codes[1, 1] == 2 and set(codes.values()) == {0, 2}
+
+    def test_sh_column_known_only_to_its_cap_is_exit_2(self, capsys, tmp_path):
+        # at level 2 a lattice column is (O(5), u^{3}*t^{4/3} + O(19/3)):
+        # only >= 5 is certified, so nothing is fitted at 35/6
+        path = str(tmp_path / "m.mod")
+        run(capsys, "module", "gen", "--d", "2", "--seed", "5", "--p", "3", "--prec", "6", "--out", path)
+        code, out, err = run(capsys, "module", "sh", path, "--n", "1")
+        assert (code, out) == (2, "")
+        assert err == "inconclusive: orbit differences vanish to precision at level 2 of 0..2\n"
 
 
 class TestZeroDenominators:
@@ -471,6 +487,11 @@ class TestHostileArgv:
             "prec2": phitau.module_to_text(phitau.basechange_generate(2, seed=0, prec=2)),
             "prec0": "p=3 d=1 prec=0 cap=6\n[P]\n1\n[tau]\n1\n",
             "d2": phitau.module_to_text(phitau.basechange_generate(2, seed=4)),
+            # identity P and Mat(tau) at d = 24: a determinant has 2^24 minors
+            "d24": "p=3 d=24 prec=24 cap=6\n" + "".join(
+                f"[{name}]\n" + "".join("1\n" if i % 25 == 0 else "0\n" for i in range(24 * 24))
+                for name in ("P", "tau")
+            ),
         }
         for name, text in texts.items():
             (root / f"{name}.mod").write_text(text)
@@ -484,6 +505,10 @@ class TestHostileArgv:
             (["act", "gamma_2", "u^{-1}+O(1)"], 2),
             (["module", "descend", "@prec2"], 2),
             (["module", "gen", "--prec", "0"], 3),
+            (["module", "gen", "--complexity", "2"], 3),
+            # refused before a d x d matrix or 2^d minors are formed
+            (["module", "gen", "--d", "24"], 3),
+            (["module", "check", "@d24"], 3),
             (["module", "check", "@prec0"], 3),
             (["sh-test", "t", "--plambda", "3/2*p^{1/2", "--mu", "0"], 3),
             (["sh-test", "t", "--plambda", "3/2*p^1/2}", "--mu", "0"], 3),

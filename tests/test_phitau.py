@@ -158,6 +158,24 @@ class TestModuleConstruction:
         with pytest.raises(ValueError, match=f"p={p}" if cap == 6 else "cap"):
             phitau.basechange_generate(1, 0, p=p, cap=cap)
 
+    @pytest.mark.parametrize(
+        "d, complexity, match",
+        [(0, 2, "d=0"), (phitau.MAX_DIM + 1, 2, "d=13"), (2, -1, "got -1"), (2, phitau.MAX_COMPLEXITY + 1, "got 21")],
+    )
+    def test_generate_rejects_sizes_that_cannot_finish(self, d, complexity, match):
+        with pytest.raises(ValueError, match=match):
+            phitau.basechange_generate(d, 0, complexity=complexity)
+
+    def test_largest_sizes_generate(self):
+        mod = phitau.basechange_generate(phitau.MAX_DIM, 0, complexity=phitau.MAX_COMPLEXITY)
+        assert mod.d == phitau.MAX_DIM
+
+    @pytest.mark.parametrize("method", [MatSeries.det, MatSeries.adjugate, MatSeries.inverse])
+    def test_minors_refuse_a_dimension_above_the_cap(self, method):
+        # 2^13 column masks are refused before they are laid out
+        with pytest.raises(ValueError, match="dimension must be 1..12, got d=13"):
+            method(MatSeries.identity(phitau.MAX_DIM + 1, P))
+
     def test_closed_form_frobenius(self, mod_1pt):
         assert ring.eq_to_prec(mod_1pt.frob.rows[0][0], s("1+2*t+t^{2}"))
 
@@ -501,6 +519,16 @@ class TestModuleSh:
         # levels 0 and 1 moved, so precision ran out: not a degenerate orbit
         with pytest.raises(PrecisionRequired, match="vanish to precision at level 2 of 0..2"):
             phitau.matrix_sh_test(mod, 0, i_max=2)
+
+    def test_column_capped_below_its_known_terms(self):
+        # the lattice column of j = 1 at level 2 of this sweep: its known
+        # term has valuation 35/6, but O(5) certifies only >= 5
+        col = (s("O(5)"), s("u^{3}*t^{4/3} + O(19/3)"))
+        assert phitau.v_tau(col) == Fraction(35, 6)
+        assert phitau._certified_val(col) is None
+        mod = phitau.basechange_generate(2, seed=5, p=P, prec=6)
+        with pytest.raises(PrecisionRequired, match="vanish to precision at level 2 of 0..2"):
+            phitau.module_sh_test(mod, 0, n=1)
 
     def test_target_compares_exactly(self):
         # the fit is 3/2; q sqrt(3) with q = float(sqrt(3)/2) is not 3/2

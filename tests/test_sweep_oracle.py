@@ -166,9 +166,20 @@ def oracle_matrix_sh_test(module, k, plam=None, i_max=2):
     return phitau.MatrixShReport(tuple(levels), plam_hat, mu_hat, consistent, status)
 
 
+def oracle_certified(vec):
+    """The least valuation of vec when a known term attains vec's floor,
+    the least `val_floor` of its entries; else None (vanished to
+    precision)."""
+    floors = [e.val_floor() for e in vec if e.val_floor() is not None]
+    known = [e.val() for e in vec if e.terms]
+    floor = min(floors, default=None)
+    return floor if floor is not None and floor in known else None
+
+
 def oracle_module_sh_test(module, k, n=0, i_max=2):
     """One `module_act` (so one `mat_of`) per basis vector and sample;
-    without a lattice the lattice levels and fit are None."""
+    without a lattice the lattice levels and fit are None.  A sample
+    counts only when `oracle_certified` gives it a value."""
     p, d, cap = module.p, module.d, module.cap
     scalar = ring.one(p, cap) if n == 0 else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
     w_inv = module.lattice_inverse() if module.lattice is not None else None
@@ -184,8 +195,8 @@ def oracle_module_sh_test(module, k, n=0, i_max=2):
                 g = galois.tau(m * p ** (k + i))
                 moved = phitau.module_act(module, g, coords)
                 diff = tuple(a - b.truncate(module.prec) for a, b in zip(moved, coords))
-                vt = phitau.v_tau(diff)
-                vtd = phitau.v_tau(w_inv.vecmul(diff)) if w_inv is not None else None
+                vt = oracle_certified(diff)
+                vtd = oracle_certified(w_inv.vecmul(diff)) if w_inv is not None else None
                 if vt is not None:
                     vt_min = vt if vt_min is None else min(vt_min, vt)
                 if vtd is not None:
@@ -369,6 +380,16 @@ def test_module_sweeps_match_loops(p):
             seen.add(got.startswith(("DegenerateOrbit", "PrecisionRequired")))
     # both reports and vanishing levels were compared
     assert seen == {True, False}
+
+
+def test_module_sweep_certifies_each_column():
+    # at level 2 the lattice column of j = 1 is (O(5), u^{3}*t^{4/3} + O(19/3)):
+    # its least known valuation 35/6 lies above the cap 5, so only >= 5 is
+    # certified and the sample vanished to precision
+    mod = phitau.basechange_generate(2, seed=5, p=3, prec=6)
+    got = outcome(phitau.module_sh_test, mod, 0, n=1, i_max=2)
+    assert got == outcome(oracle_module_sh_test, mod, 0, n=1, i_max=2)
+    assert got == "PrecisionRequired: orbit differences vanish to precision at level 2 of 0..2"
 
 
 @st.composite

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -40,7 +39,6 @@ def load_bench(tree: Path):
 
 def digest(tree: Path, seeds) -> tuple[int, str]:
     run = load_bench(tree)
-    os.environ.pop("TILTED_SEED", None)
     h = hashlib.sha256()
     count = 0
     with tempfile.TemporaryDirectory(prefix="op-digest-") as workdir:
