@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,11 +241,13 @@ class PhiTauModule:
     lattice: MatSeries | None = None
     lattice_inv: MatSeries | None = None
 
-    # The three values below are computed on first use and kept for as
-    # long as the module lives, outside the fields, equality and hash.
-    # None of them refers back to the module, so reference counting still
-    # frees it; the chain fills its table in place, so the memo is not
-    # thread-safe.
+    # The values below are computed on first use and kept for as long as
+    # the module lives, outside the fields, equality and hash: the tau
+    # chain, P cut at the precision, P^{-1}, W^{-1}, and g.P and g(P^{-1})
+    # for each g asked, one d x d matrix per distinct g.  None of them
+    # refers back to the module, so reference counting still frees it;
+    # the chain and the two images fill their tables in place, so the memo
+    # is not thread-safe.
 
     @functools.cached_property
     def _tau_chain(self) -> _TauChain:
@@ -254,9 +255,32 @@ class PhiTauModule:
         return _TauChain(self.mat_tau, self.prec)
 
     @functools.cached_property
+    def _frob_cut(self) -> MatSeries:
+        """P cut at the module's precision."""
+        return self.frob.truncate(self.prec)
+
+    @functools.cached_property
     def _p_inverse(self) -> MatSeries:
         """P^{-1} to the module's precision."""
-        return self.frob.truncate(self.prec).inverse(self.prec)
+        return self._frob_cut.inverse(self.prec)
+
+    @functools.cached_property
+    def _frob_images(self) -> dict[GroupElem, MatSeries]:
+        """g.P to the module's precision, by g (`_frob_image`)."""
+        return {}
+
+    @functools.cached_property
+    def _p_inverse_images(self) -> dict[GroupElem, MatSeries]:
+        """g(P^{-1}) to the module's precision, by g (`_p_inverse_image`)."""
+        return {}
+
+    def _frob_image(self, g: GroupElem) -> MatSeries:
+        """g.P to the module's precision, acted once per g."""
+        return _kept_image(self._frob_images, self._frob_cut, g, self.prec)
+
+    def _p_inverse_image(self, g: GroupElem) -> MatSeries:
+        """g(P^{-1}) = (g.P)^{-1} to the module's precision, acted once per g."""
+        return _kept_image(self._p_inverse_images, self._p_inverse, g, self.prec)
 
     @functools.cached_property
     def _lattice_inverse(self) -> MatSeries:
@@ -271,6 +295,16 @@ class PhiTauModule:
         if self.lattice_inv is not None:
             return self.lattice_inv
         return self._lattice_inverse
+
+
+def _kept_image(memo: dict, mat: MatSeries, g: GroupElem, prec) -> MatSeries:
+    """g(mat) to prec, kept in memo by the whole g, so an approximate g is
+    never read as the exact element of its (c, a).  A refused action
+    raises and stores nothing, so it raises again on every call."""
+    val = memo.get(g)
+    if val is None:
+        val = memo[g] = mat.act(g, prec)
+    return val
 
 
 def _check_pure_t(mat: MatSeries):
@@ -449,23 +483,33 @@ def cocycle_check(module: PhiTauModule, g: GroupElem):
     """Residual of P phi(Mat(g)) - Mat(g) (g.P) to the module's
     precision; returns (ok, floor).
 
-    Each residual entry (i, j) is one `ring.dot` over the 2d pairs
-    (P_ik, phi(Mat g)_kj) and (Mat(g)_ik, -(g.P)_kj), cut at the
-    precision: its cap is the least over both products' pairs, so the
-    entry is that of (lhs - rhs).truncate(prec), with no lhs, rhs or
-    difference matrix built."""
+    Each residual entry (i, j) is one alternating `ring.dot` over the 2d
+    interleaved pairs (P_ik, phi(Mat g)_kj) and (Mat(g)_ik, (g.P)_kj), cut
+    at the precision: its cap is the least over all pairs and its
+    coefficients add mod p, so the entry is that of
+    (lhs - rhs).truncate(prec), with no lhs, rhs, negated or difference
+    matrix built.  P cut at the precision and g.P are the module's own,
+    acted once per g."""
     prec = module.prec
     mat_g = mat_of(module, g)
     bound = ring.key_bound(prec, module.p, module.cap)
     phi_cols = tuple(zip(*mat_g.frobenius().rows))
-    neg_cols = tuple(zip(*module.frob.act(g, prec).map(operator.neg).rows))
+    gp_cols = tuple(zip(*module._frob_image(g).rows))
     resid = MatSeries.from_rows(
         [
             [
-                ring.dot([*zip(frob_row, phi_col), *zip(mat_row, neg_col)], cut=bound)
-                for phi_col, neg_col in zip(phi_cols, neg_cols)
+                ring.dot(
+                    [
+                        pair
+                        for a, x, b, y in zip(frob_row, phi_col, mat_row, gp_col)
+                        for pair in ((a, x), (b, y))
+                    ],
+                    alternating=True,
+                    cut=bound,
+                )
+                for phi_col, gp_col in zip(phi_cols, gp_cols)
             ]
-            for frob_row, mat_row in zip(module.frob.truncate(prec).rows, mat_g.rows)
+            for frob_row, mat_row in zip(module._frob_cut.rows, mat_g.rows)
         ]
     )
     return resid.is_zero(), resid.val_floor()
@@ -627,11 +671,11 @@ def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport
 
     r defaults to the least adequate radius and c to p^l for the least
     adequate level l.  These are the public steps, in order, on the twisted
-    module, which keeps P^{-1} and its tau chain: P is inverted once (the
-    radius reads its floor, and the fixed point takes (g.P)^{-1} as
-    g(P^{-1})), and the level search, the fixed point and the direct check
-    read one set of level matrices.  A target <= 0 or an r < 1 raises
-    ValueError.
+    module, which keeps P^{-1}, g(P^{-1}) per g and its tau chain: P is
+    inverted once (the radius reads its floor, and the fixed point takes
+    (g.P)^{-1} as g(P^{-1}), acted once per g), and the level search, the
+    fixed point and the direct check read one set of level matrices.  A
+    target <= 0 or an r < 1 raises ValueError.
     """
     target = Fraction(target)
     if target <= 0:
@@ -738,16 +782,19 @@ def descend_fixed_point(
     The solution satisfies Mat(g) = Id + t^r H.  Convergence is the
     ultrametric contraction val(X_{j+1} - X_j) >= p val(X_j - X_{j-1})
     + val(P) + val(Q_g), so each step gains at least val(Q_g) > 0.
+    P cut at the precision and g(P^{-1}) are the module's own, so a
+    second call with the same g acts on no matrix.
     """
     _radius(module, r)
     mat_g = mat_of(module, g)
     target_prec = Fraction(target_prec)
     p, cap = module.p, module.cap
     prec = module.prec
-    frob_mat = module.frob.truncate(prec)
+    frob_mat = module._frob_cut
 
-    # g is a ring automorphism, so (g.P)^{-1} = g(P^{-1}), with the floor of P^{-1}
-    gp_inv = module._p_inverse.act(g, prec)
+    # g is a ring automorphism, so (g.P)^{-1} = g(P^{-1}), which the module
+    # keeps per g, with the floor of P^{-1}
+    gp_inv = module._p_inverse_image(g)
     dev = _deviation(module, mat_g, g.c, r)
     if dev is not None:
         raise PreconditionViolated(

@@ -14,9 +14,12 @@ applies tau^(-n) first, as the chain once did, and the equivariance
 oracle below checks the two orders on random matrices cut at the
 precision.  `phitau.cocycle_check` forms each residual entry as one cut
 `ring.dot`; its oracle is the two-product residual
-(P phi(M) - M g(P)).truncate(prec)."""
+(P phi(M) - M g(P)).truncate(prec).  It also reads the g.P that the
+module keeps per g; its oracle there is the check as it was before,
+with a fresh action on P and a negated copy of it on every call."""
 
 import dataclasses
+import operator
 import random
 from fractions import Fraction
 
@@ -491,3 +494,45 @@ def test_cocycle_residual_matches_two_products(p):
             verdicts.append(got.split(",")[0])
         # gamma_2 is no unit at p = 2
         assert ("(False" in verdicts) == (name in broken), (name, verdicts)
+
+
+def oracle_cocycle_check(module, g):
+    """`cocycle_check` as it was before the module kept g.P: a fresh
+    action on P, a negated copy of it, and per entry one `ring.dot` over
+    the d pairs of each product in two blocks."""
+    prec = module.prec
+    mat_g = phitau.mat_of(module, g)
+    bound = ring.key_bound(prec, module.p, module.cap)
+    phi_cols = tuple(zip(*mat_g.frobenius().rows))
+    neg_cols = tuple(zip(*module.frob.act(g, prec).map(operator.neg).rows))
+    resid = MatSeries.from_rows(
+        [
+            [
+                ring.dot([*zip(frob_row, phi_col), *zip(mat_row, neg_col)], cut=bound)
+                for phi_col, neg_col in zip(phi_cols, neg_cols)
+            ]
+            for frob_row, mat_row in zip(module.frob.truncate(prec).rows, mat_g.rows)
+        ]
+    )
+    return resid.is_zero(), resid.val_floor()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kept_image_cocycle_matches_fresh_action(p):
+    # each call twice on one module: the second reads the kept g.P.  The
+    # approximate elements act where they are known well enough (nacc = 2
+    # at p > 2) and raise on both calls where not, so no refusal is kept
+    approx = [galois.inverse(galois.gamma(p + 1), p, nacc=n) for n in (2, 1)]
+    elems = [galois.GroupElem(c, a) for c in (-p, -1, 0, 1, 2, p + 1) for a in (1, p + 1)]
+    refused = 0
+    for d in (1, 2, 3):
+        mod = phitau.basechange_generate(d, seed=d + p, p=p, prec=PREC)
+        for name, m in (("generated", mod), ("perturbed", perturbed(mod))):
+            for g in (*elems, *approx):
+                want = outcome(oracle_cocycle_check, m, g)
+                for _ in range(2):
+                    assert outcome(phitau.cocycle_check, m, g) == want, (d, name, g)
+                if want.startswith("InsufficientGroupAccuracy"):
+                    refused += 1
+                    assert g not in m._frob_images, (d, name)
+    assert refused

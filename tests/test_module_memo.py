@@ -1,4 +1,5 @@
-"""A `PhiTauModule` keeps its tau chain, P^{-1} and W^{-1} once built.
+"""A `PhiTauModule` keeps its tau chain, P cut at its precision, P^{-1},
+W^{-1}, and g.P and g(P^{-1}) per group element g, once built.
 
 The memo must not change a result: every call on a module that earlier
 calls have filled gives what the same call gives on a fresh copy of the
@@ -6,8 +7,9 @@ module (`dataclasses.replace`, which keeps the fields and none of the
 memo), series and O(.) caps alike.  The memo must not keep a module
 alive either: it refers to no module, so a module is freed by reference
 counting, also one that a CLI call loads.  And the calls of one command
-share the levels they build, the Id they subtract and the negative
-powers they invert."""
+share the levels they build, the Id they subtract, the negative powers
+they invert and the images of P and P^{-1} under each g they act with;
+an action that an approximate g cannot make is refused on every call."""
 
 import contextlib
 import dataclasses
@@ -33,10 +35,13 @@ def outcome(fn, *args):
 
 def module_calls(mod, rng):
     """(name, call) pairs that read the memo: Mat(tau^c) for c > 0, c < 0,
-    c = 0 and c above the fixed level, the cocycle check, the action, both
-    sweeps and the descent shells.  The descent's r, c and report come
-    from a fresh copy, so that no call's argument depends on the memo."""
+    c = 0 and c above the fixed level, the cocycle check (with tau, whose
+    g.P `make_module` kept, and with an approximate element, refused at
+    p = 2, 3), the action, both sweeps and the descent shells.  The
+    descent's r, c and report come from a fresh copy, so that no call's
+    argument depends on the memo."""
     p = mod.p
+    approx = galois.inverse(galois.gamma(p + 1), p, nacc=2)
     copy = dataclasses.replace(mod)
     try:
         r = phitau.minimal_descent_radius(copy)
@@ -50,7 +55,9 @@ def module_calls(mod, rng):
         for c in (1, 2, p + 1, p**2, -1, -p, 0, p**40 + 1, rng.randrange(p**30, p**60))
     ]
     calls += [
+        ("cocycle tau", lambda m: phitau.cocycle_check(m, galois.tau(1))),
         ("cocycle tau^2", lambda m: phitau.cocycle_check(m, galois.tau(2))),
+        ("cocycle approx", lambda m: phitau.cocycle_check(m, approx)),
         ("cocycle tau gamma", lambda m: phitau.cocycle_check(m, galois.GroupElem(1, p + 1))),
         ("act", lambda m: phitau.module_act(m, galois.GroupElem(p + 2, 1), coords)),
         ("matrix sh", lambda m: phitau.matrix_sh_test(m, 0, i_max=2)),
@@ -58,6 +65,7 @@ def module_calls(mod, rng):
         ("radius", phitau.minimal_descent_radius),
         ("level", lambda m: phitau.minimal_descent_level(m, r)),
         ("fixed point", lambda m: phitau.descend_fixed_point(m, g, r, 8)),
+        ("fixed point approx", lambda m: phitau.descend_fixed_point(m, approx, r, 8)),
         ("descend", lambda m: phitau.descend(m, 8)),
     ]
     if report is not None:
@@ -100,7 +108,8 @@ def test_memo_leaves_fields_equality_and_hash():
     phitau.module_sh_test(mod, 0, i_max=2)
     assert mod == copy and hash(mod) == hash(copy) and repr(mod) == repr(copy)
     assert [f.name for f in dataclasses.fields(mod)] == [f.name for f in dataclasses.fields(copy)]
-    assert "_tau_chain" in vars(mod) and "_tau_chain" not in vars(copy)
+    kept = {"_tau_chain", "_frob_cut", "_frob_images", "_p_inverse", "_p_inverse_images"}
+    assert kept <= set(vars(mod)) and not kept & set(vars(copy))
 
 
 @contextlib.contextmanager
@@ -120,7 +129,15 @@ def test_queried_module_is_freed_without_gc():
     phitau.descend(mod, 8)
     phitau.module_sh_test(mod, 0, i_max=2)
     phitau.mat_of(mod, galois.tau(3**40 + 2))
-    assert {"_tau_chain", "_p_inverse", "_lattice_inverse"} <= set(vars(mod))
+    phitau.cocycle_check(mod, galois.GroupElem(2, 4))
+    assert {
+        "_tau_chain",
+        "_frob_cut",
+        "_frob_images",
+        "_p_inverse",
+        "_p_inverse_images",
+        "_lattice_inverse",
+    } <= set(vars(mod))
     ref = weakref.ref(mod)
     with gc_off():
         del mod
@@ -175,13 +192,14 @@ def twisted():
 
 @pytest.fixture
 def counted(monkeypatch, twisted):
-    """Counts of the matrix inversions, Id builds and chain compositions
-    made after `twisted` is built."""
-    counts = dict.fromkeys(("inverse", "identity", "compose"), 0)
+    """Counts of the matrix inversions, Id builds, chain compositions and
+    matrix group actions made after `twisted` is built."""
+    counts = dict.fromkeys(("inverse", "identity", "compose", "act"), 0)
     for key, cls, name in (
         ("inverse", phitau.MatSeries, "inverse"),
         ("identity", phitau.MatSeries, "identity"),
         ("compose", phitau._TauChain, "_compose"),
+        ("act", phitau.MatSeries, "act"),
     ):
         fn = getattr(cls, name)
 
@@ -235,3 +253,31 @@ def test_subtracting_id_builds_it_once_per_module(twisted, counted):
     phitau.matrix_sh_test(twisted, 0, i_max=2)
     phitau.module_sh_test(twisted, 0, n=1, i_max=2)
     assert counted["identity"] == 1
+
+
+def test_module_check_acts_on_p_once_per_element(module_file, counted):
+    # one action on P for each of c = 1, 2, 3 (make_module's check keeps
+    # tau.P, and the check for c = 1 reads it again) and one for each of
+    # the two chain compositions, so tau(P) is computed once
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.dispatch(["module", "check", module_file]) == 0
+    assert counted["act"] == 5
+
+
+@pytest.mark.parametrize("c, a", [(1, 1), (3, 1), (-1, 1), (2, 4), (0, 4)])
+def test_second_cocycle_check_acts_on_nothing(c, a, twisted, counted):
+    g = galois.GroupElem(c, a)
+    first = phitau.cocycle_check(twisted, g)
+    built = dict(counted)
+    assert phitau.cocycle_check(twisted, g) == first
+    assert counted == built
+
+
+def test_second_fixed_point_acts_on_nothing(twisted, counted):
+    r = phitau.minimal_descent_radius(twisted)
+    g = galois.tau(3 ** phitau.minimal_descent_level(twisted, r))
+    first = phitau.descend_fixed_point(twisted, g, r, 8)
+    built = dict(counted)
+    assert built["act"] >= 1
+    assert phitau.descend_fixed_point(twisted, g, r, 8) == first
+    assert counted == built

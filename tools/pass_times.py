@@ -12,13 +12,16 @@ later passes meet the same objects again, so they read whatever the
 library kept from pass 1.  For pass 1 and for the later passes the output
 gives the median in-process wall time over the runs, and the number of
 chain compositions (``phitau._TauChain._compose``), matrix inversions
-(``phitau.MatSeries.inverse``) and identity matrices built
-(``phitau.MatSeries.identity``) that one pass made; a range means that
-the later passes differ.  A module keeps its Id and each Mat(tau^c),
-c < 0, that it was asked for, so the later passes of ``module`` build
-no identity and invert only what no module keeps.  A workload whose
-operations never meet the same input twice shows no gap between the two
-rows.
+(``phitau.MatSeries.inverse``), identity matrices built
+(``phitau.MatSeries.identity``) and matrix group actions
+(``phitau.MatSeries.act``) that one pass made; a range means that the
+later passes differ.  A module keeps its Id, each Mat(tau^c), c < 0,
+and g.P and g(P^-1) for each g that it was asked for, so the later
+passes of ``module`` build no identity, act with no g on a matrix and
+invert only what no module keeps.  The chain's compositions act through
+``MatSeries.act`` as well, so a pass that composes also counts those
+actions.  A workload whose operations never meet the same input twice
+shows no gap between the two rows.
 
 The library and the benchmark code are imported from the tree named by
 ``--tree`` (default: the tree this script sits in), as by
@@ -43,6 +46,7 @@ COUNTED = (
     ("compose", "_TauChain", "_compose"),
     ("inverse", "MatSeries", "inverse"),
     ("identity", "MatSeries", "identity"),
+    ("act", "MatSeries", "act"),
 )
 
 
