@@ -113,11 +113,13 @@ class MatSeries:
         along its own first row with the sign of its column's position.
 
         Every minor is computed once (`_minors`).  The rows of each minor
-        are a suffix of 0..d-1, so there are 2^d minors and
+        are a suffix of 0..d-1, so there are at most 2^d minors and
         d 2^(d-1) - d series products, against about (e-1) d! for the
-        plain recursion, and each minor's products are summed by one
-        `ring.dot`, normalized once.  Nothing is divided, so the O(.) caps
-        are those of the plain recursion exactly.
+        plain recursion; those counts are the dense worst case, and an
+        exact-zero entry drops every product it would enter.  Each
+        minor's products are summed by one `ring.dot`, normalized once.
+        Nothing is divided, so the O(.) caps are those of the plain
+        recursion exactly.
         """
         full = tuple(range(self.d))
         return _minors(self.rows)(full, full)
@@ -125,23 +127,27 @@ class MatSeries:
     def adjugate(self):
         """Transposed cofactor matrix.  Cofactor (i, j) is the minor on
         rows != i and columns != j, expanded as in `det`, and the cofactors
-        share their minors: 810 series products at d = 6 and 5,544 at
-        d = 8, against 7,380 and 554,176 for the plain recursion.  Each
-        minor is one normalization (`ring.dot`)."""
+        share their minors: at most 810 series products at d = 6 and 5,544
+        at d = 8, the dense worst case, against 7,380 and 554,176 for the
+        plain recursion.  Each minor is one normalization (`ring.dot`)."""
         return self._adjugate(_minors(self.rows))
 
     def inverse(self, prec=None):
         """adj(M) det(M)^{-1} to prec.  The determinant's first-row minors
         are the cofactors (0, j), so det and adjugate share one table: the
-        minors take 816 series products at d = 6 and 5,552 at d = 8,
-        against 8,616 and 623,456 for the plain recursion.  Each minor is
-        one normalization (`ring.dot`), and so is each entry
-        det^{-1} adj_ij, cut at prec inside its `ring.dot`."""
+        minors take at most 816 series products at d = 6 and 5,552 at
+        d = 8, the dense worst case, against 8,616 and 623,456 for the
+        plain recursion.  Each minor is one normalization (`ring.dot`), and
+        so is each entry det^{-1} adj_ij, cut at prec inside its
+        `ring.dot`; an exact-zero cofactor gives the exact zero cut at
+        prec, which is that product."""
         minor = _minors(self.rows)
         full = tuple(range(self.d))
         detinv = ring.invert(minor(full, full), prec)
         bound = ring.key_bound(prec, self.p, self.cap)
-        return self._adjugate(minor).map(lambda e: ring.dot(((detinv, e),), cut=bound))
+        return self._adjugate(minor).map(
+            lambda e: ring.dot(((detinv, e),), cut=bound) if e.key_floor() is not None else e.cut(bound)
+        )
 
     def _adjugate(self, minor):
         d = self.d
@@ -154,7 +160,8 @@ class MatSeries:
             row = []
             for j in range(d):
                 c = minor(r, full[:j] + full[j + 1 :])
-                if (i + j) % 2 == 1:
+                # the exact zero is its own negative
+                if (i + j) % 2 == 1 and c.key_floor() is not None:
                     c = -c
                 row.append(c)
             cof.append(row)
@@ -162,9 +169,9 @@ class MatSeries:
         return MatSeries.from_rows([[cof[j][i] for j in range(d)] for i in range(d)])
 
 
-# det, adjugate and inverse form 2^d minors: on a 2-CPU box a generated
-# module runs each module command in under 0.4 s at d = 12, in up to 5 s
-# at d = 16
+# det, adjugate and inverse form up to 2^d minors, all of them for a
+# dense matrix: on a 2-CPU box a generated module runs each module command
+# in under 0.4 s at d = 12, in up to 5 s at d = 16
 MAX_DIM = 12
 # the factors of `basechange_generate` and the degree of each: on the same
 # box 20 takes at most 0.3 s for d <= MAX_DIM, 40 about 6 s at d = 8
@@ -179,13 +186,17 @@ def _check_dim(d):
 
 @functools.lru_cache(maxsize=8)
 def _mask_layout(d):
-    """For the column masks of a d x d matrix: each mask's (col, bit)
-    pairs in ascending column order, and the masks of each size."""
-    pairs = [tuple((col, 1 << col) for col in range(d) if m >> col & 1) for m in range(1 << d)]
+    """For the column masks of a d x d matrix: each mask's (col, bit, sign)
+    triples in ascending column order, sign (-1)^(col's place among the
+    mask's columns), and the masks of each size."""
+    layout = [
+        tuple((col, 1 << col, (-1) ** place) for place, col in enumerate(c for c in range(d) if m >> c & 1))
+        for m in range(1 << d)
+    ]
     by_size = [[] for _ in range(d + 1)]
-    for m, cols in enumerate(pairs):
+    for m, cols in enumerate(layout):
         by_size[len(cols)].append(m)
-    return pairs, by_size
+    return layout, by_size
 
 
 def _minors(rows):
@@ -195,34 +206,51 @@ def _minors(rows):
     The table keeps one list per row tuple R, indexed by column mask, and
     fills it for every mask of R's size at R's first request, from the
     list of R[1:]: the cofactors of `adjugate` ask for all of them, and
-    `det`'s row tuples are suffixes, which ask for all of them too.  So
-    each minor is computed once, at one product per column, with the same
-    minors, products and caps as a memoized recursion on (R, C).  Each
-    minor is one alternating `ring.dot` over its columns in ascending
-    order, normalized once."""
+    `det`'s row tuples are suffixes, which ask for all of them too.  Each
+    minor is formed from its live pairs alone: an entry of R's first row
+    that is not the exact zero times a formed minor of R[1:].  A zero
+    known modulo O(q) is live, since its cap bounds the minor; a pair with
+    an exact-zero side adds no term and no cap, so the terms and caps are
+    those of a memoized recursion on (R, C).  A minor with no live pair is
+    the exact zero and is not formed (None in the list): `minor` gives one
+    shared exact zero for it.  Each formed minor is one signed `ring.dot`
+    over its live columns in ascending order, normalized once.  A dense
+    matrix, with no exact zero, is the worst case: every minor is formed,
+    at one product per column."""
     _check_dim(len(rows))
-    pairs, by_size = _mask_layout(len(rows))
+    layout, by_size = _mask_layout(len(rows))
+    zero = ring.zero(rows[0][0].p, rows[0][0].cap)
+    # None for an exact-zero entry
+    live = [[e if e.key_floor() is not None else None for e in row] for row in rows]
     tables = {}
 
     def table(r):
         out = tables.get(r)
         if out is None:
-            out = [None] * len(pairs)
-            top = rows[r[0]]
+            out = [None] * len(layout)
+            top = live[r[0]]
             if len(r) == 1:
-                for col, bit in pairs[-1]:
+                for col, bit, _ in layout[-1]:
                     out[bit] = top[col]
             else:
                 sub = table(r[1:])
                 for m in by_size[len(r)]:
-                    out[m] = ring.dot(
-                        [(top[col], sub[m ^ bit]) for col, bit in pairs[m]], alternating=True
-                    )
+                    pairs, signs = [], []
+                    for col, bit, sign in layout[m]:
+                        x = top[col]
+                        if x is not None:
+                            y = sub[m ^ bit]
+                            if y is not None:
+                                pairs.append((x, y))
+                                signs.append(sign)
+                    if pairs:
+                        out[m] = ring.dot(pairs, signs=signs)
             tables[r] = out
         return out
 
     def minor(r, c):
-        return table(r)[sum(1 << col for col in c)]
+        val = table(r)[sum(1 << col for col in c)]
+        return zero if val is None else val
 
     return minor
 
@@ -483,8 +511,8 @@ def cocycle_check(module: PhiTauModule, g: GroupElem):
     """Residual of P phi(Mat(g)) - Mat(g) (g.P) to the module's
     precision; returns (ok, floor).
 
-    Each residual entry (i, j) is one alternating `ring.dot` over the 2d
-    interleaved pairs (P_ik, phi(Mat g)_kj) and (Mat(g)_ik, (g.P)_kj), cut
+    Each residual entry (i, j) is one `ring.dot` over the 2d interleaved
+    pairs (P_ik, phi(Mat g)_kj) and (Mat(g)_ik, (g.P)_kj), signed 1, -1, cut
     at the precision: its cap is the least over all pairs and its
     coefficients add mod p, so the entry is that of
     (lhs - rhs).truncate(prec), with no lhs, rhs, negated or difference
@@ -493,6 +521,7 @@ def cocycle_check(module: PhiTauModule, g: GroupElem):
     prec = module.prec
     mat_g = mat_of(module, g)
     bound = ring.key_bound(prec, module.p, module.cap)
+    signs = (1, -1) * module.d
     phi_cols = tuple(zip(*mat_g.frobenius().rows))
     gp_cols = tuple(zip(*module._frob_image(g).rows))
     resid = MatSeries.from_rows(
@@ -504,7 +533,7 @@ def cocycle_check(module: PhiTauModule, g: GroupElem):
                         for a, x, b, y in zip(frob_row, phi_col, mat_row, gp_col)
                         for pair in ((a, x), (b, y))
                     ],
-                    alternating=True,
+                    signs=signs,
                     cut=bound,
                 )
                 for phi_col, gp_col in zip(phi_cols, gp_cols)
@@ -529,17 +558,22 @@ def basechange_generate(
     """A module that is the trivial one in disguise: draw B in GL_d over
     kappa[t, 1/t] as a product of elementary and unit-diagonal factors,
     then P = B^{-1} phi(B), Mat(tau) = B^{-1} tau(B), lattice W = B^{-1}.
-    A d outside 1..MAX_DIM or a complexity outside 0..MAX_COMPLEXITY
-    raises ValueError before any matrix is built.
+    Each factor acts on B and B^{-1} as a column and a row operation: the
+    elementary Id + f E_ij adds f (column i) to column j of B and takes
+    f (row j) from row i of B^{-1}, and the diagonal factor scales column
+    i of B and row i of B^{-1} by inverse monomials.  All of it is exact,
+    so B and B^{-1} are the products themselves.  A d outside 1..MAX_DIM
+    or a complexity outside 0..MAX_COMPLEXITY raises ValueError before
+    any matrix is built.
     """
     ring.check_ring(p, cap)
     _check_dim(d)
     if not 0 <= complexity <= MAX_COMPLEXITY:
         raise ValueError(f"complexity must be 0..{MAX_COMPLEXITY}, got {complexity}")
     rng = random.Random(seed)
-    ident = MatSeries.identity(d, p, cap)
-    b = ident
-    binv = ident
+    ident = MatSeries.identity(d, p, cap).rows
+    b = [list(row) for row in ident]
+    binv = [list(row) for row in ident]
     n_factors = max(1, complexity + d - 1)
     for _ in range(n_factors):
         kind = rng.choice(["elem", "diag"] if d > 1 else ["diag"])
@@ -551,23 +585,19 @@ def basechange_generate(
             c = rng.randrange(1, p)
             e = rng.randint(0, complexity)
             f = ring.monomial(p, cap, c, 0, e)
-            fac, inv = _with_entry(ident, i, j, f), _with_entry(ident, i, j, -f)
+            for row in b:
+                row[j] = row[j] + f * row[i]
+            binv[i] = [x - f * y for x, y in zip(binv[i], binv[j])]
         else:
             i = rng.randrange(d)
             c = rng.randrange(1, p)
             e = rng.choice([-1, 0, 0, 1])
-            fac = _with_entry(ident, i, i, ring.monomial(p, cap, c, 0, e))
-            inv = _with_entry(ident, i, i, ring.monomial(p, cap, pow(c, -1, p), 0, -e))
-        b = b * fac
-        binv = inv * binv
-    return basechange_from_matrix(b, binv, prec)
-
-
-def _with_entry(m: MatSeries, i, j, x) -> MatSeries:
-    """m with entry (i, j) replaced by x."""
-    rows = [list(row) for row in m.rows]
-    rows[i][j] = x
-    return MatSeries.from_rows(rows)
+            f = ring.monomial(p, cap, c, 0, e)
+            finv = ring.monomial(p, cap, pow(c, -1, p), 0, -e)
+            for row in b:
+                row[i] = f * row[i]
+            binv[i] = [finv * x for x in binv[i]]
+    return basechange_from_matrix(MatSeries.from_rows(b), MatSeries.from_rows(binv), prec)
 
 
 def basechange_from_matrix(b: MatSeries, binv: MatSeries, prec) -> PhiTauModule:

@@ -354,11 +354,13 @@ def _lead_key(term):
     return term[0][0]
 
 
-def dot(pairs, alternating=False, cut=None) -> PerfSeries:
+def dot(pairs, signs=None, cut=None) -> PerfSeries:
     """The sum of products x_1*y_1 + ... + x_n*y_n over the (x, y) pairs,
-    or the alternating sum x_1*y_1 - x_2*y_2 + ... with ``alternating``,
-    as in a cofactor expansion; at least one pair is needed.  ``pairs``
-    may be any iterable, such as a `zip`: it is read once.
+    or the signed sum s_1*x_1*y_1 + ... + s_n*x_n*y_n with ``signs`` the
+    s_i in {1, -1}, one per pair, as in a cofactor expansion; at least one
+    pair is needed.  ``pairs`` and ``signs`` may be any iterables, such as
+    a `zip`: each is read once, side by side, and no negated copy of an
+    operand is built.
 
     The result is known below the least of the products' key bounds
     min(key0(x) + K_y, key0(y) + K_x), and below the key bound ``cut``
@@ -375,27 +377,35 @@ def dot(pairs, alternating=False, cut=None) -> PerfSeries:
     p = cap = None
     work = []  # (x terms, y terms, sign) of the pairs with terms on both sides
     sign = 1
-    for x, y in pairs:
-        if p is None:
-            p, cap = x.p, x.cap
-        if x.p != p or y.p != p or x.cap != cap or y.cap != cap:
-            raise ValueError("series have different p or denominator cap")
-        xt, yt = x.terms, y.terms
-        bx, by = x.bound, y.bound
-        # this product is known below key0(x) + K_y and key0(y) + K_x,
-        # key0 the leading key, or K for a series with no terms
-        if by is not None:
-            kx = xt[0][0][0] if xt else bx
-            if kx is not None and (bound is None or kx + by < bound):
-                bound = kx + by
-        if bx is not None:
-            ky = yt[0][0][0] if yt else by
-            if ky is not None and (bound is None or ky + bx < bound):
-                bound = ky + bx
-        if xt and yt:
-            work.append((xt, yt, sign))
-        if alternating:
-            sign = -sign
+    if signs is not None:
+        signs = iter(signs)
+    # next(signs) raises StopIteration only when the signs run out first
+    try:
+        for x, y in pairs:
+            if signs is not None:
+                sign = next(signs)
+            if p is None:
+                p, cap = x.p, x.cap
+            if x.p != p or y.p != p or x.cap != cap or y.cap != cap:
+                raise ValueError("series have different p or denominator cap")
+            xt, yt = x.terms, y.terms
+            bx, by = x.bound, y.bound
+            # this product is known below key0(x) + K_y and key0(y) + K_x,
+            # key0 the leading key, or K for a series with no terms
+            if by is not None:
+                kx = xt[0][0][0] if xt else bx
+                if kx is not None and (bound is None or kx + by < bound):
+                    bound = kx + by
+            if bx is not None:
+                ky = yt[0][0][0] if yt else by
+                if ky is not None and (bound is None or ky + bx < bound):
+                    bound = ky + bx
+            if xt and yt:
+                work.append((xt, yt, sign))
+    except StopIteration:
+        raise ValueError("fewer signs than pairs") from None
+    if signs is not None and next(signs, None) is not None:
+        raise ValueError("more signs than pairs")
     if p is None:
         raise ValueError("dot needs at least one pair")
     acc = {}

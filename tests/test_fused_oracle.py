@@ -3,10 +3,13 @@ against the chained loops they replace.
 
 The oracles below are the earlier code kept verbatim: each matrix entry
 and cofactor minor is a chain of series products `oracle_mul` and sums,
-and each term of the tau- and gamma-actions is its own `oracle_eps_pow`
-series, shifted by `mono_shift` and added in by `_accumulate`.  The
-fused code must give the same text and the same key bound on every
-input, exact, capped, capped with no known terms, or the exact zero.
+every minor formed, exact-zero entries included, and each term of the
+tau- and gamma-actions is its own `oracle_eps_pow` series, shifted by
+`mono_shift` and added in by `_accumulate`.  The fused code must give
+the same text and the same key bound on every input, exact, capped,
+capped with no known terms, or the exact zero.  `basechange_generate`
+is checked against its earlier product loop, which builds each factor
+as a d x d matrix.
 """
 
 import math
@@ -110,6 +113,24 @@ def oracle_minors(rows):
         return val
 
     return minor
+
+
+def oracle_adjugate(m, minor):
+    """The transposed cofactor matrix from the minors, every odd cofactor
+    negated."""
+    d, full = m.d, tuple(range(m.d))
+    if d == 1:
+        return MatSeries.from_rows([[ring.one(m.p, m.cap).cut(m.rows[0][0].bound)]])
+    cof = [[minor(full[:i] + full[i + 1 :], full[:j] + full[j + 1 :]) for j in full] for i in full]
+    cof = [[-c if (i + j) % 2 else c for j, c in enumerate(row)] for i, row in enumerate(cof)]
+    return MatSeries.from_rows([[cof[j][i] for j in full] for i in full])
+
+
+def oracle_inverse(m, prec):
+    """det^{-1} adj, each entry one chained product cut at prec."""
+    want = oracle_minors(m.rows)
+    detinv = ring.invert(want(tuple(range(m.d)), tuple(range(m.d))), prec)
+    return oracle_adjugate(m, want).map(lambda e: oracle_mul(detinv, e).truncate(prec))
 
 
 def _lucas_terms(m, p, bound):
@@ -245,15 +266,15 @@ def test_dot_matches_chained_products(p, cap):
             (random_series(rng, p, cap, rng.choice(KINDS)), random_series(rng, p, cap, rng.choice(KINDS)))
             for _ in range(n)
         ]
-        for alternating in (False, True):
+        for signs in (None, [rng.choice((1, -1)) for _ in pairs]):
             want = None
             for i, (x, y) in enumerate(pairs):
                 term = oracle_mul(x, y)
-                if alternating and i % 2:
+                if signs and signs[i] < 0:
                     term = -term
                 want = term if want is None else oracle_add(want, term)
-            got = ring.dot(pairs, alternating=alternating)
-            assert view(got) == view(want), (p, cap, [(str(x), str(y)) for x, y in pairs])
+            got = ring.dot(pairs, signs)
+            assert view(got) == view(want), (p, cap, signs, [(str(x), str(y)) for x, y in pairs])
         x, y = pairs[0]
         assert view(x * y) == view(oracle_mul(x, y))
 
@@ -267,9 +288,9 @@ def test_dot_cut_is_dot_then_cut(p, cap):
             for _ in range(rng.randint(1, 4))
         ]
         bound = rng.choice([None, rng.randint(-10 * p**cap, 30 * p**cap)])
-        for alternating in (False, True):
-            want = oracle_cut(ring.dot(pairs, alternating=alternating), bound)
-            assert view(ring.dot(pairs, alternating=alternating, cut=bound)) == view(want)
+        for signs in (None, [rng.choice((1, -1)) for _ in pairs]):
+            want = oracle_cut(ring.dot(pairs, signs), bound)
+            assert view(ring.dot(pairs, signs, cut=bound)) == view(want)
 
 
 def test_dot_rejects_mixed_rings_and_no_pairs():
@@ -320,15 +341,15 @@ def test_dot_with_termless_operands(p, cap):
         k = rng.randrange(len(pairs))
         x, y = pairs[k]
         pairs[k] = (termless(rng, p, cap), y) if rng.random() < 0.5 else (x, termless(rng, p, cap))
-        for alternating in (False, True):
+        for signs in (None, [rng.choice((1, -1)) for _ in pairs]):
             want = None
             for i, (x, y) in enumerate(pairs):
                 term = oracle_mul(x, y)
-                if alternating and i % 2:
+                if signs and signs[i] < 0:
                     term = -term
                 want = term if want is None else oracle_add(want, term)
-            got = ring.dot(pairs, alternating=alternating)
-            assert got == want, (p, cap, alternating, [(str(x), str(y)) for x, y in pairs])
+            got = ring.dot(pairs, signs)
+            assert got == want, (p, cap, signs, [(str(x), str(y)) for x, y in pairs])
 
 
 @pytest.mark.parametrize("p, cap", RINGS)
@@ -387,22 +408,144 @@ def test_minors_match_chained(d, p, cap):
     full = tuple(range(d))
     want = oracle_minors(m.rows)
     assert view(m.det()) == view(want(full, full))
-    assert mat_view(m.adjugate()) == mat_view(m._adjugate(want))
+    assert mat_view(m.adjugate()) == mat_view(oracle_adjugate(m, want))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("d", range(1, 7))
 def test_inverse_matches_chained(d, p):
-    # a base-change lattice has a unit determinant, so it inverts
+    # a base-change lattice has a unit determinant, and so has P: the
+    # exact lattice and P have exact-zero entries, P cut at prec has none
     prec = 8
     mod = phitau.basechange_generate(d, seed=d + p, complexity=2, p=p, prec=prec)
-    m = mod.frob.truncate(prec)
-    full = tuple(range(d))
-    want = oracle_minors(m.rows)
-    detinv = ring.invert(want(full, full), prec)
-    adj = m._adjugate(want)
-    want_inv = [[view(oracle_mul(detinv, e).truncate(prec)) for e in row] for row in adj.rows]
-    assert mat_view(m.inverse(prec)) == want_inv
+    for m in (mod.lattice, mod.frob, mod.frob.truncate(prec)):
+        assert mat_view(m.inverse(prec)) == mat_view(oracle_inverse(m, prec))
+
+
+def _outcome(fn, *args):
+    try:
+        return mat_view(fn(*args))
+    except TiltedError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def live_series(rng, p, cap):
+    return random_series(rng, p, cap, rng.choice(("exact", "capped")))
+
+
+def sparse_matrix(rng, d, p, cap, pattern):
+    """A d x d matrix whose exact zeros follow the pattern."""
+    zero = ring.zero(p, cap)
+    if pattern == "permutation":
+        perm = rng.sample(range(d), d)
+        rows = [[live_series(rng, p, cap) if j == perm[i] else zero for j in range(d)] for i in range(d)]
+    elif pattern == "blocks":
+        cuts = sorted(rng.sample(range(1, d), rng.randint(0, d - 1))) if d > 1 else []
+        block = [sum(i >= c for c in cuts) for i in range(d)]
+        rows = [
+            [random_series(rng, p, cap, rng.choice(KINDS)) if block[i] == block[j] else zero for j in range(d)]
+            for i in range(d)
+        ]
+    elif pattern == "zero row":
+        rows = [[random_series(rng, p, cap, rng.choice(KINDS)) for _ in range(d)] for _ in range(d)]
+        rows[rng.randrange(d)] = [zero] * d
+    else:  # mostly zeros, exact or known modulo O(q)
+        rows = [
+            [
+                rng.choice([zero, zero, termless(rng, p, cap), live_series(rng, p, cap)])
+                for _ in range(d)
+            ]
+            for _ in range(d)
+        ]
+    return MatSeries.from_rows(rows)
+
+
+@pytest.mark.parametrize("pattern", ["permutation", "blocks", "zero row", "zeros"])
+@pytest.mark.parametrize("p, cap", [(2, 2), (3, 6), (5, 2), (7, 6)])
+def test_sparse_minors_match_chained(pattern, p, cap):
+    # exact-zero entries and minors are never formed; the determinant,
+    # adjugate and inverse (or its refusal) are those of the recursion
+    rng = random.Random(f"{pattern} {p} {cap}")
+    prec = 6
+    for d in range(1, 7):
+        for _ in range(3):
+            m = sparse_matrix(rng, d, p, cap, pattern)
+            full = tuple(range(d))
+            want = oracle_minors(m.rows)
+            assert view(m.det()) == view(want(full, full)), (pattern, d)
+            assert mat_view(m.adjugate()) == mat_view(oracle_adjugate(m, want)), (pattern, d)
+            got = _outcome(m.inverse, prec)
+            assert got == _outcome(oracle_inverse, m, prec), (pattern, d)
+            if pattern == "zero row":
+                assert got.startswith("ZeroDivisor"), got
+
+
+def test_sparse_lattice_inverse_forms_only_live_minors(monkeypatch):
+    # the d = 6 lattice below has 26 exact-zero entries of 36: its inverse
+    # makes 71 `ring.dot` calls (minors, det^{-1} and the live entries of
+    # det^{-1} adj), where a minor for every mask makes 273; P cut at the
+    # precision has no exact zero and makes all of them
+    mod = phitau.basechange_generate(6, seed=3, prec=24)
+    assert sum(e.key_floor() is None for row in mod.lattice.rows for e in row) == 26
+    calls = 0
+    dot = ring.dot
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return dot(*args, **kwargs)
+
+    monkeypatch.setattr(ring, "dot", counting)
+    for m, count in ((mod.lattice, 71), (mod.frob.truncate(24), 274)):
+        calls = 0
+        m.inverse(24)
+        assert calls == count
+
+
+def _with_entry(m, i, j, x):
+    rows = [list(row) for row in m.rows]
+    rows[i][j] = x
+    return MatSeries.from_rows(rows)
+
+
+def oracle_basechange_generate(d, seed, complexity, p, prec=24):
+    """`basechange_generate` as a product loop: each factor is built as
+    a d x d matrix, then B = B * factor and B^{-1} = factor^{-1} * B^{-1}."""
+    cap = ring.DEFAULT_DENOM_CAP
+    rng = random.Random(seed)
+    ident = MatSeries.identity(d, p, cap)
+    b = binv = ident
+    for _ in range(max(1, complexity + d - 1)):
+        kind = rng.choice(["elem", "diag"] if d > 1 else ["diag"])
+        if kind == "elem":
+            i = rng.randrange(d)
+            j = rng.randrange(d - 1)
+            if j >= i:
+                j += 1
+            c = rng.randrange(1, p)
+            e = rng.randint(0, complexity)
+            f = ring.monomial(p, cap, c, 0, e)
+            fac, inv = _with_entry(ident, i, j, f), _with_entry(ident, i, j, -f)
+        else:
+            i = rng.randrange(d)
+            c = rng.randrange(1, p)
+            e = rng.choice([-1, 0, 0, 1])
+            fac = _with_entry(ident, i, i, ring.monomial(p, cap, c, 0, e))
+            inv = _with_entry(ident, i, i, ring.monomial(p, cap, pow(c, -1, p), 0, -e))
+        b = b * fac
+        binv = inv * binv
+    return phitau.basechange_from_matrix(b, binv, prec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_generate_by_row_operations_matches_products(p):
+    for d in range(1, phitau.MAX_DIM + 1):
+        for complexity in range(4):
+            seed = 100 * d + 10 * complexity + p
+            got = phitau.basechange_generate(d, seed, complexity=complexity, p=p)
+            want = oracle_basechange_generate(d, seed, complexity, p)
+            assert phitau.module_to_text(got) == phitau.module_to_text(want), (d, complexity)
+            assert mat_view(got.lattice_inv) == mat_view(want.lattice_inv), (d, complexity)
 
 
 def oracle_val_floor(m):

@@ -29,13 +29,15 @@ CAP = 2
 # -- the oracles ---------------------------------------------------------
 
 
-def oracle_dot(pairs, alternating=False, cut=None):
+def oracle_dot(pairs, signs=None, cut=None):
+    pairs = list(pairs)
+    signs = [1] * len(pairs) if signs is None else list(signs)
+    assert len(signs) == len(pairs)
     acc = {}
     get = acc.get
     bound = cut
     p = cap = None
-    sign = 1
-    for x, y in pairs:
+    for (x, y), sign in zip(pairs, signs):
         if p is None:
             p, cap = x.p, x.cap
         if x.p != p or y.p != p or x.cap != cap or y.cap != cap:
@@ -56,8 +58,6 @@ def oracle_dot(pairs, alternating=False, cut=None):
                 for (k2, a2), c2 in yt:
                     m = (k1 + k2, a1 + a2)
                     acc[m] = get(m, 0) + c1 * c2
-        if alternating:
-            sign = -sign
     if p is None:
         raise ValueError("dot needs at least one pair")
     return make_series(p, cap, acc, bound)
@@ -143,7 +143,9 @@ def dot_case(draw):
     n = draw(st.integers(1, 4))
     pairs = [(draw(series(p)), draw(series(p))) for _ in range(n)]
     cut = draw(st.one_of(st.none(), st.integers(-4 * p * p, 16 * p * p)))
-    return pairs, draw(st.booleans()), cut
+    # no signs (all +1), or a random sign per pair
+    signs = draw(st.one_of(st.none(), st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n)))
+    return pairs, signs, cut
 
 
 # -- ring.dot --------------------------------------------------------------
@@ -152,12 +154,13 @@ def dot_case(draw):
 @settings(max_examples=250, deadline=None)
 @given(dot_case())
 def test_dot_matches_double_loop(case):
-    pairs, alternating, cut = case
-    want = form(oracle_dot(pairs, alternating, cut))
-    assert form(ring.dot(pairs, alternating, cut)) == want
-    # a generator of pairs is read once
+    pairs, signs, cut = case
+    want = form(oracle_dot(pairs, signs, cut))
+    assert form(ring.dot(pairs, signs, cut)) == want
+    # a generator of pairs and one of signs are each read once
     xs, ys = zip(*pairs)
-    assert form(ring.dot(zip(xs, ys), alternating=alternating, cut=cut)) == want
+    signs = None if signs is None else iter(signs)
+    assert form(ring.dot(zip(xs, ys), signs=signs, cut=cut)) == want
 
 
 class Counted(int):
@@ -214,6 +217,10 @@ def test_dot_needs_a_pair_and_one_ring():
     x, y = ring.t_var(3), ring.t_var(5)
     with pytest.raises(ValueError, match="different p"):
         ring.dot([(x, x), (x, y)])
+    # one sign per pair, no more and no fewer
+    for signs in ((1,), (1, -1, 1)):
+        with pytest.raises(ValueError, match="signs than pairs"):
+            ring.dot([(x, x), (x, x)], signs)
 
 
 # -- the maps that keep the order -------------------------------------------

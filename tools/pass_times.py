@@ -13,15 +13,17 @@ library kept from pass 1.  For pass 1 and for the later passes the output
 gives the median in-process wall time over the runs, and the number of
 chain compositions (``phitau._TauChain._compose``), matrix inversions
 (``phitau.MatSeries.inverse``), identity matrices built
-(``phitau.MatSeries.identity``) and matrix group actions
-(``phitau.MatSeries.act``) that one pass made; a range means that the
-later passes differ.  A module keeps its Id, each Mat(tau^c), c < 0,
-and g.P and g(P^-1) for each g that it was asked for, so the later
-passes of ``module`` build no identity, act with no g on a matrix and
-invert only what no module keeps.  The chain's compositions act through
-``MatSeries.act`` as well, so a pass that composes also counts those
-actions.  A workload whose operations never meet the same input twice
-shows no gap between the two rows.
+(``phitau.MatSeries.identity``), matrix group actions
+(``phitau.MatSeries.act``) and sum-of-products kernel calls
+(``ring.dot``: every series product, matrix entry and formed minor) that
+one pass made; a range means that the later passes differ.  A module
+keeps its Id, each Mat(tau^c), c < 0, and g.P and g(P^-1) for each g
+that it was asked for, so the later passes of ``module`` build no
+identity, act with no g on a matrix and invert only what no module
+keeps.  The chain's compositions act through ``MatSeries.act`` as
+well, so a pass that composes also counts those actions.  A workload
+whose operations never meet the same input twice shows no gap between
+the two rows.
 
 The library and the benchmark code are imported from the tree named by
 ``--tree`` (default: the tree this script sits in), as by
@@ -32,6 +34,7 @@ operations need go to a temporary directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import tempfile
@@ -42,31 +45,36 @@ sys.dont_write_bytecode = True
 
 from op_digest import WORKLOADS, load_bench  # noqa: E402  (sibling script)
 
+# (column, function as a dotted path from the library's modules)
 COUNTED = (
-    ("compose", "_TauChain", "_compose"),
-    ("inverse", "MatSeries", "inverse"),
-    ("identity", "MatSeries", "identity"),
-    ("act", "MatSeries", "act"),
+    ("compose", "phitau._TauChain._compose"),
+    ("inverse", "phitau.MatSeries.inverse"),
+    ("identity", "phitau.MatSeries.identity"),
+    ("act", "phitau.MatSeries.act"),
+    ("dot", "ring.dot"),
 )
 
 
-def counting(cls, name, counts, key):
-    """Replace cls.name by a wrapper that adds 1 to counts[key] per call."""
-    fn = getattr(cls, name)
+def counting(owner, name, counts, key):
+    """Replace owner.name by a wrapper that adds 1 to counts[key] per call.
+    A module-level function is replaced in its module, which its own
+    callers in that module read as well."""
+    fn = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         counts[key] += 1
         return fn(*args, **kwargs)
 
-    setattr(cls, name, wrapper)
+    setattr(owner, name, wrapper)
 
 
 def one_run(run, workload, seed, passes, workdir):
     """[(seconds, counts)] of each pass over freshly built operations."""
     lib = run.load_library()
-    counts = dict.fromkeys((key for key, _, _ in COUNTED), 0)
-    for key, cls, name in COUNTED:
-        counting(getattr(lib.phitau, cls), name, counts, key)
+    counts = dict.fromkeys((key for key, _ in COUNTED), 0)
+    for key, path in COUNTED:
+        *owner, name = path.split(".")
+        counting(functools.reduce(getattr, owner, lib), name, counts, key)
     ops = run.W.WORKLOADS[workload](lib, seed, workdir)
     out = []
     for _ in range(passes):
@@ -104,10 +112,10 @@ def main(argv=None):
             firsts.append(passes[0])
             laters.extend(passes[1:])
     print(f"{args.workload} seed {args.seed}: {n_ops} ops, {args.runs} runs of {args.passes} passes")
-    print(f"{'pass':<8}{'median_ms':>10}" + "".join(f"{key:>10}" for key, _, _ in COUNTED))
+    print(f"{'pass':<8}{'median_ms':>10}" + "".join(f"{key:>10}" for key, _ in COUNTED))
     for label, rows in (("1", firsts), (f"2-{args.passes}", laters)):
         ms = statistics.median(dt for dt, _ in rows) * 1e3
-        cols = "".join(f"{span([c[key] for _, c in rows]):>10}" for key, _, _ in COUNTED)
+        cols = "".join(f"{span([c[key] for _, c in rows]):>10}" for key, _ in COUNTED)
         print(f"{label:<8}{ms:>10.1f}{cols}")
     return 0
 
