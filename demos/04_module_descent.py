@@ -32,9 +32,10 @@ print("module file:")
 print(module_to_text(mod))
 
 # Two valuations on coordinate vectors: the naive minimum and the one
-# computed through the lattice basis.  They differ by a bounded gap.
-best, bound = equiv_constant(mod)
-print("largest observed valuation gap:", best, " analytic bound:", bound)
+# computed through the lattice basis.  Their gap is at most a constant
+# read off W and W^-1, and a basis vector or a column of W attains it.
+const, witness = equiv_constant(mod)
+print(f"valuation gap constant: {const}, attained at x = ({', '.join(map(str, witness))})")
 
 # Descent: solve Mat(g) = Id + t^r H by the contraction
 # H = f0 + P phi(H) Q_g.  Each iteration gains at least val(Q_g).

@@ -611,25 +611,22 @@ def basechange_from_matrix(b: MatSeries, binv: MatSeries, prec) -> PhiTauModule:
 
 
 def v_tau(coords) -> Fraction | None:
-    """min of coordinate valuations; None marks an all-unknown vector
-    (bounded below by the precision caps)."""
-    return holder.min_known(c.val() for c in coords)
-
-
-def _certified_val(entries) -> Fraction | None:
-    """The least valuation of the series `entries` when a known term
-    attains their floor, else None: a floor that only an O(.) cap sets
-    vanished to precision.  Floors compare as keys, where a known term
-    sorts before a cap of the same key."""
-    entries = tuple(entries)
+    """The basis valuation: the least valuation of the series `coords`
+    when a known term attains their floor, else None.  Exact zeros are
+    skipped, and a floor that only an O(.) cap sets vanished to
+    precision, so it certifies no value.  Floors compare as keys, where a
+    known term sorts before a cap of the same key: (O(5), t^5) has
+    valuation 5, and (O(1), t^5) none."""
+    coords = tuple(coords)
     key, capped = min(
-        ((k, not e.terms) for e in entries if (k := e.key_floor()) is not None), default=(None, True)
+        ((k, not c.terms) for c in coords if (k := c.key_floor()) is not None), default=(None, True)
     )
-    return None if capped else ring.bound_prec(key, entries[0].p, entries[0].cap)
+    return None if capped else ring.bound_prec(key, coords[0].p, coords[0].cap)
 
 
 def v_tilde(module: PhiTauModule, coords) -> Fraction | None:
-    """Valuation after re-expressing the vector in the lattice basis."""
+    """Valuation after re-expressing the vector in the lattice basis:
+    `v_tau` of W^{-1} x."""
     w_inv = module.lattice_inverse()
     return v_tau(w_inv.vecmul(coords))
 
@@ -641,38 +638,25 @@ def module_act(module: PhiTauModule, g: GroupElem, coords):
     return mat_of(module, g).vecmul(acted)
 
 
-def _sample_coords(module, rng):
-    d, p, cap = module.d, module.p, module.cap
-    out = []
-    for _ in range(d):
-        if rng.random() < 0.2:
-            out.append(ring.zero(p, cap, module.prec))
-            continue
-        coeff = rng.randrange(1, p)
-        eu = Fraction(rng.randint(0, 2), p ** rng.randint(0, 2))
-        et = Fraction(rng.randint(-2, 4), p ** rng.randint(0, 1))
-        out.append(ring.monomial(p, cap, coeff, eu, et, module.prec))
-    return tuple(out)
+def equiv_constant(module: PhiTauModule) -> tuple[Fraction, tuple[PerfSeries, ...]]:
+    """(C, x): the least C with |v_tau(y) - v_tilde(y)| <= C for every y,
+    and a vector x whose gap is C.
 
-
-def equiv_constant(module: PhiTauModule, samples=40, seed=0):
-    """Largest observed |v_tau - v_tilde| over sampled coordinate vectors,
-    together with the analytic bound max(-val(W), -val(W^{-1}))."""
-    rng = random.Random(seed)
-    w = module.lattice
-    if w is None:
-        raise PreconditionViolated("module has no lattice")
+    C = max(-val W^{-1}, -val W), which is >= 0 since
+    val W + val W^{-1} <= val Id = 0.  At x = e_k, v_tilde - v_tau is the
+    valuation of column k of W^{-1}; at x = W e_k, v_tau - v_tilde is that
+    of column k of W.  So a column of least valuation names the witness,
+    e_k or W e_k.  Every valuation is `v_tau`'s: a least floor that only
+    an O(.) cap sets raises PrecisionRequired."""
     w_inv = module.lattice_inverse()
-    bound = max(-w.val_floor(), -w_inv.val_floor(), Fraction(0))
-    best = Fraction(0)
-    for _ in range(samples):
-        coords = _sample_coords(module, rng)
-        vt = v_tau(coords)
-        vtd = v_tau(w_inv.vecmul(coords))
-        if vt is None or vtd is None:
-            continue
-        best = max(best, abs(vt - vtd))
-    return best, bound
+    w_cols = tuple(zip(*module.lattice.rows))
+    units = MatSeries.identity(module.d, module.p, module.cap).rows
+    # (column, x) for x = e_k against W^{-1}'s columns, x = W e_k against W's
+    pairs = (*zip(zip(*w_inv.rows), units), *zip(w_cols, w_cols))
+    least = v_tau(e for col, _ in pairs for e in col)
+    if least is None:
+        raise PrecisionRequired("the least valuation of W and W^{-1} is only an O(.) cap")
+    return -least, next(x for col, x in pairs if v_tau(col) == least)
 
 
 # -- descent ----------------------------------------------------------
@@ -722,17 +706,16 @@ def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport
 
 
 def integral_twist(module: PhiTauModule) -> PhiTauModule:
-    """Rescale the basis by t^s, s >= 0 least, so that P becomes integral.
+    """Rescale the basis by t^s, s = -floor(val(P) / (p-1)), which puts
+    val(P) in [0, p-1): a P that is not integral is raised, and one of
+    val >= p-1 lowered, so the descent's radius stays small.
 
     On the twisted basis P' = t^(s(p-1)) P, and Mat'(tau^c) picks up the
     unit scalar tau^c(t^s) t^{-s} = eps^(cs); for the generator this is
     Mat(tau) * (1+u)^s.  The lattice basis rescales by t^{-s}.
     """
     p, cap = module.p, module.cap
-    floor = module.frob.val_floor()
-    s = 0
-    while s * (p - 1) + floor < 0:
-        s += 1
+    s = -(module.frob.val_floor() // (p - 1))
     if s == 0:
         return module
     t_up = ring.monomial(p, cap, 1, 0, s * (p - 1))
@@ -788,13 +771,13 @@ def _deviation(module: PhiTauModule, mat_g: MatSeries, c: int, r: int) -> Fracti
     """None when val(Mat(tau^c) - Id) >= r is certified, else that
     valuation, attained by a known term.  A floor below r that only an
     O(.) cap sets vanished to precision and raises DegenerateOrbit: the
-    `_certified_val` rule by which a `matrix_sh_test` sample vanishes,
+    `v_tau` rule by which a `matrix_sh_test` sample vanishes,
     though there `holder.fit_levels` picks the error by level."""
     diff = mat_g - module._tau_chain.mat(0)
     floor = diff.val_floor()
     if floor is None or floor >= r:
         return None
-    if _certified_val(e for row in diff.rows for e in row) is None:
+    if v_tau(e for row in diff.rows for e in row) is None:
         raise DegenerateOrbit(f"Mat(tau^{c}) - Id vanishes to precision below t^{r}")
     return floor
 
@@ -905,7 +888,7 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
     ident = module._tau_chain.mat(0)
 
     def measure(g):
-        return (_certified_val(e for row in (mat_of(module, g) - ident).rows for e in row),)
+        return (v_tau(e for row in (mat_of(module, g) - ident).rows for e in row),)
 
     (levels,) = holder.fit_levels(measure, fam, p, i_max)
     plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
@@ -938,7 +921,7 @@ def module_sh_test(
     of W^{-1} D its lattice coordinates: these columns are the
     `holder.fit_levels` tracks, and one that vanishes ends the sweep.  A
     column counts only when a known term attains its floor
-    (`_certified_val`), as a `matrix_sh_test` sample does.
+    (`v_tau`), as a `matrix_sh_test` sample does.
     Without a lattice the lattice levels and fit are None."""
     p, d, cap, prec = module.p, module.d, module.cap, module.prec
     if n < 0:
@@ -956,7 +939,7 @@ def module_sh_test(
     def measure(g):
         diff = mat_of(module, g).scale_series(galois.act(g, scalar, prec)) - scaled
         mats = (diff,) if w_inv is None else (diff, w_inv * diff)
-        return [_certified_val(col) for mat in mats for col in zip(*mat.rows)]
+        return [v_tau(col) for mat in mats for col in zip(*mat.rows)]
 
     levels = holder.fit_levels(measure, fam, p, i_max)
     return tuple(

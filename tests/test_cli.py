@@ -220,6 +220,25 @@ class TestModuleCommands:
         code, obj = run_json(capsys, "module", "descend", module_file, "--target", "8")
         assert code == 0 and obj["matches_direct"] is True
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p=3 d=1 prec=24 cap=6\n[P]\nt^{18}\n[tau]\n1 + u^{9} + O(15)\n[lattice]\nt^{-9}\n",
+            "p=3 d=1 prec=24 cap=6\n[P]\nt^{24}\n[tau]\n1 + u^{3} + O(12)\n[lattice]\nt^{-12}\n",
+            "p=5 d=1 prec=24 cap=6\n[P]\nt^{20}\n[tau]\n1 + u^{5} + O(19)\n[lattice]\nt^{-5}\n",
+        ],
+        ids=["B=t^9 p=3", "B=t^12 p=3", "B=t^5 p=5"],
+    )
+    def test_descend_lowers_large_val(self, capsys, tmp_path, text):
+        # the trivial module along B = (t^e), so P = t^(e(p-1)): the twist
+        # lowers P to Id, and the descent certifies at r = 1 (a twist that
+        # only raised P left r = e(p-1) + 1, and the run exited 2)
+        path = tmp_path / "trivial.mod"
+        path.write_text(text)
+        code, obj = run_json(capsys, "module", "descend", str(path), "--target", "6")
+        assert code == 0
+        assert (obj["r"], obj["c"], obj["matches_direct"]) == (1, 1, True)
+
     def test_descend_short_of_target_is_exit_2(self, capsys, tmp_path):
         # B = diag(t^-1, t^2, 1, 1) spreads the exponents: the descent
         # radius is 7, and prec 24 runs out before residual 12

@@ -20,7 +20,7 @@ import weakref
 
 import pytest
 
-from tilted import cli, galois, phitau, ring
+from tilted import cli, galois, phitau, ring, selftest
 from tilted.errors import TiltedError
 
 PREC = 24
@@ -49,7 +49,7 @@ def module_calls(mod, rng):
         report = phitau.descend_fixed_point(copy, g, r, 8)
     except TiltedError:
         r, g, report = 1, galois.tau(1), None
-    coords = phitau._sample_coords(mod, rng)
+    coords = selftest.sample_coords(mod, rng)
     calls = [
         (f"mat_of {c}", lambda m, c=c: phitau.mat_of(m, galois.tau(c)))
         for c in (1, 2, p + 1, p**2, -1, -p, 0, p**40 + 1, rng.randrange(p**30, p**60))

@@ -236,6 +236,17 @@ class TestCocycle:
         assert phitau.mat_of(mod_d2, g) == phitau.mat_of(mod_d2, galois.tau(2))
 
 
+# B = (t^e) with val(P) = e(p-1) >= p-1: the trivial module in disguise
+TRIVIAL_LARGE_P = [(3, 9), (3, 12), (5, 5)]
+
+
+def trivial_along(p, e):
+    """The base change of the trivial 1 x 1 module along B = (t^e), prec 24."""
+    b = MatSeries.from_rows([[ring.monomial(p, CAP, 1, 0, e)]])
+    binv = MatSeries.from_rows([[ring.monomial(p, CAP, 1, 0, -e)]])
+    return phitau.basechange_from_matrix(b, binv, 24)
+
+
 class TestTwist:
     def test_makes_integral(self):
         mod = one_by_one(s("t^{-1}+1"), 24)
@@ -247,6 +258,23 @@ class TestTwist:
 
     def test_noop_when_integral(self, mod_1pt):
         assert phitau.integral_twist(mod_1pt) is mod_1pt
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_puts_val_below_p_minus_1(self, p):
+        for d in (1, 2, 3):
+            for seed in range(4):
+                mod = phitau.basechange_generate(d, seed=seed, p=p, prec=24)
+                assert 0 <= phitau.integral_twist(mod).frob.val_floor() < p - 1
+
+    @pytest.mark.parametrize("p, e", TRIVIAL_LARGE_P, ids=str)
+    def test_lowers_large_val(self, p, e):
+        # P = t^(e(p-1)): the twist by t^(-e) makes P = Id, so the trivial
+        # module descends at r = 1, where P = t^(e(p-1)) needs r = e(p-1) + 1
+        # and runs out of precision
+        mod = trivial_along(p, e)
+        assert phitau.integral_twist(mod).frob.val_floor() == 0
+        rep, matches = phitau.descend(mod, 6)
+        assert (rep.r, rep.c, rep.reached, matches) == (1, 1, True, True)
 
 
 class TestDescent:
@@ -430,17 +458,42 @@ class TestDescend:
 
 
 class TestValuations:
+    def test_v_tau_certifies(self):
+        # only a cap sets the floor 1: nothing is certified
+        assert phitau.v_tau((s("O(1)"), s("t^{5}"))) is None
+        # a known term wins a tie with a cap
+        assert phitau.v_tau((s("O(5)"), s("t^{5}"))) == 5
+        # the exact zero is skipped
+        zero = ring.zero(P, CAP)
+        assert phitau.v_tau((zero, s("u*t^{2} + O(9)"))) == Fraction(7, 2)
+        assert phitau.v_tau((zero, zero)) is None
+        assert phitau.v_tau(()) is None
+
     def test_gap_bound_attained(self):
+        # W = t^2: the gap 2 is attained at e_0
         mod = one_by_one(s("t^{-2}"), 24)
-        best, bound = phitau.equiv_constant(mod)
-        assert best == bound == 2
+        const, witness = phitau.equiv_constant(mod)
+        assert const == 2 and [ring.format_series(e) for e in witness] == ["1"]
+        assert phitau.v_tau(witness) - phitau.v_tilde(mod, witness) == 2
+
+    def test_gap_attained_at_a_lattice_column(self):
+        # W = t^-2: the gap 2 is attained at x = W e_0 = t^-2
+        mod = one_by_one(s("t^{2}"), 24)
+        const, witness = phitau.equiv_constant(mod)
+        assert const == 2 and [ring.format_series(e) for e in witness] == ["t^{-2} + O(24)"]
+        assert phitau.v_tilde(mod, witness) - phitau.v_tau(witness) == 2
 
     def test_trivial_lattice_no_gap(self, mod_1pt):
         coords = (s("t+u"),)
         vt = phitau.v_tau(coords)
         vtd = phitau.v_tilde(mod_1pt, coords)
         assert vt == 1
-        assert abs(vt - vtd) <= phitau.equiv_constant(mod_1pt)[1]
+        assert abs(vt - vtd) <= phitau.equiv_constant(mod_1pt)[0]
+
+    def test_constant_needs_a_lattice(self):
+        mod = phitau.make_module(I2, I2, 24)
+        with pytest.raises(PreconditionViolated, match="no lattice"):
+            phitau.equiv_constant(mod)
 
     def test_file_lattice_inverted_once(self, mod_d2, monkeypatch):
         text = phitau.module_to_text(mod_d2)
@@ -454,7 +507,7 @@ class TestValuations:
         monkeypatch.setattr(MatSeries, "inverse", counting)
         coords = (s("t"), s("u*t^{2}"))
         readers = [
-            lambda mod: phitau.equiv_constant(mod, samples=5),
+            phitau.equiv_constant,
             lambda mod: phitau.module_sh_test(mod, 0, i_max=2),
             lambda mod: phitau.v_tilde(mod, coords),
         ]
@@ -524,8 +577,7 @@ class TestModuleSh:
         # the lattice column of j = 1 at level 2 of this sweep: its known
         # term has valuation 35/6, but O(5) certifies only >= 5
         col = (s("O(5)"), s("u^{3}*t^{4/3} + O(19/3)"))
-        assert phitau.v_tau(col) == Fraction(35, 6)
-        assert phitau._certified_val(col) is None
+        assert phitau.v_tau(col) is None
         mod = phitau.basechange_generate(2, seed=5, p=P, prec=6)
         with pytest.raises(PrecisionRequired, match="vanish to precision at level 2 of 0..2"):
             phitau.module_sh_test(mod, 0, n=1)
