@@ -349,7 +349,8 @@ def _check_pure_t(mat: MatSeries):
 
 def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None):
     """The module, checked: P has pure-t integer exponents and a dominant
-    leading determinant, the cocycle holds for tau, and prec > 0 (at
+    leading determinant, the cocycle holds for tau, W W^-1 - Id has no
+    known term below prec when both are given, and prec > 0 (at
     prec <= 0 nothing of Mat(tau) is known, so every check is vacuous).
     P, Mat(tau), W and W^-1, when given, must be d x d for d >= 1 the
     number of P's rows, with entries over P's p and cap: else ValueError."""
@@ -365,6 +366,9 @@ def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None):
         raise ValueError(f"every matrix entry must be over P's p={p} and cap={cap}")
     _check_pure_t(frob)
     mod = PhiTauModule(d, p, cap, Fraction(prec), frob, mat_tau, lattice, lattice_inv)
+    if lattice is not None and lattice_inv is not None:
+        if not (lattice.mul(lattice_inv, mod.prec) - MatSeries.identity(d, p, cap)).is_zero():
+            raise PreconditionViolated("lattice_inv is not the inverse of the lattice")
     # etaleness: dominant-leading determinant
     ring.invert(frob.det(), mod.prec)
     ok, _ = cocycle_check(mod, galois.tau(1))
@@ -666,7 +670,9 @@ def equiv_constant(module: PhiTauModule) -> tuple[Fraction, tuple[PerfSeries, ..
 class DescentReport:
     """H with Mat(tau^c) = Id + t^r H, to the target or to the residual
     where the module's precision ran out.  `reached` says which: the last
-    residual is None (the step was exactly zero) or at least the target."""
+    residual is None (the step was exactly zero) or at least the target.
+    `descend` raises rather than return a report short of its target;
+    `descend_fixed_point` returns one."""
 
     r: int
     h: MatSeries
@@ -681,7 +687,10 @@ class DescentReport:
 def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport, bool]:
     """Recover Mat(tau^c) = Id + t^r H on the integral twist of `module`
     to `target`, and check H against Mat(tau^c) - Id directly; returns
-    (report, matches_direct).
+    (report, matches_direct).  The verdict is certified or raised: when
+    the module's precision runs out below the target, H certifies nothing
+    there and NonConvergence names the residual reached, so a False
+    `matches_direct` is a certified mismatch at the target.
 
     r defaults to the least adequate radius and c to p^l for the least
     adequate level l.  These are the public steps, in order, on the twisted
@@ -702,6 +711,11 @@ def descend(module: PhiTauModule, target, r=None, c=None) -> tuple[DescentReport
         c = module.p ** minimal_descent_level(module, r)
     g = galois.tau(c)
     rep = descend_fixed_point(module, g, r, target)
+    if not rep.reached:
+        raise NonConvergence(
+            f"descent stopped at residual {rep.residual_val} < target {target} "
+            f"after {rep.iterations} iterations"
+        )
     return rep, descent_matches_direct(module, g, rep, target)
 
 
@@ -794,9 +808,11 @@ def descend_fixed_point(
 
     The solution satisfies Mat(g) = Id + t^r H.  Convergence is the
     ultrametric contraction val(X_{j+1} - X_j) >= p val(X_j - X_{j-1})
-    + val(P) + val(Q_g), so each step gains at least val(Q_g) > 0.
-    P cut at the precision and g(P^{-1}) are the module's own, so a
-    second call with the same g acts on no matrix.
+    + val(P) + val(Q_g), so each step gains at least val(Q_g), which is
+    val(P^{-1}) + r(p-1) >= 1 + r(p-2) once r passes `_radius`: g keeps
+    the floor of the pure-t P^{-1}.  P cut at the precision and g(P^{-1})
+    are the module's own, so a second call with the same g acts on no
+    matrix.
     """
     _radius(module, r)
     mat_g = mat_of(module, g)
@@ -817,10 +833,6 @@ def descend_fixed_point(
     t_pow = ring.monomial(p, cap, 1, 0, r * (p - 1))
     q_g = gp_inv.scale_series(t_pow)
     q_val = q_g.val_floor()
-    if q_val is None:
-        raise PrecisionRequired("Q_g vanishes to precision")
-    if q_val <= 0:
-        raise PreconditionViolated("Q_g is not topologically nilpotent")
     t_neg_r = ring.monomial(p, cap, 1, 0, -r)
     f0 = ((frob_mat * gp_inv) - module._tau_chain.mat(0)).scale_series(t_neg_r)
 

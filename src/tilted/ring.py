@@ -539,18 +539,12 @@ def invert(x: PerfSeries, prec: Fraction | None = None) -> PerfSeries:
     # x = lead * (1 + y) with val(y) > 0; 1/x = (1/lead) * sum (-y)^j,
     # with y and its powers needed below target + val(x)
     top = target + lead_k
-    y = tail.mono_shift(inv_m, inv_c).cut(top)
-    y_k = y.key_floor()
+    # every key of y is above 0, so the powers climb to top and the first
+    # one with no term below it ends the sum
+    neg_y = -tail.mono_shift(inv_m, inv_c).cut(top)
     acc = power = one(p, cap).cut(top)
-    if y_k is not None:
-        neg_y = -y
-        j_k = 0
-        while j_k < top:
-            power = dot(((power, neg_y),), cut=top)
-            if power.is_zero():
-                break
-            acc = acc + power
-            j_k += y_k
+    while (power := dot(((power, neg_y),), cut=top)).terms:
+        acc = acc + power
     return acc.mono_shift(inv_m, inv_c).cut(target)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import galois, holder, newton, phitau, ring
+from .errors import NonConvergence
 from .holder import FamilyKind, PPow, Status, SubgroupFamily
 
 
@@ -220,10 +221,12 @@ def check_descent():
     p = 3
     target = Fraction(12)
     for seed, d in DESCENT_CASES:
-        rep, matches = phitau.descend(
-            phitau.basechange_generate(d, seed=seed, complexity=2, p=p, prec=24), target
-        )
-        ck.check(rep.reached, f"seed={seed} d={d} short")
+        mod = phitau.basechange_generate(d, seed=seed, complexity=2, p=p, prec=24)
+        try:
+            rep, matches = phitau.descend(mod, target)
+        except NonConvergence as exc:
+            ck.check(False, f"seed={seed} d={d}: {exc}")
+            continue
         gains = [
             b - a
             for a, b in zip(rep.residual_history, rep.residual_history[1:])
@@ -238,13 +241,13 @@ def check_descent():
             ck.check(rep.iterations <= limit + 1, f"seed={seed} d={d} too many iterations")
         ck.check(matches, f"seed={seed} d={d} descent != direct")
     # closed form: B = 1+t gives H = u (1+t)^{-1} at r = 1
-    mod = _one_plus_t(p, 24)
-    rep = phitau.descend_fixed_point(mod, galois.tau(1), 1, target)
+    rep, matches = phitau.descend(_one_plus_t(p, 24), target, r=1, c=1)
     want = ring.u_var(p) * ring.invert(ring.one(p) + ring.t_var(p), target)
     ck.check(
         ring.eq_to_prec(rep.h.rows[0][0], want.truncate(target)),
         "closed-form descent",
     )
+    ck.check(matches, "closed-form descent != direct")
     return ck.result()
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilted import phitau, ring, selftest
-from tilted.errors import PrecisionRequired
+from tilted.errors import PrecisionRequired, PreconditionViolated
 from tilted.phitau import MatSeries
 
 
@@ -51,3 +51,18 @@ def test_cap_at_the_attaining_floor_raises():
     mod = phitau.make_module(ident, ident, 24, lattice=w, lattice_inv=w_inv)
     with pytest.raises(PrecisionRequired, match="only an O"):
         phitau.equiv_constant(mod)
+
+
+def test_wrong_lattice_inverse_is_refused():
+    # W = diag(t^2, 1): W^{-1} = diag(t^5, 1) leaves t^7 - 1 in W W^{-1} - Id
+    p, cap = 3, 6
+    zero, one = ring.zero(p, cap), ring.one(p, cap)
+    ident = MatSeries.identity(2, p, cap)
+
+    def diag(e):
+        return MatSeries.from_rows([[ring.monomial(p, cap, 1, 0, e), zero], [zero, one]])
+
+    with pytest.raises(PreconditionViolated, match="not the inverse"):
+        phitau.make_module(ident, ident, 24, lattice=diag(2), lattice_inv=diag(5))
+    mod = phitau.make_module(ident, ident, 24, lattice=diag(2), lattice_inv=diag(-2))
+    assert phitau.equiv_constant(mod)[0] == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tilted import cli, galois, holder, phitau, ring, selftest
-from tilted.errors import ParseError, PrecisionRequired, PreconditionViolated
+from tilted.errors import NonConvergence, ParseError, PrecisionRequired, PreconditionViolated
 from tilted.holder import PPow, Status
 from tilted.phitau import MatSeries
 
@@ -351,6 +351,18 @@ class TestDescent:
         assert phitau.minimal_descent_radius(mod) == r
         assert len(calls) == 0
 
+    @pytest.mark.parametrize("p, d_max", [(2, 3), (3, 6), (5, 3)])
+    def test_q_g_gains_at_least_one(self, p, d_max):
+        # P is pure-t, so g keeps the floor of P^{-1}, and the radius puts
+        # val(P^{-1}) >= 1 - r: val(Q_g) = val(P^{-1}) + r(p-1) >= 1 + r(p-2)
+        for d in range(1, d_max + 1):
+            for seed in range(10):
+                mod = phitau.basechange_generate(d, seed=seed, p=p, prec=24)
+                rep, _ = phitau.descend(mod, 6)
+                twisted = phitau.integral_twist(mod)
+                floor = twisted.frob.truncate(twisted.prec).inverse(twisted.prec).val_floor()
+                assert rep.q_val == floor + rep.r * (p - 1) >= 1 + rep.r * (p - 2)
+
     @pytest.mark.parametrize("p", [2, 3, 5])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_acted_inverse_keeps_floor(self, p, d):
@@ -419,15 +431,19 @@ class TestDescend:
     @pytest.mark.parametrize("case", selftest.DESCENT_CASES + ["spread"], ids=str)
     def test_matches_five_calls(self, case):
         if case == "spread":
-            mod = spread_module()
+            mod, target = spread_module(), 11
         else:
             seed, d = case
-            mod = phitau.basechange_generate(d, seed=seed, p=P, prec=24)
-        assert summary(*phitau.descend(mod, 12)) == summary(*five_calls(mod, 12))
+            mod, target = phitau.basechange_generate(d, seed=seed, p=P, prec=24), 12
+        assert summary(*phitau.descend(mod, target)) == summary(*five_calls(mod, target))
 
-    def test_reached(self):
-        rep, matches = phitau.descend(spread_module(), 12)
+    def test_short_descent_raises(self):
+        # the five calls return the report short of target 12; `descend`
+        # raises on it, and certifies at the residual reached
+        rep, _ = five_calls(spread_module(), 12)
         assert (rep.r, rep.residual_val, rep.reached) == (7, 11, False)
+        with pytest.raises(NonConvergence, match="residual 11 < target 12 after"):
+            phitau.descend(spread_module(), 12)
         rep, matches = phitau.descend(spread_module(), 11)
         assert rep.reached and matches
 
