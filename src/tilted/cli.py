@@ -31,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import galois, holder, newton, phitau, ring, selftest
+from . import galois, holder, newton, phitau, ring
 from .errors import Inconclusive, ParseError, TiltedError
 from .holder import FamilyKind, PPow, Status, SubgroupFamily
 
@@ -404,6 +404,9 @@ def _cmd_newton(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here: no other command needs the criteria's module
+    from . import selftest
+
     results = selftest.run(set(args.only) if args.only else None)
     _emit(
         {

@@ -9,7 +9,12 @@ with gamma applied first.  The group law is (c1,a1)*(c2,a2) =
 (c1 + a1*c2, a1*a2), realizing gamma_a tau gamma_a^{-1} = tau^a.
 
 Elements produced by `inverse` are only known modulo p^N; the action
-checks per call that N is large enough for the requested precision.
+checks per call that N is large enough for the requested precision, and
+then acts through the element's least representative mod p^N and cuts
+the result where two representatives could first differ.  So
+gamma_a tau gamma_a^{-1}, known as (a, a * a^{-1}) mod p^24, acts as
+tau^a does: no gamma pass and the same terms, with tau^a's cap wherever
+that lies below what a change of a by p^24 could move.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ class GroupElem:
     """The operator tau^c o gamma_a (gamma applied first).
 
     ``nacc`` records that (c, a) are only accurate modulo p^nacc, which
-    happens after inverting the gamma component; None means exact.
+    happens after inverting the gamma component; None means exact.  An
+    approximate element acts through its least representative
+    (c mod p^nacc, a mod p^nacc), cut below where another one could act
+    differently, so gamma_a tau gamma_a^{-1} acts as tau^a.
     """
 
     c: int
@@ -196,6 +204,36 @@ def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
         )
 
 
+def _agreement_bound(x: PerfSeries, mod: int, eff: int) -> int | None:
+    """The key bound below which all elements congruent mod p^N = `mod`
+    act alike on x (None: they act alike below eff).
+
+    Raising a by p^N b turns w = (1+v)^a - 1, v = u^(1/p^k), into
+    w + (1+v)^a ((1+v^(p^N))^b - 1); w has the valuation of v, a being a
+    unit, so w^m, for m of either sign, moves by terms of valuation at
+    least val(v^m) + (p^N - 1) val(v).  Raising c by p^N b multiplies the
+    image of t^B, B = m/p^k, by (1+u)^(p^N b B), which moves it by
+    terms p^(N-k) val(u) above it.  gamma keeps each term's t factor and
+    leaves no image term below its source, and tau is an isometry, so
+    each term of x bounds the change its images can make.
+    """
+    p, cap = x.p, x.cap
+    # every step below is at least (p^N - 1) * p, and the first key is least
+    if not x.terms or x.terms[0][0][0] + (mod - 1) * p >= eff:
+        return None
+    bound = None
+    for m, _ in x.terms:
+        eu, et = ring.mono_units(m, p)
+        if eu:
+            # v^(p^N - 1) has key (p^N - 1) * p^(cap+1-k)
+            step = (mod - 1) * p ** (cap + 1 - ring.lowest_terms(eu, p, cap)[1])
+            bound = min_prec(bound, m[0] + step)
+        if et:
+            step = mod * p ** (cap + 1 - ring.lowest_terms(et, p, cap)[1])
+            bound = min_prec(bound, m[0] + step)
+    return bound
+
+
 def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
@@ -268,8 +306,10 @@ def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
     """Apply the operator tau^c o gamma_a to a series.
 
     The result carries precision min(prec(x), prec), lowered further
-    where gamma inverts a series for a negative u exponent; an exact
-    input with only finite expansions yields an exact output.
+    where gamma inverts a series for a negative u exponent, and for an
+    element known mod p^N where two of its representatives could act
+    differently; an exact input with only finite expansions yields an
+    exact output.
     """
     return _act(g, x, ring.key_bound(prec, x.p, x.cap))
 
@@ -281,10 +321,20 @@ def _act(g: GroupElem, x: PerfSeries, bound) -> PerfSeries:
     y = x.cut(eff)
     if g.a % x.p == 0:
         raise ValueError("gamma component must be a unit")
-    if g.a != 1:
-        y = _apply_gamma(g.a, y, eff)
-    if g.c != 0:
+    c, a = g.c, g.a
+    agree = None
+    if g.nacc is not None:
+        # act through the least representative of (c, a) mod p^nacc (a > 0,
+        # so a = 1 when nacc = 0), and keep only what every one of them
+        # agrees on: a conjugate gamma_a tau gamma_a^-1 skips gamma as
+        # tau^a does, and keeps tau^a's cap below p^nacc's reach
+        mod = x.p**g.nacc
+        c, a = c % mod, (a - 1) % mod + 1
+        agree = _agreement_bound(y, mod, eff)
+    if a != 1:
+        y = _apply_gamma(a, y, eff)
+    if c != 0:
         # gamma's images may be known to less than eff, and tau is an
         # isometry: its images are known exactly as far as y is
-        y = _apply_tau(g.c, y, y.bound)
-    return y
+        y = _apply_tau(c, y, y.bound)
+    return y.cut(agree)

@@ -52,6 +52,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     CapExceeded,
@@ -438,7 +439,9 @@ def make_series(p, cap, termdict, bound=None) -> PerfSeries:
         items = [(m, r) for m, c in termdict.items() if (r := c % p)]
     else:
         items = [(m, r) for m, c in termdict.items() if m[0] < bound and (r := c % p)]
-    items.sort()
+    # the monomials are distinct, so ordering on them alone is the same
+    # order, with int pairs compared rather than (pair, coeff) items
+    items.sort(key=itemgetter(0))
     return PerfSeries(p, cap, bound, tuple(items))
 
 
@@ -798,23 +801,27 @@ def _format_atom(name, a, p, cap):
 def format_series(x: PerfSeries) -> str:
     """Canonical text form: terms in ascending valuation order, then O(prec)."""
     p, cap = x.p, x.cap
-    texts = {}  # (name, units) -> atom text, each formatted once
+    # units -> atom text, per variable, each formatted once
+    u_atoms, t_atoms = {}, {}
     parts = []
-    for m, c in x.terms:
-        a, b = mono_units(m, p)
-        atoms = []
-        for atom in (("u", a), ("t", b)):
-            if atom[1]:
-                s = texts.get(atom)
-                if s is None:
-                    s = texts[atom] = _format_atom(*atom, p, cap)
-                atoms.append(s)
-        if not atoms:
-            parts.append(str(c))
-        elif c == 1:
-            parts.append("*".join(atoms))
+    for (key, a), c in x.terms:
+        b = (key - a * p) // (p - 1)
+        if b:
+            t = t_atoms.get(b)
+            if t is None:
+                t = t_atoms[b] = _format_atom("t", b, p, cap)
+        if a:
+            atoms = u_atoms.get(a)
+            if atoms is None:
+                atoms = u_atoms[a] = _format_atom("u", a, p, cap)
+            if b:
+                atoms = f"{atoms}*{t}"
+        elif b:
+            atoms = t
         else:
-            parts.append(f"{c}*" + "*".join(atoms))
+            parts.append(str(c))
+            continue
+        parts.append(atoms if c == 1 else f"{c}*{atoms}")
     if x.bound is not None:
         parts.append(f"O({x.prec})")
     if not parts:

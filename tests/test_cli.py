@@ -655,6 +655,22 @@ class TestSelftestCommand:
         code, _, _ = run(capsys, "selftest", "--only", "bogus")
         assert code == 3
 
+    def test_selftest_is_imported_by_its_command_only(self):
+        # every other command, and the CLI's own import, skip the module
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, tilted.cli; print('tilted.selftest' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=30,
+        ).stdout
+        assert out == "False\n"
+        run = subprocess.run(
+            [sys.executable, "-m", "tilted", "selftest", "--only", "refutation"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["passed"] is True
+
 
 @pytest.fixture(scope="module")
 def fuzz_module_file(tmp_path_factory):

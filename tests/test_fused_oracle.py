@@ -628,21 +628,31 @@ def low_target_terms(x, eff):
     return count
 
 
+def least_representative(g, p):
+    """The exact element (c mod p^nacc, a mod p^nacc) of an approximate g."""
+    mod = p**g.nacc
+    return galois.GroupElem(g.c % mod, g.a % mod)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_gamma_matches_eps_minus_one(p):
     # the action forms w = (1+v)^a - 1 from the expansion's terms j >= 1;
-    # the oracle keeps eps - one.cut(target), on approximate conjugates
-    # gamma_a tau gamma_a^-1 (a * a^-1 = 1 mod p^24, but not 1), on terms
-    # u^e t^B with e < 0 whose t factor alone reaches the cap, and on
-    # exact inputs
+    # the oracle keeps eps - one.cut(target), on exact elements
+    # (a, a * a^-1) with a * a^-1 = 1 mod p^24 but not 1, which take the
+    # gamma path, on terms u^e t^B with e < 0 whose t factor alone reaches
+    # the cap, and on exact inputs.  The approximate conjugates
+    # gamma_a tau gamma_a^-1, known as (a, a * a^-1) mod p^24, act through
+    # their least representative, tau^a
     cap = 6
     rng = random.Random(6000 + p)
     units = [a for a in range(2, 4 * p + 3) if a % p][:4]
-    conjugates = []
+    conjugates, near_one = [], []
     for a in units:
         g = galois.compose(galois.compose(galois.gamma(a), galois.tau(1)), galois.inverse(galois.gamma(a), p))
-        assert g.a != 1 and (g.a - 1) % p**24 == 0
+        assert g.a != 1 and (g.a - 1) % p**24 == 0 and g.nacc == 24
+        assert least_representative(g, p) == galois.tau(a)
         conjugates.append(g)
+        near_one.append(galois.GroupElem(g.c, g.a))
     exact = [galois.gamma(a) for a in units] + [galois.GroupElem(-2, units[-1])]
     low = 0
     for _ in range(12):
@@ -656,8 +666,11 @@ def test_gamma_matches_eps_minus_one(p):
         prec = rng.choice([None, x.prec + 1, x.prec - 1])
         eff = min_prec(x.bound, ring.key_bound(prec, p, cap))
         low += low_target_terms(x.cut(eff), eff)
-        for g in conjugates + exact:
+        for g in near_one + exact:
             want = _act_or_error(oracle_act, g, x, prec)
+            assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
+        for g in conjugates:
+            want = _act_or_error(oracle_act, least_representative(g, p), x, prec)
             assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
         exact_x = random_series(rng, p, cap, "exact", neg_u=rng.random() < 0.3)
         for g in exact:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from tilted import galois, ring
-from tilted.errors import InsufficientGroupAccuracy, PrecisionRequired
+from tilted.errors import InsufficientGroupAccuracy, PrecisionRequired, TiltedError
 
 from conftest import series_strategy
 
@@ -216,3 +216,72 @@ def test_eps_pow_rejects_p_below_two(p):
     # p = 1 used to spin in the exponent-normalising loop
     with pytest.raises(ValueError):
         galois.eps_pow(1, p, CAP, 5)
+
+
+def _conjugate(a, p):
+    """gamma_a tau gamma_a^-1, known as (a, a * a^-1) mod p^24."""
+    return galois.compose(
+        galois.compose(galois.gamma(a), galois.tau(1)), galois.inverse(galois.gamma(a), p)
+    )
+
+
+def _act_view(g, x, prec):
+    try:
+        y = galois.act(g, x, prec)
+    except PrecisionRequired as exc:
+        return f"PrecisionRequired: {exc}"
+    return str(y), y.prec
+
+
+def test_conjugate_keeps_tau_cap():
+    # a gamma pass over u^-1 * t would invert a series and leave O(7)
+    x = s("u^{-1}*t + u^{1/3} + O(10)")
+    got = galois.act(_conjugate(2, P), x)
+    assert got.prec == 10
+    assert (str(got), got.prec) == _act_view(galois.tau(2), x, None)
+
+
+def test_approximate_element_is_cut_where_representatives_part():
+    # a = 11 * 2^-1 is known mod 3^2 as 55 = 1 mod 9: the least
+    # representative skips gamma, and the true gamma_{11/2} moves u^-2 by
+    # 2 * u^6, of valuation 9 below the input's cap
+    g = galois.compose(galois.gamma(11), galois.inverse(galois.gamma(2), P, nacc=2))
+    assert (g.a, g.nacc) == (55, 2)
+    got = galois.act(g, s("u^{-2} + O(10)"))
+    true = galois.act(galois.gamma(11 * pow(2, -1, P**24)), s("u^{-2} + O(20)"))
+    assert str(true).startswith("u^{-2} + 2*u^{6} + ")
+    assert str(got) == "u^{-2} + O(9)"
+    assert ring.eq_to_prec(got, true)
+    # a negative t exponent: c = 12 and 120, a = 46 and 154 agree mod 3^3,
+    # and part at 2 * u^{8/3} * t^{-2/3}, of valuation 10/3
+    x = s("u^{-2/9}*t^{-2/3} + t^{3} + O(4)")
+    got = galois.act(galois.GroupElem(12, 46, 3), x)
+    assert got.prec == Fraction(10, 3)
+    for c, a in ((12, 46), (120, 154)):
+        assert ring.eq_to_prec(got, galois.act(galois.GroupElem(c, a), x))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_representatives_agree_below_the_cap(p):
+    # an element known mod p^N answers what every representative answers,
+    # on negative u and t exponents too
+    rng = random.Random(7000 + p)
+    compared = 0
+    for _ in range(120):
+        x = ring.zero(p, CAP, Fraction(rng.randint(3, 14)))
+        # roots u^(1/p^2) at p >= 5 make gamma invert series of hundreds
+        # of terms, as in test_act_is_sum_of_single_term_actions
+        for part in _random_series(rng, p, None, 2 if p < 5 else 1):
+            x = x + part
+        n = rng.randint(0, 4)
+        c, a = rng.randint(-5, 30), rng.choice([b for b in range(1, 60) if b % p])
+        b = a + p**n * rng.randint(0, 9)
+        other = galois.GroupElem(c + p**n * rng.randint(-3, 9), b if b % p else b + p**n)
+        try:
+            got, want = galois.act(galois.GroupElem(c, a, n), x), galois.act(other, x)
+        except TiltedError:
+            # N too small for the cap, or a cap too low for gamma's inversion
+            continue
+        compared += 1
+        assert ring.eq_to_prec(got, want), (c, a, n, other, str(x))
+    assert compared > 30
