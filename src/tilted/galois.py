@@ -60,8 +60,8 @@ IDENTITY = GroupElem(0, 1)
 
 
 def compose(g: GroupElem, h: GroupElem) -> GroupElem:
-    nacc = g.nacc if h.nacc is None else (h.nacc if g.nacc is None else min(g.nacc, h.nacc))
-    return GroupElem(g.c + g.a * h.c, g.a * h.a, nacc)
+    # None, an exact element, is +infinity
+    return GroupElem(g.c + g.a * h.c, g.a * h.a, min_prec(g.nacc, h.nacc))
 
 
 def inverse(g: GroupElem, p: int, nacc: int = 24) -> GroupElem:
@@ -73,8 +73,7 @@ def inverse(g: GroupElem, p: int, nacc: int = 24) -> GroupElem:
     mod = p**nacc
     ainv = pow(g.a, -1, mod)
     c = (-ainv * g.c) % mod
-    new_nacc = nacc if g.nacc is None else min(nacc, g.nacc)
-    return GroupElem(c, ainv, new_nacc)
+    return GroupElem(c, ainv, min_prec(nacc, g.nacc))
 
 
 def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeries:
@@ -170,14 +169,19 @@ def eps_val_formula(m: int, p: int) -> Fraction:
     return Fraction(p, p - 1) * p**vp
 
 
-def required_accuracy(x: PerfSeries, eff) -> int | None:
-    """Minimal N so that elements known mod p^N act correctly on x below
-    the key bound eff.  Perturbing an exponent by p^N changes the action
-    by terms of valuation >= p^(N-k) * p/(p-1), of key p^(cap+1+N-k), with
-    k the deepest denominator in x; None means no finite N suffices
-    (exact x)."""
+def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
+    """Refuse an element known mod p^N that cannot act on x below the key
+    bound eff.  Perturbing an exponent by p^N changes the action by terms
+    of valuation >= p^(N-k) * p/(p-1), of key p^(cap+1+N-k), with k the
+    deepest denominator in x, so the least N that puts that key at or
+    above eff is required; no finite N suffices for an exact x (eff None)."""
+    if g.nacc is None:
+        return
     if eff is None:
-        return None
+        raise InsufficientGroupAccuracy(
+            "an approximate group element cannot act on an exact series "
+            "without a finite precision cap"
+        )
     p, cap = x.p, x.cap
     kmax = max(
         (ring.lowest_terms(e, p, cap)[1] for m, _ in x.terms for e in ring.mono_units(m, p)),
@@ -186,18 +190,6 @@ def required_accuracy(x: PerfSeries, eff) -> int | None:
     need = 0
     while p ** (cap + 1 + need - kmax) < eff:
         need += 1
-    return need
-
-
-def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
-    if g.nacc is None:
-        return
-    need = required_accuracy(x, eff)
-    if need is None:
-        raise InsufficientGroupAccuracy(
-            "an approximate group element cannot act on an exact series "
-            "without a finite precision cap"
-        )
     if g.nacc < need:
         raise InsufficientGroupAccuracy(
             f"element known mod p^{g.nacc}, but p^{need} required for this precision"

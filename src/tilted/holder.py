@@ -47,10 +47,6 @@ class PPow:
             raise ValueError(f"p^lambda = q * p^s needs q > 0, got q = {self.q}")
 
     @staticmethod
-    def rational(q) -> "PPow":
-        return PPow(Fraction(q), Fraction(0))
-
-    @staticmethod
     def of(value) -> "PPow":
         return value if isinstance(value, PPow) else PPow(value)
 

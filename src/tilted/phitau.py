@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import errors, galois, holder, ring
@@ -24,10 +24,13 @@ from .ring import PerfSeries
 
 @dataclass(frozen=True)
 class MatSeries:
-    """A d x d matrix of series over one (p, cap)."""
+    """A d x d matrix of series over one (p, cap); d is the number of rows."""
 
-    d: int
+    d: int = field(init=False)
     rows: tuple[tuple[PerfSeries, ...], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "d", len(self.rows))
 
     @property
     def p(self):
@@ -40,7 +43,7 @@ class MatSeries:
     @staticmethod
     def from_rows(rows):
         rows = tuple(tuple(r) for r in rows)
-        return MatSeries(len(rows), rows)
+        return MatSeries(rows)
 
     @staticmethod
     def identity(d, p, cap=ring.DEFAULT_DENOM_CAP, prec=None):
@@ -74,6 +77,10 @@ class MatSeries:
         return self.mul(other)
 
     def vecmul(self, coords):
+        """self * coords for a vector of d series; another length raises
+        ValueError."""
+        if len(coords) != self.d:
+            raise ValueError(f"a {self.d} x {self.d} matrix takes {self.d} coordinates, got {len(coords)}")
         return tuple(ring.dot([(x, coords[l]) for l, x in enumerate(row)]) for row in self.rows)
 
     def scale_series(self, s: PerfSeries):
@@ -257,17 +264,49 @@ def _minors(rows):
 
 @dataclass(frozen=True)
 class PhiTauModule:
-    """dimension d, Frobenius matrix P over kappa((t)), tau-matrix over the
-    bivariate ring, optional stable lattice basis W (columns)."""
+    """Frobenius matrix P over kappa((t)), tau-matrix over the bivariate
+    ring, both to the precision prec, and an optional stable lattice basis
+    W (columns) with an optional W^{-1}.  The rank d, p and cap are P's.
 
-    d: int
-    p: int
-    cap: int
-    prec: Fraction
+    The record checks its own shape, however it is built (`make_module`,
+    `integral_twist`, `dataclasses.replace`): prec > 0; P, Mat(tau), W and
+    W^{-1}, when given, d x d for d >= 1; every entry over P's p and cap;
+    no W^{-1} without W.  Else ValueError.  `make_module` checks the
+    mathematics."""
+
     frob: MatSeries  # P = Mat(phi), pure-t integer exponents
     mat_tau: MatSeries
+    prec: Fraction
     lattice: MatSeries | None = None
     lattice_inv: MatSeries | None = None
+
+    def __post_init__(self):
+        if Fraction(self.prec) <= 0:
+            raise ValueError(f"module precision must be > 0, got prec={self.prec}")
+        # store prec as a Fraction (the class is frozen)
+        object.__setattr__(self, "prec", Fraction(self.prec))
+        d = self.d
+        mats = [m for m in (self.frob, self.mat_tau, self.lattice, self.lattice_inv) if m is not None]
+        rows = [r for m in mats for r in m.rows]
+        if not d or any(m.d != d for m in mats) or any(len(r) != d for r in rows):
+            raise ValueError(f"P, Mat(tau) and the lattice must be d x d for P's d={d} >= 1")
+        p, cap = self.p, self.cap
+        if any(e.p != p or e.cap != cap for r in rows for e in r):
+            raise ValueError(f"every matrix entry must be over P's p={p} and cap={cap}")
+        if self.lattice_inv is not None and self.lattice is None:
+            raise ValueError("lattice_inv needs its lattice")
+
+    @property
+    def d(self) -> int:
+        return self.frob.d
+
+    @property
+    def p(self) -> int:
+        return self.frob.p
+
+    @property
+    def cap(self) -> int:
+        return self.frob.cap
 
     # The values below are computed on first use and kept for as long as
     # the module lives, outside the fields, equality and hash: the tau
@@ -348,26 +387,16 @@ def _check_pure_t(mat: MatSeries):
 
 
 def make_module(frob, mat_tau, prec, lattice=None, lattice_inv=None):
-    """The module, checked: P has pure-t integer exponents and a dominant
-    leading determinant, the cocycle holds for tau, W W^-1 - Id has no
-    known term below prec when both are given, and prec > 0 (at
-    prec <= 0 nothing of Mat(tau) is known, so every check is vacuous).
-    P, Mat(tau), W and W^-1, when given, must be d x d for d >= 1 the
-    number of P's rows, with entries over P's p and cap: else ValueError."""
-    if Fraction(prec) <= 0:
-        raise ValueError(f"module precision must be > 0, got prec={prec}")
-    d = len(frob.rows)
-    mats = [m for m in (frob, mat_tau, lattice, lattice_inv) if m is not None]
-    rows = [r for m in mats for r in m.rows]
-    if not d or any(m.d != d or len(m.rows) != d for m in mats) or any(len(r) != d for r in rows):
-        raise ValueError(f"P, Mat(tau) and the lattice must be d x d for P's d={d} >= 1")
-    p, cap = frob.p, frob.cap
-    if any(e.p != p or e.cap != cap for r in rows for e in r):
-        raise ValueError(f"every matrix entry must be over P's p={p} and cap={cap}")
+    """The module, checked.  The record refuses a bad shape with ValueError
+    (`PhiTauModule`), prec <= 0 among them: there nothing of Mat(tau) is
+    known, so every check below would be vacuous.  Then the mathematics: P
+    has pure-t integer exponents and a dominant leading determinant,
+    W W^-1 - Id has no known term below prec when W^-1 is given, and the
+    cocycle holds for tau."""
+    mod = PhiTauModule(frob, mat_tau, prec, lattice, lattice_inv)
     _check_pure_t(frob)
-    mod = PhiTauModule(d, p, cap, Fraction(prec), frob, mat_tau, lattice, lattice_inv)
-    if lattice is not None and lattice_inv is not None:
-        if not (lattice.mul(lattice_inv, mod.prec) - MatSeries.identity(d, p, cap)).is_zero():
+    if lattice_inv is not None:
+        if not (lattice.mul(lattice_inv, mod.prec) - MatSeries.identity(mod.d, mod.p, mod.cap)).is_zero():
             raise PreconditionViolated("lattice_inv is not the inverse of the lattice")
     # etaleness: dominant-leading determinant
     ring.invert(frob.det(), mod.prec)
@@ -726,26 +755,25 @@ def integral_twist(module: PhiTauModule) -> PhiTauModule:
 
     On the twisted basis P' = t^(s(p-1)) P, and Mat'(tau^c) picks up the
     unit scalar tau^c(t^s) t^{-s} = eps^(cs); for the generator this is
-    Mat(tau) * (1+u)^s.  The lattice basis rescales by t^{-s}.
+    Mat(tau) * (1+u)^s.  The lattice basis rescales by t^{-s}, and W^{-1}
+    by t^s.
     """
     p, cap = module.p, module.cap
     s = -(module.frob.val_floor() // (p - 1))
     if s == 0:
         return module
-    t_up = ring.monomial(p, cap, 1, 0, s * (p - 1))
-    frob = module.frob.scale_series(t_up)
+
+    def scaled(mat, e):
+        """mat * t^e, or None for no mat."""
+        return None if mat is None else mat.scale_series(ring.monomial(p, cap, 1, 0, e))
+
     unit = galois.eps_pow(s, p, cap, module.prec)
-    mat_tau = module.mat_tau.scale_series(unit).truncate(module.prec)
-    lattice = lattice_inv = None
-    if module.lattice is not None:
-        t_dn = ring.monomial(p, cap, 1, 0, -s)
-        lattice = module.lattice.scale_series(t_dn)
-        if module.lattice_inv is not None:
-            lattice_inv = module.lattice_inv.scale_series(
-                ring.monomial(p, cap, 1, 0, s)
-            )
-    return PhiTauModule(
-        module.d, p, cap, module.prec, frob, mat_tau, lattice, lattice_inv
+    return replace(
+        module,
+        frob=scaled(module.frob, s * (p - 1)),
+        mat_tau=module.mat_tau.scale_series(unit).truncate(module.prec),
+        lattice=scaled(module.lattice, -s),
+        lattice_inv=scaled(module.lattice_inv, s),
     )
 
 

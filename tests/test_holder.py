@@ -23,7 +23,7 @@ CP = Fraction(P, P - 1)
 
 class TestPPow:
     def test_rational_compare(self):
-        b = PPow.rational(Fraction(3, 2))
+        b = PPow(Fraction(3, 2))
         assert b.cmp(1, P) > 0
         assert b.cmp(Fraction(3, 2), P) == 0
         assert b.cmp(2, P) < 0
@@ -35,7 +35,7 @@ class TestPPow:
         assert b.cmp(Fraction(13, 5), P) < 0
 
     def test_shift(self):
-        b = PPow.rational(2).shift(3)
+        b = PPow(2).shift(3)
         assert b.cmp(54, P) == 0
 
     @pytest.mark.parametrize("q", [-1, 0, Fraction(-3, 2)])
@@ -44,11 +44,11 @@ class TestPPow:
         with pytest.raises(ValueError):
             PPow(Fraction(q), Fraction(1, 2))
         with pytest.raises(ValueError):
-            PPow.rational(q)
+            PPow(q)
 
     def test_nonpositive_values(self):
-        assert PPow.rational(1).cmp(-1, P) > 0
-        assert PPow.rational(1).cmp(0, P) > 0
+        assert PPow(1).cmp(-1, P) > 0
+        assert PPow(1).cmp(0, P) > 0
 
     def test_fields_become_fractions(self):
         # int and float fields are stored as Fraction, so cmp can read

@@ -151,6 +151,19 @@ class TestMatSeries:
         rhs = a.det() * b.det()
         assert ring.eq_to_prec(lhs, rhs)
 
+    def test_d_is_the_row_count(self, mod_d2):
+        rows = mod_d2.frob.rows
+        m = MatSeries.from_rows(rows)
+        assert m.d == len(rows) == 2
+        assert repr(m) == f"MatSeries(d=2, rows={rows!r})"
+        assert [f.name for f in dataclasses.fields(MatSeries) if f.init] == ["rows"]
+        # a stated d could disagree with the rows: MatSeries(3, rows).inverse()
+        # ended in IndexError
+        with pytest.raises(TypeError):
+            MatSeries(3, rows)
+        prod = m * MatSeries(rows).inverse(20)
+        assert (prod - MatSeries.identity(2, P, CAP, Fraction(20))).truncate(20).is_zero()
+
 
 class TestModuleConstruction:
     @pytest.mark.parametrize("p, cap", [(4, 6), (1, 6), (9, 6), (3, -1), (3, 65)])
@@ -209,12 +222,47 @@ class TestModuleConstruction:
             (MatSeries.from_rows([]), MatSeries.from_rows([]), (), "d=0"),
             (I2, MatSeries.identity(2, 5), (), "p=3"),
             (I2, MatSeries.identity(2, P, CAP - 1), (), "cap=6"),
+            (MatSeries.identity(3, P), I2, (), "d=3"),
+            (I2, I2, (None, I2), "lattice_inv needs its lattice"),
         ],
-        ids=["tau 3x3", "lattice 3x3", "inverse 1x1", "ragged tau", "d=0", "p=5", "cap-1"],
+        ids=["tau 3x3", "lattice 3x3", "inverse 1x1", "ragged tau", "d=0", "p=5", "cap-1", "P 3x3", "orphan inverse"],
     )
     def test_rejects_mismatched_shapes(self, frob, tau_m, lattices, match):
         with pytest.raises(ValueError, match=match):
             phitau.make_module(frob, tau_m, 12, *lattices)
+
+    def test_record_reads_d_p_cap_off_p(self, mod_d2):
+        # stored apart from P, a hand-built d, p or cap made descend,
+        # cocycle_check and module_sh_test answer for another module
+        assert [f.name for f in dataclasses.fields(phitau.PhiTauModule)] == [
+            "frob",
+            "mat_tau",
+            "prec",
+            "lattice",
+            "lattice_inv",
+        ]
+        assert (mod_d2.d, mod_d2.p, mod_d2.cap) == (2, P, CAP)
+        m = mod_d2
+        with pytest.raises(TypeError):
+            phitau.PhiTauModule(2, 3, 4, m.prec, m.frob, m.mat_tau, m.lattice, m.lattice_inv)
+        for name, value in (("d", 3), ("p", 2), ("cap", 4)):
+            with pytest.raises(TypeError):
+                dataclasses.replace(m, **{name: value})
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"frob": MatSeries.identity(3, P)}, "d x d for P's d=3"),
+            ({"mat_tau": MatSeries.identity(2, 5)}, "p=3"),
+            ({"lattice": MatSeries.from_rows([[s("1")]])}, "d x d"),
+            ({"lattice": None}, "lattice_inv needs its lattice"),
+            ({"prec": 0}, "prec=0"),
+        ],
+        ids=["P 3x3", "tau p=5", "lattice 1x1", "orphan inverse", "prec 0"],
+    )
+    def test_replace_keeps_the_record_rules(self, mod_d2, changes, match):
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(mod_d2, **changes)
 
 
 class TestCocycle:
@@ -247,7 +295,49 @@ def trivial_along(p, e):
     return phitau.basechange_from_matrix(b, binv, 24)
 
 
+def oracle_integral_twist(module):
+    """The twist's d, p, cap, prec, P, Mat(tau), W and W^-1, built by hand,
+    each listed, as the twist built its record before the record read d,
+    p and cap off P."""
+    p, cap = module.p, module.cap
+    s_ = -(module.frob.val_floor() // (p - 1))
+    if s_ == 0:
+        return module_values(module)
+    t_up = ring.monomial(p, cap, 1, 0, s_ * (p - 1))
+    frob = module.frob.scale_series(t_up)
+    unit = galois.eps_pow(s_, p, cap, module.prec)
+    mat_tau = module.mat_tau.scale_series(unit).truncate(module.prec)
+    lattice = lattice_inv = None
+    if module.lattice is not None:
+        t_dn = ring.monomial(p, cap, 1, 0, -s_)
+        lattice = module.lattice.scale_series(t_dn)
+        if module.lattice_inv is not None:
+            lattice_inv = module.lattice_inv.scale_series(ring.monomial(p, cap, 1, 0, s_))
+    return (module.d, p, cap, module.prec, frob, mat_tau, lattice, lattice_inv)
+
+
+def module_values(mod):
+    return (mod.d, mod.p, mod.cap, mod.prec, mod.frob, mod.mat_tau, mod.lattice, mod.lattice_inv)
+
+
 class TestTwist:
+    @pytest.mark.parametrize(
+        "drop",
+        [{}, {"lattice": None, "lattice_inv": None}, {"lattice_inv": None}],
+        ids=["full", "no lattice", "no inverse"],
+    )
+    def test_matches_the_hand_built_twist(self, drop):
+        twisted = 0
+        for d in range(1, 7):
+            for seed in range(10):
+                mod = phitau.basechange_generate(d, seed=seed, p=P, prec=24)
+                mod = dataclasses.replace(mod, **drop)
+                tw = phitau.integral_twist(mod)
+                assert module_values(tw) == oracle_integral_twist(mod), (d, seed)
+                twisted += tw is not mod
+        # both branches run: some modules are twisted and some are not
+        assert 0 < twisted < 60
+
     def test_makes_integral(self):
         mod = one_by_one(s("t^{-1}+1"), 24)
         assert mod.frob.val_floor() < 0
@@ -539,6 +629,16 @@ class TestValuations:
             for reader in readers:
                 reader(mod)
             assert calls == []
+
+    @pytest.mark.parametrize("coords", [("t",), ("t", "t", "t^{-5}")], ids=["short", "long"])
+    def test_refuses_a_vector_of_the_wrong_length(self, mod_d2, coords):
+        # unchecked, the short vector ended in IndexError, and v_tilde read
+        # the long one as (t, t) and gave 1
+        x = tuple(s(c) for c in coords)
+        with pytest.raises(ValueError, match="takes 2 coordinates"):
+            phitau.module_act(mod_d2, galois.tau(), x)
+        with pytest.raises(ValueError, match="takes 2 coordinates"):
+            phitau.v_tilde(mod_d2, x)
 
     def test_lattice_valuation_invariant(self, mod_d2):
         coords = (s("t"), s("u*t^{2}"))

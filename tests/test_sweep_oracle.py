@@ -50,7 +50,7 @@ def sampled_orbit_floors(x, fam, i):
 
 def oracle_sh_test(x, fam, plam, mu, i_max):
     if not isinstance(plam, PPow):
-        plam = PPow.rational(plam)
+        plam = PPow(plam)
     mu = Fraction(mu)
     p = x.p
     margins = []
@@ -113,7 +113,7 @@ def oracle_witness(x, fam, plam, i_max):
     """Refuted when every margin v_i - p^lambda p^i falls below the one
     before, each fall at least as deep as the last; an exact x that no
     sample moves is certified not refutable."""
-    plam = plam if isinstance(plam, PPow) else PPow.rational(plam)
+    plam = plam if isinstance(plam, PPow) else PPow(plam)
     p = x.p
     levels = oracle_series_levels(x, fam, i_max)
     error = oracle_vanished([levels], i_max)
