@@ -15,6 +15,12 @@ the result where two representatives could first differ.  So
 gamma_a tau gamma_a^{-1}, known as (a, a * a^{-1}) mod p^24, acts as
 tau^a does: no gamma pass and the same terms, with tau^a's cap wherever
 that lies below what a change of a by p^24 could move.
+
+Both passes, and `eps_pow`, read the Lucas expansion of (1+v)^m,
+v = u^(1/p^k), as one row of monomial terms from `_eps_terms`.  A row
+depends on (m mod p^N, k, p, cap, jmax) alone, so each is expanded once
+per process and kept in a memo of at most `ROW_BUDGET` terms in all.
+The memo, like a module's, is not thread-safe.
 """
 
 from __future__ import annotations
@@ -30,6 +36,12 @@ from .ring import PerfSeries, min_prec
 
 # (1 + x)^m has at most m+1 terms; refuse to expand huge exact powers.
 EXACT_POWER_LIMIT = 100_000
+# The most terms that the memo of Lucas rows keeps in all
+ROW_BUDGET = 1 << 16
+# The rows of (1+v)^m by (m mod p^N, k, p, cap, jmax), jmax None when
+# exact, and the number of terms they hold together
+_ROWS: dict[tuple, tuple] = {}
+_row_terms = 0
 
 
 @dataclass(frozen=True)
@@ -84,11 +96,12 @@ def eps_pow(r, p: int, cap: int = ring.DEFAULT_DENOM_CAP, prec=None) -> PerfSeri
     are kept.  Choosing the least N with p^N*val(v) >= prec, the identity
     (1+v)^(p^N) = 1 + v^(p^N) in characteristic p lets m be replaced by
     m mod p^N; a negative m thus needs a finite cap, and then expands like
-    a positive one.  The nonzero binomials come from Lucas' theorem.
+    a positive one.  The nonzero binomials come from Lucas' theorem, and
+    the terms are the memoized row of `_eps_terms` as it is.
     """
     m, k = ring.split_exponent(r, p, cap)
     bound = ring.key_bound(prec, p, cap)
-    return _v_series(_eps_terms(m, k, p, cap, bound), k, p, cap, bound)
+    return PerfSeries(p, cap, bound, _eps_terms(m, k, p, cap, bound))
 
 
 def check_exact_power(m: int) -> None:
@@ -106,30 +119,54 @@ def check_exact_power(m: int) -> None:
         raise PrecisionRequired(f"exact expansion of {power} is too large")
 
 
-def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tuple[int, int]]:
+def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> tuple:
     """The nonzero terms of (1+v)^m, v = u^(1/p^k), whose key lies below
-    the key bound (None: all of them), as pairs (j, C(m, j) mod p) for
-    the terms C(m, j) v^j, with m reduced mod p^N as in `eps_pow`, in
-    ascending order of j.
+    the key bound (None: all of them), with m reduced mod p^N as in
+    `eps_pow`: a tuple of canonical ((key, A), C(m, j) mod p) terms, one
+    per v^j = u^(j/p^k), ascending in j and so in key.
 
-    By Lucas' theorem these are the j whose base-p digits are each at
-    most the matching digit of m, and C(m, j) is the product of the
-    digit binomials.  Digits are added from the least significant up, so
-    a partial j at or above the bound is final and can be dropped; each
-    new digit i at place p^n puts j + i*p^n after every j < p^n, which
-    keeps the j ascending.
+    The row depends on (m mod p^N, k, p, cap, jmax) alone, jmax the least
+    j past the bound, so it is kept in `_ROWS` and expanded once per
+    process.  `check_exact_power` runs before any lookup.  A row that
+    would take the memo past `ROW_BUDGET` terms empties it first; a row
+    longer than the budget is returned and not kept.
     """
+    global _row_terms
     if bound is None:
         check_exact_power(m)
         jmax = None
     else:
         # v^j = u^(j/p^k) has key j * p^(cap-k) * p, below the bound
         # exactly when j < ceil(bound / p^(cap-k+1))
-        jmax = -(-bound // p ** (cap - k + 1))
+        jmax = max(0, -(-bound // p ** (cap - k + 1)))
         modulus = 1
         while modulus < jmax:
             modulus *= p
         m %= modulus
+    key = (m, k, p, cap, jmax)
+    row = _ROWS.get(key)
+    if row is None:
+        row = _lucas_row(m, k, p, cap, jmax)
+        if len(row) <= ROW_BUDGET:
+            if _row_terms + len(row) > ROW_BUDGET:
+                _ROWS.clear()
+                _row_terms = 0
+            _ROWS[key] = row
+            _row_terms += len(row)
+    return row
+
+
+def _lucas_row(m: int, k: int, p: int, cap: int, jmax: int | None) -> tuple:
+    """The row of `_eps_terms`, expanded afresh for an m >= 0 already
+    reduced, with the terms v^j for j < jmax (None: all of them).
+
+    By Lucas' theorem these are the j whose base-p digits are each at
+    most the matching digit of m, and C(m, j) is the product of the
+    digit binomials.  Digits are added from the least significant up, so
+    a partial j at or above jmax is final and can be dropped; each new
+    digit i at place p^n puts j + i*p^n after every j < p^n, which keeps
+    the j ascending.
+    """
     terms = [(0, 1)] if jmax is None or jmax > 0 else []
     place = 1
     while m:
@@ -145,16 +182,10 @@ def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> list[tupl
             if jmax is None or j + i * place < jmax
         ]
         place *= p
-    return terms
-
-
-def _v_series(terms, k: int, p: int, cap: int, bound: int | None) -> PerfSeries:
-    """The series of the pairs (j, c) for the terms c v^j, v = u^(1/p^k),
-    as `_eps_terms` gives them: ascending in j, each c a unit mod p, so
-    they are already in canonical form."""
-    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p
+    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p; each c
+    # is a unit mod p, so the terms are already in canonical form
     unit = p ** (cap - k)
-    return PerfSeries(p, cap, bound, tuple(((j * unit * p, j * unit), c) for j, c in terms))
+    return tuple(((j * unit * p, j * unit), c) for j, c in terms)
 
 
 def eps_val_formula(m: int, p: int) -> Fraction:
@@ -240,9 +271,8 @@ def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
         # the t^et factor, of key et * (p-1), is fixed
         t_key = et * (p - 1)
         target = None if eff is None else eff - t_key
-        # w = (1+v)^a - 1: every term of the expansion but j = 0
-        terms = _eps_terms(a, k, p, cap, target)
-        w = _v_series([(j, cj) for j, cj in terms if j], k, p, cap, target)
+        # w = (1+v)^a - 1: the row without its v^0 term, which leads it
+        w = PerfSeries(p, cap, target, _eps_terms(a, k, p, cap, target)[1:])
         if mm >= 0:
             f = w**mm
         else:
@@ -271,22 +301,17 @@ def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
             acc[m] = get(m, 0) + co
             continue
         key, units = m
-        column = columns.get(et)
-        if column is None:
+        row = columns.get(et)
+        if row is None:
             mm, k = ring.lowest_terms(c * et, p, cap)
-            column = columns[et] = (
-                p ** (cap - k),
-                _eps_terms(mm, k, p, cap, None if eff is None else eff - key),
-            )
-        unit, terms = column
-        for j, cj in terms:
+            row = columns[et] = _eps_terms(mm, k, p, cap, None if eff is None else eff - key)
+        for (dkey, dunits), cj in row:
             # v^j lands on the monomial shifted by its key and u units
-            ju = j * unit
-            jkey = key + ju * p
+            jkey = key + dkey
             if eff is not None and jkey >= eff:
-                # j ascend: every later v^j lies at or above eff too
+                # the keys ascend: every later v^j lies at or above eff too
                 break
-            mono = (jkey, units + ju)
+            mono = (jkey, units + dunits)
             acc[mono] = get(mono, 0) + cj * co
     if not columns:
         # no term moves, and x is already cut at eff

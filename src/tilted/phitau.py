@@ -53,12 +53,19 @@ class MatSeries:
     def map(self, fn):
         return MatSeries.from_rows([[fn(e) for e in row] for row in self.rows])
 
+    def _check_d(self, other):
+        """Refuse, with ValueError, a matrix operand of another d."""
+        if other.d != self.d:
+            raise ValueError(f"a {self.d} x {self.d} matrix cannot meet a {other.d} x {other.d} one")
+
     def __add__(self, other):
+        self._check_d(other)
         return MatSeries.from_rows(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other):
+        self._check_d(other)
         return MatSeries.from_rows(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
         )
@@ -66,7 +73,8 @@ class MatSeries:
     def mul(self, other, prec=None):
         """The product self * other, cut at prec inside each entry's
         `ring.dot`: (self * other).truncate(prec), with no pair formed
-        that the cut drops."""
+        that the cut drops.  An other of another d raises ValueError."""
+        self._check_d(other)
         bound = ring.key_bound(prec, self.p, self.cap)
         cols = tuple(zip(*other.rows))
         return MatSeries.from_rows(

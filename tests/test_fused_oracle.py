@@ -17,6 +17,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tilted import galois, holder, phitau, ring
 from tilted.errors import PrecisionRequired, TiltedError
@@ -705,8 +707,8 @@ def stops_early(c, x, eff):
             keys.setdefault(et, []).append(m[0])
     for et, ks in keys.items():
         mm, k = ring.lowest_terms(c * et, p, cap)
-        expansion = galois._eps_terms(mm, k, p, cap, eff - ks[0])
-        if any(ks[-1] + j * p ** (cap - k + 1) >= eff for j, _ in expansion):
+        row = galois._eps_terms(mm, k, p, cap, eff - ks[0])
+        if any(ks[-1] + dkey >= eff for (dkey, _), _ in row):
             return True
     return False
 
@@ -767,8 +769,8 @@ def test_tau_refuses_the_first_exact_column(c, refused):
 
 
 def test_eps_terms_ascend():
-    # `_apply_tau` stops a column's later terms at the first j past their
-    # own bound, which needs the j in ascending order
+    # `_apply_tau` stops a column's later terms at the first key past
+    # their own bound, which needs the keys in ascending order
     rng = random.Random(11)
     for _ in range(600):
         p = rng.choice((2, 3, 5, 7))
@@ -778,10 +780,102 @@ def test_eps_terms_ascend():
             m, bound = rng.randint(0, 5000), None
         else:
             m, bound = rng.randint(-(10**6), 10**6), rng.randint(-10, 40 * p ** (cap + 1))
-        js = [j for j, _ in galois._eps_terms(m, k, p, cap, bound)]
-        assert all(a < b for a, b in zip(js, js[1:])), (m, k, p, cap, bound)
-        want = oracle_eps_pow(m, k, p, cap, bound)
-        assert [j * p ** (cap - k) for j in js] == [a for (_, a), _ in want.terms]
+        row = galois._eps_terms(m, k, p, cap, bound)
+        keys = [key for (key, _), _ in row]
+        assert all(a < b for a, b in zip(keys, keys[1:])), (m, k, p, cap, bound)
+        assert row == oracle_eps_pow(m, k, p, cap, bound).terms, (m, k, p, cap, bound)
+
+
+# -- the memo of Lucas rows --------------------------------------------
+
+
+def _row_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except TiltedError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _empty_memo(monkeypatch):
+    # the memo's rows and its running count of their terms go together
+    monkeypatch.setattr(galois, "_ROWS", {})
+    monkeypatch.setattr(galois, "_row_terms", 0)
+
+
+def _memo_terms():
+    held = sum(map(len, galois._ROWS.values()))
+    assert held == galois._row_terms
+    return held
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.data())
+def test_eps_terms_match_the_oracle_through_the_memo(monkeypatch, data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    cap = data.draw(st.integers(0, 6))
+    k = data.draw(st.integers(0, cap))
+    if data.draw(st.booleans()):
+        m, bound = data.draw(st.integers(-50, 5000)), None
+    else:
+        m = data.draw(st.integers(-(10**6), 10**6))
+        bound = data.draw(st.integers(-10, 40 * p ** (cap + 1)))
+    args = (m, k, p, cap, bound)
+    want = _row_or_error(lambda *a: oracle_eps_pow(*a).terms, *args)
+    monkeypatch.setattr(galois, "ROW_BUDGET", 1 << 12)
+    _empty_memo(monkeypatch)
+    cold = _row_or_error(galois._eps_terms, *args)
+    assert cold == want, args
+    warm = _row_or_error(galois._eps_terms, *args)
+    assert warm == want, args
+    if isinstance(cold, tuple) and len(cold) <= 1 << 12:
+        # the warm lookup read the row that the cold one kept
+        assert warm is cold
+    # (1+u)^4095 over F_2 has 2^12 terms, the whole budget: a memo that
+    # held any term is emptied first (cap 7 lies outside the draws), and
+    # only a termless row, which costs nothing, may stay
+    filler = galois._eps_terms(4095, 0, 2, 7, None)
+    assert _memo_terms() == 1 << 12
+    assert [row for row in galois._ROWS.values() if row] == [filler]
+    assert _row_or_error(galois._eps_terms, *args) == want, args
+
+
+def test_memo_keeps_to_its_budget(monkeypatch):
+    monkeypatch.setattr(galois, "ROW_BUDGET", 8)
+    _empty_memo(monkeypatch)
+    rng = random.Random(21)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        cap = rng.randint(0, 6)
+        k = rng.randint(0, cap)
+        m, bound = rng.randint(-200, 200), rng.randint(-10, 8 * p ** (cap + 1))
+        row = galois._eps_terms(m, k, p, cap, bound)
+        assert row == oracle_eps_pow(m, k, p, cap, bound).terms
+        assert _memo_terms() <= 8
+    # (1+u)^15 over F_2 has 16 terms: it is right, and it is not kept,
+    # nor does it empty the memo
+    held = dict(galois._ROWS)
+    assert held
+    long_row = galois._eps_terms(15, 0, 2, 6, None)
+    assert long_row == oracle_eps_pow(15, 0, 2, 6, None).terms and len(long_row) == 16
+    assert galois._ROWS == held
+
+
+def test_passes_leave_the_kept_rows_as_they_are(monkeypatch):
+    _empty_memo(monkeypatch)
+    p, cap = 3, 6
+    x = ring.parse_series("u*t + 2*u^{1/3}*t^{2} + u^{-1}*t^{-1/9} + u^{2} + O(14)", p, cap)
+    for g in (galois.gamma(2), galois.tau(5), galois.GroupElem(-2, 4), galois.gamma(2)):
+        kept = {key: (row, list(row)) for key, row in galois._ROWS.items()}
+        want = _act_or_error(oracle_act, g, x, None)
+        assert _act_or_error(galois.act, g, x, None) == want, g
+        assert all(type(row) is tuple for row in galois._ROWS.values())
+        for key, (row, items) in kept.items():
+            assert galois._ROWS[key] is row and list(row) == items
+        # and every kept row is what an expansion afresh gives
+        assert all(row == galois._lucas_row(*key) for key, row in galois._ROWS.items())
+    assert len(galois._ROWS) > 0
 
 
 # -- cost --------------------------------------------------------------

@@ -9,8 +9,8 @@ shifts by an exact monomial.  The oracles are the earlier code kept
 verbatim: the double loop over every term pair, normalized by
 `make_series` under the least bound, and the maps through `make_series`.
 Each comparison is on the terms and the key bound, over p in {2, 3, 5, 7}
-and series from every constructor: `make_series`, `galois._v_series`
-(through `eps_pow`), `cut`, `scale` and the parser, exact, capped,
+and series from every constructor: `make_series`, `galois.eps_pow`
+(a memoized Lucas row as it is), `cut`, `scale` and the parser, exact, capped,
 capped with no known terms, and the exact zero.
 """
 

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import operator
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,16 @@ class TestMatSeries:
         prod = m * m.inverse(20)
         ident = MatSeries.identity(2, P, CAP, Fraction(20))
         assert (prod - ident).truncate(20).is_zero()
+
+    def test_refuses_an_operand_of_another_d(self):
+        # unchecked, the sum zipped a 2 x 2 matrix out of a 2 x 2 and a
+        # 3 x 3 one, and the product gave three rows of two entries
+        two, three = MatSeries.identity(2, P, CAP), MatSeries.identity(3, P, CAP)
+        for a, b in ((two, three), (three, two)):
+            for combine in (operator.add, operator.sub, operator.mul, MatSeries.mul):
+                with pytest.raises(ValueError, match="cannot meet"):
+                    combine(a, b)
+        assert (two + two).d == (two - two).d == (two * two).d == 2
 
     def test_det_multiplicative(self, mod_d2):
         a, b = mod_d2.frob, mod_d2.mat_tau

@@ -15,16 +15,18 @@ chain compositions (``phitau._TauChain._compose``), matrix inversions
 (``phitau.MatSeries.inverse``), identity matrices built
 (``phitau.MatSeries.identity``), matrix group actions
 (``phitau.MatSeries.act``), sum-of-products kernel calls
-(``ring.dot``: every series product, matrix entry and formed minor) and
-gamma passes (``galois._apply_gamma``) that one pass made; a range means
-that the later passes differ.  An element known only mod p^N acts
+(``ring.dot``: every series product, matrix entry and formed minor),
+gamma passes (``galois._apply_gamma``) and Lucas rows of (1+v)^m
+expanded afresh (``galois._lucas_row``, the misses of the memo of rows)
+that one pass made; a range means that the later passes differ.  An element known only mod p^N acts
 through its least representative, so a conjugate gamma_a tau gamma_a^-1
 makes no gamma pass: ``--workload orbit`` counts the passes that
 remain.  A module keeps its Id, each Mat(tau^c), c < 0, and g.P and
 g(P^-1) for each g that it was asked for, so the later passes of
 ``module`` build no identity, act with no g on a matrix and invert only
 what no module keeps; its gamma passes are all exact elements', and none
-is skipped.  The chain's compositions act through ``MatSeries.act`` as
+is skipped.  Every row that a pass expands is kept, so the later passes
+of every workload expand none.  The chain's compositions act through ``MatSeries.act`` as
 well, so a pass that composes also counts those actions.  A workload
 whose operations never meet the same input twice shows no gap between
 the two rows.
@@ -57,6 +59,7 @@ COUNTED = (
     ("act", "phitau.MatSeries.act"),
     ("dot", "ring.dot"),
     ("gamma", "galois._apply_gamma"),
+    ("rows", "galois._lucas_row"),
 )
 
 
