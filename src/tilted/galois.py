@@ -20,7 +20,16 @@ Both passes, and `eps_pow`, read the Lucas expansion of (1+v)^m,
 v = u^(1/p^k), as one row of monomial terms from `_eps_terms`.  A row
 depends on (m mod p^N, k, p, cap, jmax) alone, so each is expanded once
 per process and kept in a memo of at most `ROW_BUDGET` terms in all.
-The memo, like a module's, is not thread-safe.
+The memo, like a module's, is not thread-safe.  tau adds one row per
+t-column to the terms it moves.  gamma forms no series product: with
+w = (1+v)^a - 1, it adds w^n as the signed sum of rows
+sum_j C(n, j) (-1)^(n-j) (1+v)^(a*j), over the j that Lucas' theorem
+leaves, and for a negative exponent -n inverts that sum once, known to
+the cap that n copies of w multiplied together carry.  Below a cap only
+n's low digits take rows: w^(p^L) = a v^(p^L) + O(v^(2 p^L)), so w^n is
+a^q v^(n-r) w^r, r = n mod p^L and q = n // p^L, on the first p^L
+steps of v above v^n.  Both passes add rows through one kernel,
+`_add_row`.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from fractions import Fraction
 
 from . import ring
 from .errors import InsufficientGroupAccuracy, PrecisionRequired
-from .ring import PerfSeries, min_prec
+from .ring import MONO_ONE, PerfSeries, min_prec
 
 # (1 + x)^m has at most m+1 terms; refuse to expand huge exact powers.
 EXACT_POWER_LIMIT = 100_000
@@ -158,7 +167,16 @@ def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> tuple:
 
 def _lucas_row(m: int, k: int, p: int, cap: int, jmax: int | None) -> tuple:
     """The row of `_eps_terms`, expanded afresh for an m >= 0 already
-    reduced, with the terms v^j for j < jmax (None: all of them).
+    reduced, with the terms v^j for j < jmax (None: all of them)."""
+    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p; each c
+    # is a unit mod p, so the terms are already in canonical form
+    unit = p ** (cap - k)
+    return tuple(((j * unit * p, j * unit), c) for j, c in _lucas(m, p, jmax))
+
+
+def _lucas(m: int, p: int, jmax: int | None) -> list:
+    """The pairs (j, C(m, j) mod p) with C(m, j) nonzero mod p and
+    j < jmax (None: all of them), ascending in j, for an m >= 0.
 
     By Lucas' theorem these are the j whose base-p digits are each at
     most the matching digit of m, and C(m, j) is the product of the
@@ -182,22 +200,29 @@ def _lucas_row(m: int, k: int, p: int, cap: int, jmax: int | None) -> tuple:
             if jmax is None or j + i * place < jmax
         ]
         place *= p
-    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p; each c
-    # is a unit mod p, so the terms are already in canonical form
-    unit = p ** (cap - k)
-    return tuple(((j * unit * p, j * unit), c) for j, c in terms)
+    return terms
+
+
+def _add_row(acc: dict, row, mono, coeff: int, bound: int | None) -> None:
+    """Add coeff times each term of a row, shifted by the monomial mono =
+    (key, A), into the accumulator acc, up to the first shifted key at or
+    above the key bound (None: every term).  A row is a tuple of
+    ((key, A), c) terms ascending in key, as `_eps_terms` returns it or
+    as a series holds its terms; acc's coefficients are left unreduced."""
+    key, units = mono
+    get = acc.get
+    for (dkey, dunits), c in row:
+        jkey = key + dkey
+        if bound is not None and jkey >= bound:
+            # the keys ascend: every later term lies at or above it too
+            break
+        m = (jkey, units + dunits)
+        acc[m] = get(m, 0) + c * coeff
 
 
 def eps_val_formula(m: int, p: int) -> Fraction:
     """Valuation of eps^m - 1: p^{v_p(m)} * p/(p-1), for m != 0."""
-    if m == 0:
-        raise ValueError("m must be nonzero")
-    vp = 0
-    m = abs(m)
-    while m % p == 0:
-        m //= p
-        vp += 1
-    return Fraction(p, p - 1) * p**vp
+    return Fraction(p, p - 1) * p ** ring.vp(m, p)
 
 
 def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
@@ -260,36 +285,60 @@ def _agreement_bound(x: PerfSeries, mod: int, eff: int) -> int | None:
 def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
-    get = acc.get
     bound = eff
     for m, c in x.terms:
         eu, et = ring.mono_units(m, p)
         if eu == 0:
-            acc[m] = get(m, 0) + c
+            acc[m] = acc.get(m, 0) + c
             continue
         mm, k = ring.lowest_terms(eu, p, cap)
+        n = abs(mm)
         # the t^et factor, of key et * (p-1), is fixed
         t_key = et * (p - 1)
         target = None if eff is None else eff - t_key
-        # w = (1+v)^a - 1: the row without its v^0 term, which leads it
-        w = PerfSeries(p, cap, target, _eps_terms(a, k, p, cap, target)[1:])
-        if mm >= 0:
-            f = w**mm
+        # w = (1+v)^a - 1 is known below target and leads with v, of key
+        # kv, when kv < target; n copies of w multiplied together are
+        # known below target + (n-1) * key0(w)
+        kv = p ** (cap - k + 1)
+        known = None if target is None else target + (n - 1) * min(kv, target)
+        # the image keeps w^n below target; a negative exponent inverts
+        # w^n, which needs it below known
+        if mm > 0:
+            into, shift, scale, top = acc, (t_key, 0), c, target
         else:
-            f = ring.invert(w ** (-mm), ring.bound_prec(target, p, cap))
-        # the image c * f * t^et: f's terms shifted by the t factor's key
-        for (fk, fa), fc in f.terms:
-            mono = (fk + t_key, fa)
-            acc[mono] = get(mono, 0) + fc * c
-        if f.bound is not None:
-            bound = min_prec(bound, f.bound + t_key)
+            into, shift, scale, top = {}, MONO_ONE, 1, known
+        r = n
+        if top is not None:
+            # w^(p^L) = (1 + v^(p^L))^a - 1 = a v^(p^L) + O(v^(2 p^L)), so
+            # w^n = a^q v^(n-r) w^r below (n + p^L) * kv, for r = n mod p^L
+            # and q = n // p^L: the least p^L that reaches top leaves r < p^L
+            span = 1
+            while (n + span) * kv < top:
+                span *= p
+            q, r = divmod(n, span)
+            lift = (n - r) * kv
+            shift = (shift[0] + lift, shift[1] + lift // p)
+            scale, top = scale * pow(a, q, p), top - lift
+        # w^r = sum over j of C(r, j) (-1)^(r-j) (1+v)^(a*j): a row each,
+        # for the j that Lucas leaves; w^r has no term below r * kv.  The
+        # largest row, (1+v)^(a*r), comes first, so that an exact one past
+        # the limit is refused before any other is expanded
+        if top is None or r * kv < top:
+            for j, cj in reversed(_lucas(r, p, None)):
+                sign = -1 if (r - j) % 2 else 1
+                _add_row(into, _eps_terms(a * j, k, p, cap, top), shift, sign * cj * scale, None)
+        if mm < 0:
+            f = ring.invert(ring.make_series(p, cap, into, known), ring.bound_prec(target, p, cap))
+            _add_row(acc, f.terms, (t_key, 0), c, None)
+            known = f.bound
+        if known is not None:
+            bound = min_prec(bound, known + t_key)
     return ring.make_series(p, cap, acc, bound)
 
 
 def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
     p, cap = x.p, x.cap
     acc = {}
-    get = acc.get
     # u^A t^B is fixed, so its factor (1+u)^(c*B) is needed below
     # eff - key only.  Every term of one t-column shares that factor, and
     # the terms come sorted by key: the column's first term needs the most
@@ -298,21 +347,14 @@ def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
     for m, co in x.terms:
         et = ring.mono_units(m, p)[1]
         if et == 0:
-            acc[m] = get(m, 0) + co
+            acc[m] = acc.get(m, 0) + co
             continue
-        key, units = m
         row = columns.get(et)
         if row is None:
             mm, k = ring.lowest_terms(c * et, p, cap)
-            row = columns[et] = _eps_terms(mm, k, p, cap, None if eff is None else eff - key)
-        for (dkey, dunits), cj in row:
-            # v^j lands on the monomial shifted by its key and u units
-            jkey = key + dkey
-            if eff is not None and jkey >= eff:
-                # the keys ascend: every later v^j lies at or above eff too
-                break
-            mono = (jkey, units + dunits)
-            acc[mono] = get(mono, 0) + cj * co
+            row = columns[et] = _eps_terms(mm, k, p, cap, None if eff is None else eff - m[0])
+        # v^j lands on the monomial shifted by its key and u units
+        _add_row(acc, row, m, co, eff)
     if not columns:
         # no term moves, and x is already cut at eff
         return x

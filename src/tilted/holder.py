@@ -200,11 +200,8 @@ def _tau_levels(x: PerfSeries, k: int):
     for m, _ in x.terms:
         b = ring.mono_units(m, p)[1]
         if b:
-            pv = 1
-            while b % p == 0:
-                b //= p
-                pv *= p
-            moving.append((m[0], b, pv))
+            pv = p ** ring.vp(b, p)
+            moving.append((m[0], b // pv, pv))
     if moving:
         top = p ** (cap + 1)
         if bound is None:

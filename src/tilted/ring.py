@@ -125,6 +125,18 @@ def check_ring(p, cap):
         raise ValueError(f"denominator cap must be in 0..{MAX_DENOM_CAP}, got {cap}")
 
 
+def vp(m: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer m."""
+    if m == 0:
+        raise ValueError("m must be nonzero")
+    v = 0
+    m = abs(m)
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 def split_exponent(q, p, cap) -> tuple[int, int]:
     """(m, k) with q = m / p^k in lowest terms.
 
@@ -133,12 +145,8 @@ def split_exponent(q, p, cap) -> tuple[int, int]:
     """
     check_ring(p, cap)
     q = Fraction(q)
-    den = q.denominator
-    k = 0
-    while den % p == 0:
-        den //= p
-        k += 1
-    if den != 1:
+    k = vp(q.denominator, p)
+    if q.denominator != p**k:
         raise ValueError(f"denominator {q.denominator} is not a power of {p}")
     if k > cap:
         raise CapExceeded(f"exponent {q} needs denominator p^{k} > p^{cap}")

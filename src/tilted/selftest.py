@@ -46,15 +46,6 @@ class _Checker:
         return True, f"{self.count} checks"
 
 
-def _vp(m: int, p: int) -> int:
-    v = 0
-    m = abs(m)
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
-
-
 # -- 1: valuation of eps^m - 1 ----------------------------------------
 
 
@@ -64,7 +55,7 @@ def check_cyclotomic_valuations():
         one = ring.one(p)
         for m in range(1, p**3 + 1):
             got = (galois.eps_pow(m, p) - one).val()
-            want = Fraction(p, p - 1) * p ** _vp(m, p)
+            want = Fraction(p, p - 1) * p ** ring.vp(m, p)
             ck.check(got == want, f"p={p} m={m}: val {got} != {want}")
             ck.check(galois.eps_val_formula(m, p) == want, f"helper at p={p} m={m}")
     return ck.result()
@@ -77,10 +68,11 @@ def check_membership_bounds():
     ck = _Checker()
     p = 3
     t = ring.t_var(p)
+    cap = ring.DEFAULT_DENOM_CAP
     cases = [
         (t, Fraction(1)),
         (t + t * t, Fraction(1)),
-        (t**3 + ring.constant(2, p) * t**5, Fraction(5)),
+        (ring.monomial(p, cap, 1, 0, 3) + ring.monomial(p, cap, 2, 0, 5), Fraction(5)),
     ]
     for x, mu in cases:
         for k in (0, 1):
@@ -129,7 +121,8 @@ def check_strictness_refutation():
     p = 3
     fam = SubgroupFamily(FamilyKind.TAU, 0)
     too_big = PPow(Fraction(p, p - 1), Fraction(1, 2))
-    for x in (ring.t_var(p), ring.t_var(p) + ring.t_var(p) ** 2):
+    t2 = ring.monomial(p, ring.DEFAULT_DENOM_CAP, 1, 0, 2)
+    for x in (ring.t_var(p), ring.t_var(p) + t2):
         rep = holder.nonmembership_witness(x, fam, too_big, i_max=6)
         ck.check(rep.refuted, f"{ring.format_series(x)} not refuted at p^(c+1/2)")
         ck.check(rep.first_decrease == 0, "margin decrease must start at level 0")
@@ -444,7 +437,7 @@ def check_linear_closure():
         verdict = holder.sh_test(z, fam, cp, mu, i_max=3)
         ck.check(verdict.status is Status.PASS, f"trial={trials}: not certified")
         for lm in verdict.margins:
-            want = min(cp * p ** (lm.i + _vp(int(r), p)) + r for r in moving)
+            want = min(cp * p ** (lm.i + ring.vp(int(r), p)) + r for r in moving)
             ck.check(lm.observed == want, f"trial={trials} i={lm.i}: margin")
     return ck.result()
 

@@ -522,6 +522,8 @@ class TestHostileArgv:
             (["eval", "t", "--p", PSI_12], 3),
             (["eval", "t", "--p", PSI_13], 3),
             (["act", "gamma_2", "u^{-1}+O(1)"], 2),
+            # refused before any row: (1+u)^(4*300000) is past the exact-power limit
+            (["act", "gamma_4", "u^{300000}"], 2),
             (["module", "descend", "@prec2"], 2),
             (["module", "gen", "--prec", "0"], 3),
             (["module", "gen", "--complexity", "2"], 3),

@@ -619,6 +619,50 @@ def test_gamma_on_several_u_terms_is_sum_of_single_term_actions():
         assert view(got) == view(oracle_act(g, x))
 
 
+@st.composite
+def gamma_inputs(draw):
+    """(g, x, prec): an exact element tau^c gamma_a and a sum x of up to
+    three terms c * u^(m/p^k) * t^B with |m| up to 300, of either sign.
+
+    A capped x is known below a key drawn near its least key or near 0,
+    up to 40 of the finest v's steps above it, so the powers of w that
+    gamma needs reach far past p^L v on a short window, and no inversion
+    needs more than those 40 steps.  The unit a may be negative, and for
+    a capped x it runs up to p^12, past the p^N that reduces a row.  An
+    exact x has |a * m| <= 1000: within the exact-power limit, and small
+    enough for the oracle's exact powers."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    cap = 4
+    # roots u^(1/p^2) at p >= 5 make gamma invert series of hundreds of terms
+    kmax = 2 if p < 5 else 1
+    acc = {}
+    for _ in range(draw(st.integers(1, 3))):
+        eu = Fraction(draw(st.integers(-300, 300)), p ** draw(st.integers(0, kmax)))
+        et = Fraction(draw(st.integers(-3, 5)), p ** draw(st.integers(0, 1)))
+        mono = ring.mono_of(ring.exponent_units(eu, p, cap), ring.exponent_units(et, p, cap), p)
+        acc[mono] = acc.get(mono, 0) + draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        bound, most = None, 1000 // max(1, *(abs(m[1]) * p**kmax // p**cap for m in acc))
+    else:
+        near = draw(st.sampled_from((0, min(m[0] for m in acc))))
+        bound, most = near + draw(st.integers(-3, 40)) * p ** (cap + 1 - kmax), p**12
+    d = draw(st.integers(1, p - 1))
+    a = draw(st.sampled_from((1, -1))) * (d + p * draw(st.integers(0, max(0, most - d) // p)))
+    g = galois.GroupElem(draw(st.integers(-3, 3)), a)
+    prec = draw(st.sampled_from((None, Fraction(draw(st.integers(-2, 20)), draw(st.sampled_from((1, p)))))))
+    return g, make_series(p, cap, acc, bound), prec
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma_inputs())
+def test_gamma_on_long_exponents_matches_the_oracle(inputs):
+    # w^n as a signed sum of kept rows, and the inverse of that sum for a
+    # negative n, against square-and-multiply and its inverse
+    g, x, prec = inputs
+    want = _act_or_error(oracle_act, g, x, prec)
+    assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
+
+
 def low_target_terms(x, eff):
     """How many of x's terms with a u exponent leave gamma a target
     eff - (key of their t factor) <= 0, where w = 0 + O(target)."""

@@ -1,8 +1,9 @@
 """Wall time and work of the first pass over a workload's operations
-against the later passes.
+against the later passes, or of each selftest criterion.
 
     python3 tools/pass_times.py                        # module, seed 1
     python3 tools/pass_times.py --workload cli --seed 7 --runs 5 --tree ../other-checkout
+    python3 tools/pass_times.py --selftest --runs 5    # one row per criterion
 
 Each run imports the library afresh, builds the operation list of
 ``bench/workloads.py`` for the workload and seed, as ``bench/run.py``
@@ -31,6 +32,12 @@ well, so a pass that composes also counts those actions.  A workload
 whose operations never meet the same input twice shows no gap between
 the two rows.
 
+With ``--selftest`` each run calls each criterion of ``tilted selftest``
+once, in its order, each on a fresh import of the library, so that no
+criterion reads the rows that another kept and its counts do not depend
+on the others.  The output gives one row per criterion: its median
+wall time over the runs and the same counts.
+
 The library and the benchmark code are imported from the tree named by
 ``--tree`` (default: the tree this script sits in), as by
 ``tools/op_digest.py``, with no bytecode written; the module files the
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import statistics
 import sys
 import tempfile
@@ -76,28 +84,71 @@ def counting(owner, name, counts, key):
     setattr(owner, name, wrapper)
 
 
-def one_run(run, workload, seed, passes, workdir):
-    """[(seconds, counts)] of each pass over freshly built operations."""
+def counted_library(run):
+    """A fresh import of the library with every counted function wrapped,
+    and the counts that the wrappers add to."""
     lib = run.load_library()
     counts = dict.fromkeys((key for key, _ in COUNTED), 0)
     for key, path in COUNTED:
         *owner, name = path.split(".")
         counting(functools.reduce(getattr, owner, lib), name, counts, key)
+    return lib, counts
+
+
+def timed(fn, counts):
+    """(seconds, counts) of one call of fn, with the counts from zero."""
+    for key in counts:
+        counts[key] = 0
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start, dict(counts)
+
+
+def one_run(run, workload, seed, passes, workdir):
+    """[(seconds, counts)] of each pass over freshly built operations."""
+    lib, counts = counted_library(run)
     ops = run.W.WORKLOADS[workload](lib, seed, workdir)
-    out = []
-    for _ in range(passes):
-        for key in counts:
-            counts[key] = 0
-        start = time.perf_counter()
+
+    def one_pass():
         for op in ops:
             run._call(op)
-        out.append((time.perf_counter() - start, dict(counts)))
-    return len(ops), out
+
+    return len(ops), [timed(one_pass, counts) for _ in range(passes)]
+
+
+def fresh_criteria(run):
+    """The criteria of a fresh import of the library, counted, and the
+    counts."""
+    _, counts = counted_library(run)
+    # the package was imported afresh, so this binds the wrapped modules
+    return importlib.import_module("tilted.selftest").CRITERIA, counts
+
+
+def selftest_run(run):
+    """{criterion: (seconds, counts)} of each selftest criterion, each
+    called once on a fresh import of its own, so that none reads the rows
+    that another kept."""
+    out = {}
+    for i in range(len(fresh_criteria(run)[0])):
+        criteria, counts = fresh_criteria(run)
+        ident, _, fn = criteria[i]
+        out[ident] = timed(fn, counts)
+    return out
 
 
 def span(values):
     lo, hi = min(values), max(values)
     return str(lo) if lo == hi else f"{lo}-{hi}"
+
+
+def print_table(label, rows):
+    """One line per (name, [(seconds, counts)]) row: the median time in
+    ms, then each count, or its range over the runs."""
+    print(f"{label:<14}{'median_ms':>10}" + "".join(f"{key:>10}" for key, _ in COUNTED))
+    for name, runs in rows:
+        ms = statistics.median(dt for dt, _ in runs) * 1e3
+        cols = "".join(f"{span([c[key] for _, c in runs]):>10}" for key, _ in COUNTED)
+        print(f"{name:<14}{ms:>10.1f}{cols}")
 
 
 def main(argv=None):
@@ -106,11 +157,19 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--runs", type=int, default=3, help="fresh imports and inputs (default 3)")
     parser.add_argument("--passes", type=int, default=4, help="passes per run, at least 2 (default 4)")
+    parser.add_argument(
+        "--selftest", action="store_true", help="time and count each selftest criterion instead"
+    )
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent)
     args = parser.parse_args(argv)
     if args.runs < 1 or args.passes < 2:
         parser.error("need --runs >= 1 and --passes >= 2")
     run = load_bench(args.tree.resolve())
+    if args.selftest:
+        runs = [selftest_run(run) for _ in range(args.runs)]
+        print(f"selftest: {len(runs[0])} criteria, {args.runs} runs")
+        print_table("criterion", [(ident, [r[ident] for r in runs]) for ident in runs[0]])
+        return 0
     firsts, laters = [], []
     with tempfile.TemporaryDirectory(prefix="pass-times-") as workdir:
         for r in range(args.runs):
@@ -120,11 +179,7 @@ def main(argv=None):
             firsts.append(passes[0])
             laters.extend(passes[1:])
     print(f"{args.workload} seed {args.seed}: {n_ops} ops, {args.runs} runs of {args.passes} passes")
-    print(f"{'pass':<8}{'median_ms':>10}" + "".join(f"{key:>10}" for key, _ in COUNTED))
-    for label, rows in (("1", firsts), (f"2-{args.passes}", laters)):
-        ms = statistics.median(dt for dt, _ in rows) * 1e3
-        cols = "".join(f"{span([c[key] for _, c in rows]):>10}" for key, _ in COUNTED)
-        print(f"{label:<8}{ms:>10.1f}{cols}")
+    print_table("pass", [("1", firsts), (f"2-{args.passes}", laters)])
     return 0
 
 
