@@ -21,15 +21,12 @@ v = u^(1/p^k), as one row of monomial terms from `_eps_terms`.  A row
 depends on (m mod p^N, k, p, cap, jmax) alone, so each is expanded once
 per process and kept in a memo of at most `ROW_BUDGET` terms in all.
 The memo, like a module's, is not thread-safe.  tau adds one row per
-t-column to the terms it moves.  gamma forms no series product: with
-w = (1+v)^a - 1, it adds w^n as the signed sum of rows
-sum_j C(n, j) (-1)^(n-j) (1+v)^(a*j), over the j that Lucas' theorem
-leaves, and for a negative exponent -n inverts that sum once, known to
-the cap that n copies of w multiplied together carry.  Below a cap only
-n's low digits take rows: w^(p^L) = a v^(p^L) + O(v^(2 p^L)), so w^n is
-a^q v^(n-r) w^r, r = n mod p^L and q = n // p^L, on the first p^L
-steps of v above v^n.  Both passes add rows through one kernel,
-`_add_row`.
+t-column to the terms it moves.  gamma raises no series to a power:
+with w = (1+v)^a - 1, it forms w^n digit by digit in base p, each digit
+factor a signed sum of rows (`_w_power`), and for a negative exponent
+-n inverts w^n once, known to the cap that n copies of w multiplied
+together carry.  Both passes add rows through one kernel, `_add_row`,
+which also multiplies gamma's digit factors.
 """
 
 from __future__ import annotations
@@ -167,16 +164,7 @@ def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> tuple:
 
 def _lucas_row(m: int, k: int, p: int, cap: int, jmax: int | None) -> tuple:
     """The row of `_eps_terms`, expanded afresh for an m >= 0 already
-    reduced, with the terms v^j for j < jmax (None: all of them)."""
-    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p; each c
-    # is a unit mod p, so the terms are already in canonical form
-    unit = p ** (cap - k)
-    return tuple(((j * unit * p, j * unit), c) for j, c in _lucas(m, p, jmax))
-
-
-def _lucas(m: int, p: int, jmax: int | None) -> list:
-    """The pairs (j, C(m, j) mod p) with C(m, j) nonzero mod p and
-    j < jmax (None: all of them), ascending in j, for an m >= 0.
+    reduced, with the terms v^j for j < jmax (None: all of them).
 
     By Lucas' theorem these are the j whose base-p digits are each at
     most the matching digit of m, and C(m, j) is the product of the
@@ -200,15 +188,19 @@ def _lucas(m: int, p: int, jmax: int | None) -> list:
             if jmax is None or j + i * place < jmax
         ]
         place *= p
-    return terms
+    # v^j = u^(j/p^k) has u units j * unit and key j * unit * p; each c
+    # is a unit mod p, so the terms are already in canonical form
+    unit = p ** (cap - k)
+    return tuple(((j * unit * p, j * unit), c) for j, c in terms)
 
 
 def _add_row(acc: dict, row, mono, coeff: int, bound: int | None) -> None:
     """Add coeff times each term of a row, shifted by the monomial mono =
     (key, A), into the accumulator acc, up to the first shifted key at or
-    above the key bound (None: every term).  A row is a tuple of
-    ((key, A), c) terms ascending in key, as `_eps_terms` returns it or
-    as a series holds its terms; acc's coefficients are left unreduced."""
+    above the key bound (None: every term).  A row is an iterable of
+    ((key, A), c) terms, ascending in key where a bound is given, as
+    `_eps_terms` returns them or as a series holds them; acc's
+    coefficients are left unreduced."""
     key, units = mono
     get = acc.get
     for (dkey, dunits), c in row:
@@ -301,39 +293,66 @@ def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
         # known below target + (n-1) * key0(w)
         kv = p ** (cap - k + 1)
         known = None if target is None else target + (n - 1) * min(kv, target)
-        # the image keeps w^n below target; a negative exponent inverts
-        # w^n, which needs it below known
+        if target is None:
+            # w^n has degree a*n in v; w has a tail (a != 1), so w^n has
+            # one too, and its inverse has no finite expansion
+            check_exact_power(a * n)
+            if mm < 0:
+                raise PrecisionRequired("inverting a unit with a tail needs a finite cap")
         if mm > 0:
-            into, shift, scale, top = acc, (t_key, 0), c, target
+            # the image keeps w^n below target
+            _add_row(acc, _w_power(a, n, k, p, cap, target).items(), (t_key, 0), c, None)
         else:
-            into, shift, scale, top = {}, MONO_ONE, 1, known
-        r = n
-        if top is not None:
-            # w^(p^L) = (1 + v^(p^L))^a - 1 = a v^(p^L) + O(v^(2 p^L)), so
-            # w^n = a^q v^(n-r) w^r below (n + p^L) * kv, for r = n mod p^L
-            # and q = n // p^L: the least p^L that reaches top leaves r < p^L
-            span = 1
-            while (n + span) * kv < top:
-                span *= p
-            q, r = divmod(n, span)
-            lift = (n - r) * kv
-            shift = (shift[0] + lift, shift[1] + lift // p)
-            scale, top = scale * pow(a, q, p), top - lift
-        # w^r = sum over j of C(r, j) (-1)^(r-j) (1+v)^(a*j): a row each,
-        # for the j that Lucas leaves; w^r has no term below r * kv.  The
-        # largest row, (1+v)^(a*r), comes first, so that an exact one past
-        # the limit is refused before any other is expanded
-        if top is None or r * kv < top:
-            for j, cj in reversed(_lucas(r, p, None)):
-                sign = -1 if (r - j) % 2 else 1
-                _add_row(into, _eps_terms(a * j, k, p, cap, top), shift, sign * cj * scale, None)
-        if mm < 0:
-            f = ring.invert(ring.make_series(p, cap, into, known), ring.bound_prec(target, p, cap))
+            # a negative exponent inverts w^n, which needs it below known
+            wn = ring.make_series(p, cap, _w_power(a, n, k, p, cap, known), known)
+            f = ring.invert(wn, ring.bound_prec(target, p, cap))
             _add_row(acc, f.terms, (t_key, 0), c, None)
             known = f.bound
         if known is not None:
             bound = min_prec(bound, known + t_key)
     return ring.make_series(p, cap, acc, bound)
+
+
+def _w_power(a: int, n: int, k: int, p: int, cap: int, bound: int | None) -> dict:
+    """The {(key, A): coeff} terms of w^n, w = (1+v)^a - 1 and
+    v = u^(1/p^k), whose key lies below the key bound (None: all of
+    them), for an n > 0; the coefficients are left unreduced.
+
+    In characteristic p, w^n is the product over the base-p digits d of
+    n, at place p^L, of w^(d p^L) = sum over i <= d of
+    C(d, i) (-1)^(d-i) (1+v)^(a i p^L), a signed sum of rows each.  w^n
+    leads with v^n, of key n * kv, and each factor with v^(d p^L), so a
+    factor's terms, and each partial product's, are needed only up to
+    the slack bound - n * kv above its own lead.  A factor whose next
+    step v^((d+1) p^L) lies past that slack is the single term
+    a^d v^(d p^L): below a cap only n's low digits give factors of more
+    than one term.
+    """
+    kv = p ** (cap - k + 1)
+    slack = None if bound is None else bound - n * kv
+    if slack is not None and slack <= 0:
+        return {}
+    part, lead, place = None, 0, 1
+    while n:
+        n, d = divmod(n, p)
+        if d:
+            lead += d * place * kv
+            rows_bound = None if slack is None else d * place * kv + slack
+            factor = {}
+            for i in range(d + 1):
+                row = _eps_terms(a * i * place, k, p, cap, rows_bound)
+                _add_row(factor, row, MONO_ONE, math.comb(d, i) * (-1) ** (d - i), None)
+            if part is None:
+                part = factor
+            else:
+                # the kernel stops at the bound only on a row ascending in key
+                row = sorted((mono, co % p) for mono, co in factor.items() if co % p)
+                prev, part = part, {}
+                for mono, co in prev.items():
+                    if co % p:
+                        _add_row(part, row, mono, co % p, None if slack is None else lead + slack)
+        place *= p
+    return part
 
 
 def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:

@@ -524,6 +524,8 @@ class TestHostileArgv:
             (["act", "gamma_2", "u^{-1}+O(1)"], 2),
             # refused before any row: (1+u)^(4*300000) is past the exact-power limit
             (["act", "gamma_4", "u^{300000}"], 2),
+            # refused before any row: the inverse of the exact w^50000 has a tail
+            (["act", "gamma_2", "u^{-50000}"], 2),
             (["module", "descend", "@prec2"], 2),
             (["module", "gen", "--prec", "0"], 3),
             (["module", "gen", "--complexity", "2"], 3),
@@ -572,6 +574,13 @@ class TestHostileArgv:
         run = self.tilted(["module", "check", files["@d2"], "--c", str(c)])
         assert run.returncode == 0 and run.stderr == "", run.stderr
         assert json.loads(run.stdout)["ok"] is True
+
+    def test_gamma_on_an_exact_power_of_dense_digits(self):
+        # 39365 is 1222222222 in base 3: w^39365 is formed digit by digit,
+        # not as the sum of its 39366 Lucas rows
+        run = self.tilted(["act", "gamma_2", "u^{39365}"])
+        assert run.returncode == 0 and run.stderr == "", run.stderr
+        assert json.loads(run.stdout)["series"].startswith("2*u^{39365} + 2*u^{39366} + ")
 
     def test_capped_huge_level_passes(self):
         # each sample's shift p^(10^6 + 1) lies far past O(20), so no level

@@ -656,11 +656,22 @@ def gamma_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(gamma_inputs())
 def test_gamma_on_long_exponents_matches_the_oracle(inputs):
-    # w^n as a signed sum of kept rows, and the inverse of that sum for a
-    # negative n, against square-and-multiply and its inverse
+    # w^n as a product of digit factors, each a signed sum of kept rows,
+    # and its inverse for a negative n, against square-and-multiply and
+    # its inverse
     g, x, prec = inputs
     want = _act_or_error(oracle_act, g, x, prec)
     assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
+
+
+@pytest.mark.parametrize("p, a, n", [(3, 2, 2 * 3**9 - 1), (5, 2, 5**6 - 1), (2, 3, 2**15 - 1)])
+def test_gamma_on_an_exact_power_of_dense_digits_matches_the_oracle(p, a, n):
+    # every base-p digit of n is high, so Lucas(n) holds tens of
+    # thousands of j; w^n is formed digit by digit, as the oracle's
+    # square-and-multiply forms it by squares, in under a second each
+    x = make_series(p, 4, {ring.mono_of(ring.exponent_units(Fraction(n), p, 4), 0, p): 1})
+    g = galois.gamma(a)
+    assert view(galois.act(g, x)) == view(oracle_act(g, x))
 
 
 def low_target_terms(x, eff):

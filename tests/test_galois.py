@@ -288,16 +288,16 @@ def test_representatives_agree_below_the_cap(p):
 
 
 def test_gamma_refuses_an_exact_row_past_the_limit(monkeypatch):
-    # gamma_a on an exact u^n adds the rows (1+v)^(a*j), j up to n, so it
-    # is answered exactly when a * n is within the exact-power limit, and
-    # the refusal names (1+u)^(a*n)
+    # gamma_a on an exact u^n forms w^n, of degree a * n in v, from the
+    # rows (1+v)^(a*j), j up to n, so it is answered exactly when a * n is
+    # within the exact-power limit, and the refusal names (1+u)^(a*n)
     monkeypatch.setattr(galois, "EXACT_POWER_LIMIT", 40)
     w = galois.act(galois.gamma(4), ring.u_var(P))
     w10 = math.prod([w] * 10, start=ring.one(P))
     assert galois.act(galois.gamma(4), s("u^{10}")) == w10
     for a, x, power in [
         (4, "u^{11}", 44),
-        # Lucas(10) at p = 3 is {0, 1, 9, 10}: 5 * 9 is past the limit too
+        # the refusal names a * n, not the first row past the limit, 5 * 9
         (5, "u^{10}", 50),
         (4, "u^{11/9}*t", 44),
         (4, "t + u^{-11}", 44),
@@ -305,9 +305,11 @@ def test_gamma_refuses_an_exact_row_past_the_limit(monkeypatch):
     ]:
         with pytest.raises(PrecisionRequired, match=rf"^exact expansion of \(1\+u\)\^{power} is"):
             galois.act(galois.gamma(a), s(x))
-    # within the limit a negative exponent is refused by the inversion
-    with pytest.raises(PrecisionRequired, match="inverting a unit with a tail"):
-        galois.act(galois.gamma(4), s("u^{-10}"))
     # a capped u^n obeys no such limit
     got = galois.act(galois.gamma(4), s("u^{11} + O(30)"))
     assert got.prec == 30 and ring.eq_to_prec(got, w10 * w)
+    # within the limit a negative exponent is refused as the inversion
+    # would refuse it, before any row is looked up or expanded
+    monkeypatch.setattr(galois, "_eps_terms", None)
+    with pytest.raises(PrecisionRequired, match="^inverting a unit with a tail needs a finite cap$"):
+        galois.act(galois.gamma(4), s("u^{-10}"))
