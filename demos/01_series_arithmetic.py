@@ -20,7 +20,7 @@ print("val(u)     =", ring.u_var(p).val())
 print("val(t)     =", t.val())
 
 # Characteristic p: the freshman's dream holds on the nose.
-print("(1+u)^3    =", x**3)
+print("(1+u)^3    =", x * x * x)
 
 # Frobenius is invertible because exponents may acquire p-power
 # denominators; its inverse divides all exponents by p.
