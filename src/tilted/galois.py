@@ -16,17 +16,22 @@ gamma_a tau gamma_a^{-1}, known as (a, a * a^{-1}) mod p^24, acts as
 tau^a does: no gamma pass and the same terms, with tau^a's cap wherever
 that lies below what a change of a by p^24 could move.
 
-Both passes, and `eps_pow`, read the Lucas expansion of (1+v)^m,
+The action, and `eps_pow`, read the Lucas expansion of (1+v)^m,
 v = u^(1/p^k), as one row of monomial terms from `_eps_terms`.  A row
 depends on (m mod p^N, k, p, cap, jmax) alone, so each is expanded once
 per process and kept in a memo of at most `ROW_BUDGET` terms in all.
-The memo, like a module's, is not thread-safe.  tau adds one row per
-t-column to the terms it moves.  gamma raises no series to a power:
+The memo, like a module's, is not thread-safe.  tau alone adds one row
+per t-column to the terms it moves.  gamma raises no series to a power:
 with w = (1+v)^a - 1, it forms w^n digit by digit in base p, each digit
 factor a signed sum of rows (`_w_power`), and for a negative exponent
 -n inverts w^n once, known to the cap that n copies of w multiplied
-together carry.  Both passes add rows through one kernel, `_add_row`,
-which also multiplies gamma's digit factors.
+together carry.  Below a finite cap tau^c rides in gamma's pass: on the
+image w^n t^B, tau's unit (1+u)^(cB) = (1+v)^(cB p^k) only shifts the
+exponents of the last digit factor's rows, each still one row, and it
+meets an inverse of w^n, or a term that gamma fixes, term by term.  An
+exact series takes gamma's pass and then tau's.  Every row is added
+through one kernel, `_add_row`, which also multiplies gamma's digit
+factors.
 """
 
 from __future__ import annotations
@@ -274,14 +279,34 @@ def _agreement_bound(x: PerfSeries, mod: int, eff: int) -> int | None:
     return bound
 
 
-def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
+def _apply_gamma(a: int, x: PerfSeries, eff, c: int = 0) -> PerfSeries:
+    """gamma_a on x below the key bound eff (None: exact), and tau^c after
+    it in the same pass, for a finite eff only.
+
+    A term u^(m/p^k) t^B goes to w^m t^B (1+u)^(cB), with
+    w = (1+v)^a - 1 and v = u^(1/p^k).  For m > 0, tau's unit rides in
+    the last digit factor of w^m (`_w_power`), and no product of w^m
+    is formed apart.  For m = -n < 0, w^n is inverted once, known to the
+    cap that n copies of w multiplied together carry; that inverse, like
+    a term that gamma fixes, then meets tau's row (1+u)^(cB) term by
+    term.  The inverses set the image's cap, so they are formed first,
+    and every image is then kept only below that cap.
+    """
     p, cap = x.p, x.cap
-    acc = {}
     bound = eff
-    for m, c in x.terms:
+    acc = {}
+    # (t factor's key, coefficient, cB in units, n, k) of each w^n, and
+    # (shift, coefficient, cB, terms) of each inverse or fixed term that
+    # tau moves
+    powers, moved = [], []
+    for m, co in x.terms:
         eu, et = ring.mono_units(m, p)
+        cb = c * et
         if eu == 0:
-            acc[m] = acc.get(m, 0) + c
+            if cb:
+                moved.append((m, co, cb, ((MONO_ONE, 1),)))
+            else:
+                acc[m] = acc.get(m, 0) + co
             continue
         mm, k = ring.lowest_terms(eu, p, cap)
         n = abs(mm)
@@ -300,59 +325,89 @@ def _apply_gamma(a: int, x: PerfSeries, eff) -> PerfSeries:
             if mm < 0:
                 raise PrecisionRequired("inverting a unit with a tail needs a finite cap")
         if mm > 0:
-            # the image keeps w^n below target
-            _add_row(acc, _w_power(a, n, k, p, cap, target).items(), (t_key, 0), c, None)
+            powers.append((t_key, co, cb, n, k))
         else:
             # a negative exponent inverts w^n, which needs it below known
-            wn = ring.make_series(p, cap, _w_power(a, n, k, p, cap, known), known)
-            f = ring.invert(wn, ring.bound_prec(target, p, cap))
-            _add_row(acc, f.terms, (t_key, 0), c, None)
+            wn = {}
+            _w_power(wn, MONO_ONE, 1, a, n, k, p, cap, known)
+            f = ring.invert(ring.make_series(p, cap, wn, known), ring.bound_prec(target, p, cap))
+            if not cb:
+                _add_row(acc, f.terms, (t_key, 0), co, None)
+            elif f.terms:
+                moved.append(((t_key, 0), co, cb, f.terms))
             known = f.bound
         if known is not None:
             bound = min_prec(bound, known + t_key)
+    for t_key, co, cb, n, k in powers:
+        # the image keeps w^n (1+u)^(cB) below the cap
+        target = None if bound is None else bound - t_key
+        _w_power(acc, (t_key, 0), co, a, n, k, p, cap, target, cb)
+    for (key, units), co, cb, terms in moved:
+        # v^j of tau's row lands on each term shifted by its key and u
+        # units; the image's least term needs the most of the row
+        row = _eps_terms(*ring.lowest_terms(cb, p, cap), p, cap, bound - key - terms[0][0][0])
+        for (tkey, tunits), tco in terms:
+            _add_row(acc, row, (key + tkey, units + tunits), co * tco, bound)
     return ring.make_series(p, cap, acc, bound)
 
 
-def _w_power(a: int, n: int, k: int, p: int, cap: int, bound: int | None) -> dict:
-    """The {(key, A): coeff} terms of w^n, w = (1+v)^a - 1 and
-    v = u^(1/p^k), whose key lies below the key bound (None: all of
-    them), for an n > 0; the coefficients are left unreduced.
+def _w_power(
+    acc: dict, mono, coeff: int, a: int, n: int, k: int, p: int, cap: int, bound, cb: int = 0
+) -> None:
+    """Add coeff times the terms of w^n (1+u)^(cb/p^cap), w = (1+v)^a - 1
+    and v = u^(1/p^k), shifted by the monomial mono, into the accumulator
+    acc, for an n > 0: the terms whose unshifted key lies below the key
+    bound (None: all of them).  acc's coefficients are left unreduced.
 
     In characteristic p, w^n is the product over the base-p digits d of
     n, at place p^L, of w^(d p^L) = sum over i <= d of
-    C(d, i) (-1)^(d-i) (1+v)^(a i p^L), a signed sum of rows each.  w^n
-    leads with v^n, of key n * kv, and each factor with v^(d p^L), so a
-    factor's terms, and each partial product's, are needed only up to
-    the slack bound - n * kv above its own lead.  A factor whose next
-    step v^((d+1) p^L) lies past that slack is the single term
-    a^d v^(d p^L): below a cap only n's low digits give factors of more
-    than one term.
+    C(d, i) (-1)^(d-i) (1+v)^(a i p^L), a signed sum of rows each.  The
+    last factor also absorbs tau's unit: (1+v)^(a i p^L) (1+u)^(cb/p^cap)
+    is the one row of (1+u)^((a i p^L p^(cap-k) + cb) / p^cap), so
+    nothing is multiplied by tau's row.  w^n leads with v^n, of key
+    n * kv, and each factor with v^(d p^L), so a factor's terms, and
+    each partial product's, are needed only up to the slack
+    bound - n * kv above its own lead.  A factor whose next step
+    v^((d+1) p^L) lies past that slack is the single term a^d v^(d p^L):
+    below a cap only n's low digits give factors of more than one term.
+    The last product goes straight into acc, and so do the rows of the
+    one factor when n has a single nonzero digit.
     """
     kv = p ** (cap - k + 1)
     slack = None if bound is None else bound - n * kv
     if slack is not None and slack <= 0:
-        return {}
-    part, lead, place = None, 0, 1
+        return
+    unit = p ** (cap - k)
+    digits = []
+    place = 1
     while n:
         n, d = divmod(n, p)
         if d:
-            lead += d * place * kv
-            rows_bound = None if slack is None else d * place * kv + slack
-            factor = {}
-            for i in range(d + 1):
-                row = _eps_terms(a * i * place, k, p, cap, rows_bound)
-                _add_row(factor, row, MONO_ONE, math.comb(d, i) * (-1) ** (d - i), None)
-            if part is None:
-                part = factor
-            else:
-                # the kernel stops at the bound only on a row ascending in key
-                row = sorted((mono, co % p) for mono, co in factor.items() if co % p)
-                prev, part = part, {}
-                for mono, co in prev.items():
-                    if co % p:
-                        _add_row(part, row, mono, co % p, None if slack is None else lead + slack)
+            digits.append((d, place))
         place *= p
-    return part
+    part, lead = None, 0
+    for d, place in digits:
+        last = place == digits[-1][1]
+        lead += d * place * kv
+        rows_bound = None if slack is None else d * place * kv + slack
+        # the last factor absorbs tau's unit, and its products, or its
+        # rows when it is the only factor, go straight into acc
+        out, shift, scale = (acc, mono, coeff) if last else ({}, MONO_ONE, 1)
+        # the first factor is the product so far
+        factor, fshift, fscale = (out, shift, scale) if part is None else ({}, MONO_ONE, 1)
+        for i in range(d + 1):
+            mi, ki = ring.lowest_terms(a * i * place * unit + (cb if last else 0), p, cap)
+            row = _eps_terms(mi, ki, p, cap, rows_bound)
+            _add_row(factor, row, fshift, fscale * math.comb(d, i) * (-1) ** (d - i), None)
+        if part is not None:
+            # the kernel stops at the bound only on a row ascending in key
+            row = sorted((m, co % p) for m, co in factor.items() if co % p)
+            key, units = shift
+            top = None if slack is None else key + lead + slack
+            for (mkey, munits), co in part.items():
+                if co % p:
+                    _add_row(out, row, (key + mkey, units + munits), scale * (co % p), top)
+        part = out
 
 
 def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
@@ -393,12 +448,20 @@ def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
 
 
 def _act(g: GroupElem, x: PerfSeries, bound) -> PerfSeries:
-    """`act` below the key bound of prec, converted once by the caller."""
+    """`act` below the key bound of prec, converted once by the caller.
+
+    A non-unit a is refused first, on any x, as a bad argument rather
+    than a want of accuracy.  Under a finite cap tau rides in gamma's
+    pass when a != 1 (`_apply_gamma`), and `_apply_tau` is the pass of
+    tau alone.  An exact x takes gamma's pass and then tau's: on the
+    finer root of u that a folded row would need, its exponent could
+    pass `EXACT_POWER_LIMIT` where neither factor's does, and so change
+    which exact inputs are refused."""
+    if g.a % x.p == 0:
+        raise ValueError("gamma component must be a unit")
     eff = min_prec(x.bound, bound)
     _check_accuracy(g, x, eff)
     y = x.cut(eff)
-    if g.a % x.p == 0:
-        raise ValueError("gamma component must be a unit")
     c, a = g.c, g.a
     agree = None
     if g.nacc is not None:
@@ -409,6 +472,9 @@ def _act(g: GroupElem, x: PerfSeries, bound) -> PerfSeries:
         mod = x.p**g.nacc
         c, a = c % mod, (a - 1) % mod + 1
         agree = _agreement_bound(y, mod, eff)
+    if a != 1 and eff is not None:
+        # tau^c rides in gamma's pass
+        return _apply_gamma(a, y, eff, c).cut(agree)
     if a != 1:
         y = _apply_gamma(a, y, eff)
     if c != 0:

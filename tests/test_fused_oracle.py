@@ -664,6 +664,72 @@ def test_gamma_on_long_exponents_matches_the_oracle(inputs):
     assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
 
 
+def oracle_act_elem(g, x, prec=None):
+    """`oracle_act` for any element: an approximate one acts through its
+    least representative, cut where another could act differently.  The
+    refusal of too inaccurate an element and that cut are the library's;
+    the action below them is the oracle's."""
+    if g.nacc is None:
+        return oracle_act(g, x, prec)
+    eff = min_prec(x.bound, ring.key_bound(prec, x.p, x.cap))
+    galois._check_accuracy(g, x, eff)
+    mod = x.p**g.nacc
+    rep = galois.GroupElem(g.c % mod, (g.a - 1) % mod + 1)
+    agree = galois._agreement_bound(oracle_cut(x, eff), mod, eff)
+    return oracle_cut(oracle_act(rep, x, prec), agree)
+
+
+@st.composite
+def folded_inputs(draw):
+    """(g, x, prec): an element tau^c gamma_a, exact or known mod p^N, and
+    a sum x of up to four terms u^(m/p^k) t^B, u^(m/p^k) or t^B.
+
+    |m| runs up to p^3, so n = |m| has several base-p digits, and B, of
+    either sign, has denominators up to p^cap.  c, of either sign, may be
+    a multiple of p, and a may be congruent to 1 or -1 mod p or not.  A
+    capped x is known a few dozen of the finest v's steps above its least
+    key or above 0, give or take a few keys.  Under an exact x, |a| runs
+    up to 600 / n, or to p - 1 where n alone passes that, small enough
+    for the oracle's exact powers."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    cap = 3
+    acc = {}
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(("ut", "u", "t")))
+        eu = et = 0
+        if shape != "t":
+            m = draw(st.sampled_from((1, -1))) * draw(st.integers(1, p**3))
+            eu = Fraction(m, p ** draw(st.integers(0, 2 if p < 5 else 1)))
+        if shape != "u":
+            et = Fraction(draw(st.integers(-2 * p, 3 * p)), p ** draw(st.integers(0, cap)))
+        mono = ring.mono_of(ring.exponent_units(eu, p, cap), ring.exponent_units(et, p, cap), p)
+        acc[mono] = acc.get(mono, 0) + draw(st.integers(1, p - 1))
+    if draw(st.booleans()):
+        bound = None
+        most = 600 // max(1, *(abs(ring.lowest_terms(m[1], p, cap)[0]) for m in acc))
+    else:
+        near = draw(st.sampled_from((0, min(m[0] for m in acc))))
+        step = draw(st.integers(-3, 30)) * p ** (cap - 1) + draw(st.integers(0, p))
+        bound, most = near + step, p**5
+    d = draw(st.integers(1, p - 1))
+    a = draw(st.sampled_from((1, -1))) * (d + p * draw(st.integers(0, max(0, most - d) // p)))
+    c = draw(st.integers(-2 * p, 2 * p)) * draw(st.sampled_from((1, p)))
+    g = galois.GroupElem(c, a, draw(st.sampled_from((None, None, 0, 1, 3, 24))))
+    prec = draw(st.sampled_from((None, Fraction(draw(st.integers(-2, 16)), draw(st.sampled_from((1, p)))))))
+    return g, make_series(p, cap, acc, bound), prec
+
+
+@settings(max_examples=1000, deadline=None)
+@given(folded_inputs())
+def test_tau_folded_into_gamma_matches_gamma_then_tau(inputs):
+    # under a finite cap tau's unit rides in gamma's last digit factor,
+    # and meets an inverse or a fixed term in the same pass; the oracle
+    # runs gamma's pass and then tau's
+    g, x, prec = inputs
+    want = _act_or_error(oracle_act_elem, g, x, prec)
+    assert _act_or_error(galois.act, g, x, prec) == want, (g, str(x), prec)
+
+
 @pytest.mark.parametrize("p, a, n", [(3, 2, 2 * 3**9 - 1), (5, 2, 5**6 - 1), (2, 3, 2**15 - 1)])
 def test_gamma_on_an_exact_power_of_dense_digits_matches_the_oracle(p, a, n):
     # every base-p digit of n is high, so Lucas(n) holds tens of
@@ -991,6 +1057,31 @@ def test_tau_action_normalizes_once(series_count):
     assert len(series_count) == 1
     assert view(y) == view(oracle_act(galois.tau(5), x))
     assert view(z) == view(oracle_act(galois.tau(-2), x, 6))
+
+
+def test_tau_rides_in_gammas_pass(monkeypatch, series_count):
+    calls = []
+    inner = galois._apply_tau
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(galois, "_apply_tau", counting)
+    p, cap = 3, 6
+    # u^{4}: n = 11 in base 3 has two digit factors, and tau moves the
+    # t-only terms as well as gamma's images
+    x = ring.parse_series("u*t + 2*u^{4}*t^{2} + u^{1/3}*t^{-1/9} + t^{5/3} + 1 + O(8)", p, cap)
+    for g in (galois.GroupElem(5, 2), galois.GroupElem(-3, 4), galois.GroupElem(1, 5, 24)):
+        for prec in (None, 6):
+            series_count.clear()
+            y = galois.act(g, x, prec)
+            assert calls == [] and len(series_count) == 1, (g, prec)
+            assert view(y) == view(oracle_act_elem(g, x, prec))
+    # an exact x takes gamma's pass and then tau's
+    exact, g = ring.parse_series("u*t + 2*u^{4}*t^{2}", p, cap), galois.GroupElem(5, 2)
+    assert view(galois.act(g, exact)) == view(oracle_act(g, exact))
+    assert len(calls) == 1
 
 
 def test_tau_action_expands_once_per_column(monkeypatch):

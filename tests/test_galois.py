@@ -106,6 +106,18 @@ class TestAction:
         with pytest.raises(InsufficientGroupAccuracy):
             galois.act(g, x, 20)
 
+    @pytest.mark.parametrize("text", ["u*t", "u*t + O(5)"])
+    def test_non_unit_gamma_is_refused_first(self, text):
+        # a non-unit a is a bad argument (exit 3) on any x: it is refused
+        # before the element's accuracy is weighed, which would make an
+        # approximate element on an exact x inconclusive (exit 2)
+        x = s(text)
+        for g in (galois.GroupElem(0, 3, 2), galois.GroupElem(1, 6), galois.GroupElem(2, -9, 0)):
+            with pytest.raises(ValueError, match="gamma component must be a unit"):
+                galois.act(g, x)
+            with pytest.raises(ValueError, match="gamma component must be a unit"):
+                galois.act(g, x, 20)
+
     def test_accurate_enough(self):
         deep = galois.inverse(galois.gamma(4), P, nacc=24)
         x = ring.monomial(P, CAP, 1, Fraction(1, 9), 0, 20)
