@@ -13,25 +13,25 @@ checks per call that N is large enough for the requested precision, and
 then acts through the element's least representative mod p^N and cuts
 the result where two representatives could first differ.  So
 gamma_a tau gamma_a^{-1}, known as (a, a * a^{-1}) mod p^24, acts as
-tau^a does: no gamma pass and the same terms, with tau^a's cap wherever
-that lies below what a change of a by p^24 could move.
+tau^a does: gamma moves no term, and the terms are the same, with
+tau^a's cap wherever that lies below what a change of a by p^24 could
+move.
 
 The action, and `eps_pow`, read the Lucas expansion of (1+v)^m,
 v = u^(1/p^k), as one row of monomial terms from `_eps_terms`.  A row
 depends on (m mod p^N, k, p, cap, jmax) alone, so each is expanded once
 per process and kept in a memo of at most `ROW_BUDGET` terms in all.
-The memo, like a module's, is not thread-safe.  tau alone adds one row
-per t-column to the terms it moves.  gamma raises no series to a power:
-with w = (1+v)^a - 1, it forms w^n digit by digit in base p, each digit
-factor a signed sum of rows (`_w_power`), and for a negative exponent
--n inverts w^n once, known to the cap that n copies of w multiplied
-together carry.  Below a finite cap tau^c rides in gamma's pass: on the
-image w^n t^B, tau's unit (1+u)^(cB) = (1+v)^(cB p^k) only shifts the
-exponents of the last digit factor's rows, each still one row, and it
-meets an inverse of w^n, or a term that gamma fixes, term by term.  An
-exact series takes gamma's pass and then tau's.  Every row is added
-through one kernel, `_add_row`, which also multiplies gamma's digit
-factors.
+The memo, like a module's, is not thread-safe.  Every tau^c gamma_a
+acts in one pass over the terms, `_apply`.  gamma raises no series to
+a power: with w = (1+v)^a - 1, it forms w^n digit by digit in base p,
+each digit factor a signed sum of rows (`_w_power`), and for a
+negative exponent -n inverts w^n once, known to the cap that n copies
+of w multiplied together carry.  tau adds one row per t-column to the
+terms that gamma fixes.  Below a finite cap, on the image w^n t^B,
+tau's unit (1+u)^(cB) = (1+v)^(cB p^k) only shifts the exponents of
+the last digit factor's rows, each still one row; it meets an inverse
+of w^n, or an exact image, term by term.  Every row is added through
+one kernel, `_add_row`, which also multiplies gamma's digit factors.
 """
 
 from __future__ import annotations
@@ -279,34 +279,53 @@ def _agreement_bound(x: PerfSeries, mod: int, eff: int) -> int | None:
     return bound
 
 
-def _apply_gamma(a: int, x: PerfSeries, eff, c: int = 0) -> PerfSeries:
-    """gamma_a on x below the key bound eff (None: exact), and tau^c after
-    it in the same pass, for a finite eff only.
+def _apply(a: int, c: int, x: PerfSeries, eff) -> PerfSeries:
+    """tau^c gamma_a on x below the key bound eff (None: exact), in one
+    pass for every a and c.
 
     A term u^(m/p^k) t^B goes to w^m t^B (1+u)^(cB), with
-    w = (1+v)^a - 1 and v = u^(1/p^k).  For m > 0, tau's unit rides in
-    the last digit factor of w^m (`_w_power`), and no product of w^m
-    is formed apart.  For m = -n < 0, w^n is inverted once, known to the
-    cap that n copies of w multiplied together carry; that inverse, like
-    a term that gamma fixes, then meets tau's row (1+u)^(cB) term by
-    term.  The inverses set the image's cap, so they are formed first,
-    and every image is then kept only below that cap.
+    w = (1+v)^a - 1 and v = u^(1/p^k).  Below a cap, a term that gamma
+    fixes (m = 0, or any term when a = 1) meets tau's row (1+u)^(cB) at
+    once: the terms come sorted by key, so the row is looked up once per
+    t-column, at the column's first term, which needs the most of it.
+    For m > 0 below a cap, tau's unit rides in the last digit factor of
+    w^m (`_w_power`), and no product of w^m is formed apart.  For
+    m = -n < 0, w^n is inverted once, known to the cap that n copies of
+    w multiplied together carry.  The inverses set the image's cap, so
+    they are formed first, and every image is then kept only below that
+    cap; each meets tau's row term by term once every term has been
+    read.  On an exact x so does every term that tau moves: an exact w^m
+    cannot take tau's unit, since on the finer root of u that a folded
+    row would need its exponent could pass `EXACT_POWER_LIMIT` where
+    neither factor's does, and gamma's refusals then all come before
+    tau's, and tau's in the order of the columns' first keys, as they
+    would with gamma's images formed first.  When no term moves, x
+    itself is returned.
     """
     p, cap = x.p, x.cap
     bound = eff
     acc = {}
-    # (t factor's key, coefficient, cB in units, n, k) of each w^n, and
-    # (shift, coefficient, cB, terms) of each inverse or fixed term that
-    # tau moves
-    powers, moved = [], []
+    # tau's row of each t-column, by cB; (t factor's key, coefficient,
+    # cB, n, k) of each w^n; (shift, coefficient, cB, terms) of each
+    # image that meets tau's row term by term; and the terms left alone
+    columns, powers, moved = {}, [], []
+    still = 0
     for m, co in x.terms:
         eu, et = ring.mono_units(m, p)
         cb = c * et
-        if eu == 0:
-            if cb:
+        if eu == 0 or a == 1:
+            if not cb:
+                acc[m] = acc.get(m, 0) + co
+                still += 1
+            elif eff is None:
                 moved.append((m, co, cb, ((MONO_ONE, 1),)))
             else:
-                acc[m] = acc.get(m, 0) + co
+                row = columns.get(cb)
+                if row is None:
+                    mm, k = ring.lowest_terms(cb, p, cap)
+                    row = columns[cb] = _eps_terms(mm, k, p, cap, eff - m[0])
+                # v^j lands on the monomial shifted by its key and u units
+                _add_row(acc, row, m, co, eff)
             continue
         mm, k = ring.lowest_terms(eu, p, cap)
         n = abs(mm)
@@ -324,28 +343,41 @@ def _apply_gamma(a: int, x: PerfSeries, eff, c: int = 0) -> PerfSeries:
             check_exact_power(a * n)
             if mm < 0:
                 raise PrecisionRequired("inverting a unit with a tail needs a finite cap")
-        if mm > 0:
+        if mm > 0 and (target is not None or not cb):
             powers.append((t_key, co, cb, n, k))
         else:
-            # a negative exponent inverts w^n, which needs it below known
+            # an exact image is added from its unreduced accumulator; a
+            # negative exponent inverts w^n, which needs it below known
             wn = {}
             _w_power(wn, MONO_ONE, 1, a, n, k, p, cap, known)
-            f = ring.invert(ring.make_series(p, cap, wn, known), ring.bound_prec(target, p, cap))
+            terms = wn.items()
+            if mm < 0:
+                f = ring.invert(ring.make_series(p, cap, wn, known), ring.bound_prec(target, p, cap))
+                terms, known = f.terms, f.bound
             if not cb:
-                _add_row(acc, f.terms, (t_key, 0), co, None)
-            elif f.terms:
-                moved.append(((t_key, 0), co, cb, f.terms))
-            known = f.bound
+                _add_row(acc, terms, (t_key, 0), co, None)
+            elif terms:
+                moved.append(((t_key, 0), co, cb, terms))
         if known is not None:
             bound = min_prec(bound, known + t_key)
+    if still == len(x.terms):
+        # no term moves, and x is already cut at eff
+        return x
     for t_key, co, cb, n, k in powers:
         # the image keeps w^n (1+u)^(cB) below the cap
         target = None if bound is None else bound - t_key
         _w_power(acc, (t_key, 0), co, a, n, k, p, cap, target, cb)
     for (key, units), co, cb, terms in moved:
-        # v^j of tau's row lands on each term shifted by its key and u
-        # units; the image's least term needs the most of the row
-        row = _eps_terms(*ring.lowest_terms(cb, p, cap), p, cap, bound - key - terms[0][0][0])
+        row = columns.get(cb)
+        if row is None:
+            # the images come in the order of their least keys, and the
+            # column's first needs the most of the row.  A fixed term's
+            # row, cut at target = eff - t_key, serves an inverse of w^n
+            # in its column: that inverse is known at most to
+            # target - (n+1) * kv, so it needs at most target - kv of it
+            mm, k = ring.lowest_terms(cb, p, cap)
+            top = None if bound is None else bound - key - terms[0][0][0]
+            row = columns[cb] = _eps_terms(mm, k, p, cap, top)
         for (tkey, tunits), tco in terms:
             _add_row(acc, row, (key + tkey, units + tunits), co * tco, bound)
     return ring.make_series(p, cap, acc, bound)
@@ -410,31 +442,6 @@ def _w_power(
         part = out
 
 
-def _apply_tau(c: int, x: PerfSeries, eff) -> PerfSeries:
-    p, cap = x.p, x.cap
-    acc = {}
-    # u^A t^B is fixed, so its factor (1+u)^(c*B) is needed below
-    # eff - key only.  Every term of one t-column shares that factor, and
-    # the terms come sorted by key: the column's first term needs the most
-    # of it, and its expansion serves the column's later terms
-    columns = {}
-    for m, co in x.terms:
-        et = ring.mono_units(m, p)[1]
-        if et == 0:
-            acc[m] = acc.get(m, 0) + co
-            continue
-        row = columns.get(et)
-        if row is None:
-            mm, k = ring.lowest_terms(c * et, p, cap)
-            row = columns[et] = _eps_terms(mm, k, p, cap, None if eff is None else eff - m[0])
-        # v^j lands on the monomial shifted by its key and u units
-        _add_row(acc, row, m, co, eff)
-    if not columns:
-        # no term moves, and x is already cut at eff
-        return x
-    return ring.make_series(p, cap, acc, eff)
-
-
 def act(g: GroupElem, x: PerfSeries, prec=None) -> PerfSeries:
     """Apply the operator tau^c o gamma_a to a series.
 
@@ -451,12 +458,8 @@ def _act(g: GroupElem, x: PerfSeries, bound) -> PerfSeries:
     """`act` below the key bound of prec, converted once by the caller.
 
     A non-unit a is refused first, on any x, as a bad argument rather
-    than a want of accuracy.  Under a finite cap tau rides in gamma's
-    pass when a != 1 (`_apply_gamma`), and `_apply_tau` is the pass of
-    tau alone.  An exact x takes gamma's pass and then tau's: on the
-    finer root of u that a folded row would need, its exponent could
-    pass `EXACT_POWER_LIMIT` where neither factor's does, and so change
-    which exact inputs are refused."""
+    than a want of accuracy; every element then acts in one pass,
+    `_apply`."""
     if g.a % x.p == 0:
         raise ValueError("gamma component must be a unit")
     eff = min_prec(x.bound, bound)
@@ -472,13 +475,4 @@ def _act(g: GroupElem, x: PerfSeries, bound) -> PerfSeries:
         mod = x.p**g.nacc
         c, a = c % mod, (a - 1) % mod + 1
         agree = _agreement_bound(y, mod, eff)
-    if a != 1 and eff is not None:
-        # tau^c rides in gamma's pass
-        return _apply_gamma(a, y, eff, c).cut(agree)
-    if a != 1:
-        y = _apply_gamma(a, y, eff)
-    if c != 0:
-        # gamma's images may be known to less than eff, and tau is an
-        # isometry: its images are known exactly as far as y is
-        y = _apply_tau(c, y, y.bound)
-    return y.cut(agree)
+    return _apply(a, c, y, eff).cut(agree)

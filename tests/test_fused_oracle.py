@@ -719,8 +719,33 @@ def folded_inputs(draw):
     return g, make_series(p, cap, acc, bound), prec
 
 
-@settings(max_examples=1000, deadline=None)
-@given(folded_inputs())
+@st.composite
+def shared_row_inputs(draw):
+    """(g, x, prec): an element tau^c gamma_a, exact or known mod p^N, and
+    x = u^(-m/p^k) t^B + t^B known below a key near its least, under a
+    cap of 1 or 2.  The fixed t^B meets tau's row (1+u)^(cB) in the
+    first loop of the pass, and the inverse of w^m in its column then
+    reads the same row."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    cap = draw(st.integers(1, 2))
+    eu = Fraction(-draw(st.integers(1, p**2)), p ** draw(st.integers(0, cap if p < 5 else 1)))
+    et = Fraction(draw(st.integers(-2 * p, 3 * p)), p ** draw(st.integers(0, cap)))
+    acc = {}
+    for e in (eu, 0):
+        mono = ring.mono_of(ring.exponent_units(e, p, cap), ring.exponent_units(et, p, cap), p)
+        acc[mono] = draw(st.integers(1, p - 1))
+    near = draw(st.sampled_from((0, min(m[0] for m in acc))))
+    bound = near + draw(st.integers(-3, 30)) * p**cap + draw(st.integers(0, p))
+    d = draw(st.integers(1, p - 1))
+    a = draw(st.sampled_from((1, -1))) * (d + p * draw(st.integers(0, p**4)))
+    c = draw(st.integers(-2 * p, 2 * p)) * draw(st.sampled_from((1, p)))
+    g = galois.GroupElem(c, a, draw(st.sampled_from((None, None, 0, 1, 3, 24))))
+    prec = draw(st.sampled_from((None, Fraction(draw(st.integers(-2, 16)), draw(st.sampled_from((1, p)))))))
+    return g, make_series(p, cap, acc, bound), prec
+
+
+@settings(max_examples=1300, deadline=None)
+@given(st.one_of(folded_inputs(), folded_inputs(), folded_inputs(), shared_row_inputs()))
 def test_tau_folded_into_gamma_matches_gamma_then_tau(inputs):
     # under a finite cap tau's unit rides in gamma's last digit factor,
     # and meets an inverse or a fixed term in the same pass; the oracle
@@ -887,11 +912,23 @@ def test_tau_refuses_the_first_exact_column(c, refused):
     want = _act_or_error(oracle_act, galois.tau(c), alone, None)
     assert want.startswith("PrecisionRequired") and (c < 0 or f"(1+u)^{40000 * c} " in want)
     assert _act_or_error(galois.act, galois.tau(c), alone, None) == want
+    # an exact composite: gamma's image of u*t^(50000) leads its column
+    # and comes before the fixed t^(60000), so its column is refused
+    x = ring.parse_series("u*t^{50000} + t^{60000}", p, cap)
+    want = _act_or_error(oracle_act, galois.GroupElem(c, 3), x, None)
+    assert want.startswith("PrecisionRequired") and refused in want
+    assert _act_or_error(galois.act, galois.GroupElem(c, 3), x, None) == want
+    # gamma's exact-power check refuses u*t^(50000) before tau's row
+    # refuses the column of t^(40000), although t^(40000) comes first
+    x = ring.parse_series("t^{40000} + u*t^{50000}", p, cap)
+    want = _act_or_error(oracle_act, galois.GroupElem(c, 100_001), x, None)
+    assert want == "PrecisionRequired: exact expansion of (1+u)^100001 is too large"
+    assert _act_or_error(galois.act, galois.GroupElem(c, 100_001), x, None) == want
 
 
 def test_eps_terms_ascend():
-    # `_apply_tau` stops a column's later terms at the first key past
-    # their own bound, which needs the keys in ascending order
+    # `_apply` stops a t-column's later terms at the first key past their
+    # own bound, which needs the keys in ascending order
     rng = random.Random(11)
     for _ in range(600):
         p = rng.choice((2, 3, 5, 7))
@@ -1059,29 +1096,48 @@ def test_tau_action_normalizes_once(series_count):
     assert view(z) == view(oracle_act(galois.tau(-2), x, 6))
 
 
-def test_tau_rides_in_gammas_pass(monkeypatch, series_count):
+def test_every_action_is_one_pass(monkeypatch, series_count):
     calls = []
-    inner = galois._apply_tau
+    inner = galois._apply
 
     def counting(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(galois, "_apply_tau", counting)
+    monkeypatch.setattr(galois, "_apply", counting)
     p, cap = 3, 6
     # u^{4}: n = 11 in base 3 has two digit factors, and tau moves the
     # t-only terms as well as gamma's images
     x = ring.parse_series("u*t + 2*u^{4}*t^{2} + u^{1/3}*t^{-1/9} + t^{5/3} + 1 + O(8)", p, cap)
-    for g in (galois.GroupElem(5, 2), galois.GroupElem(-3, 4), galois.GroupElem(1, 5, 24)):
-        for prec in (None, 6):
+    exact = ring.parse_series("u*t + 2*u^{4}*t^{2} + u^{1/3}*t^{1/9} + t^{5/3} + 1", p, cap)
+    elements = (
+        galois.tau(5),
+        galois.gamma(2),
+        galois.GroupElem(5, 2),
+        galois.GroupElem(-3, 4),
+        galois.GroupElem(1, 5, 24),
+    )
+    for g in elements:
+        for y, prec in ((x, None), (x, 6), (exact, 6), (exact, None)):
+            if y is exact and prec is None and (g.c < 0 or g.nacc is not None):
+                # a negative power of (1+u), or an element known mod p^24,
+                # needs a cap
+                continue
+            calls.clear()
             series_count.clear()
-            y = galois.act(g, x, prec)
-            assert calls == [] and len(series_count) == 1, (g, prec)
-            assert view(y) == view(oracle_act_elem(g, x, prec))
-    # an exact x takes gamma's pass and then tau's
-    exact, g = ring.parse_series("u*t + 2*u^{4}*t^{2}", p, cap), galois.GroupElem(5, 2)
-    assert view(galois.act(g, exact)) == view(oracle_act(g, exact))
-    assert len(calls) == 1
+            z = galois.act(g, y, prec)
+            assert len(calls) == 1 and len(series_count) == 1, (g, str(y), prec)
+            assert view(z) == view(oracle_act_elem(g, y, prec)), (g, str(y), prec)
+    # an action that moves no term returns x itself and builds no series
+    for g, text in [
+        (galois.IDENTITY, "u*t + 2*t^{2} + 1"),
+        (galois.gamma(2), "t + 2*t^{5/3} + 1"),
+        (galois.tau(5), "u + 2*u^{4/3} + 1"),
+    ]:
+        for x in (ring.parse_series(text, p, cap), ring.parse_series(text + " + O(8)", p, cap)):
+            calls.clear()
+            series_count.clear()
+            assert galois.act(g, x) is x and len(calls) == 1 and series_count == [], (g, str(x))
 
 
 def test_tau_action_expands_once_per_column(monkeypatch):

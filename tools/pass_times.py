@@ -17,21 +17,17 @@ chain compositions (``phitau._TauChain._compose``), matrix inversions
 (``phitau.MatSeries.identity``), matrix group actions
 (``phitau.MatSeries.act``), sum-of-products kernel calls
 (``ring.dot``: every series product, matrix entry and formed minor),
-gamma passes (``galois._apply_gamma``), passes of tau alone
-(``galois._apply_tau``) and Lucas rows of (1+v)^m expanded afresh
-(``galois._lucas_row``, the misses of the memo of rows) that one pass
-made; a range means that the later passes differ.  An element known
-only mod p^N acts through its least representative, so a conjugate
-gamma_a tau gamma_a^-1 makes no gamma pass: ``--workload orbit`` counts
-the passes that remain.  Under a finite cap tau rides in gamma's pass,
-so the tau column counts the actions of tau alone and those on exact
-series.  A module keeps its Id, each Mat(tau^c), c < 0, and g.P and
+passes of the group action on a series (``galois._apply``, one per
+action of any element tau^c gamma_a, on any series) and Lucas rows of
+(1+v)^m expanded afresh (``galois._lucas_row``, the misses of the memo
+of rows) that one pass made; a range means that the later passes
+differ.  A module keeps its Id, each Mat(tau^c), c < 0, and g.P and
 g(P^-1) for each g that it was asked for, so the later passes of
 ``module`` build no identity, act with no g on a matrix and invert only
-what no module keeps; its gamma passes are all exact elements', and none
-is skipped.  Every row that a pass expands is kept, so the later passes
-of every workload expand none.  The chain's compositions act through ``MatSeries.act`` as
-well, so a pass that composes also counts those actions.  A workload
+what no module keeps.  Every row that a pass expands is kept, so the
+later passes of every workload expand none.  The chain's compositions
+act through ``MatSeries.act`` as well, so a pass that composes also
+counts those actions.  A workload
 whose operations never meet the same input twice shows no gap between
 the two rows.
 
@@ -69,8 +65,7 @@ COUNTED = (
     ("identity", "phitau.MatSeries.identity"),
     ("act", "phitau.MatSeries.act"),
     ("dot", "ring.dot"),
-    ("gamma", "galois._apply_gamma"),
-    ("tau", "galois._apply_tau"),
+    ("apply", "galois._apply"),
     ("rows", "galois._lucas_row"),
 )
 
