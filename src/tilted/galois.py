@@ -126,8 +126,18 @@ def check_exact_power(m: int) -> None:
             power = f"(1+u)^{m}"
         except ValueError:
             # m has more digits than sys.get_int_max_str_digits() prints
-            power = f"(1+u)^m, m of more than {sys.get_int_max_str_digits()} digits,"
+            raise too_many_digits() from None
         raise PrecisionRequired(f"exact expansion of {power} is too large")
+
+
+def too_many_digits() -> PrecisionRequired:
+    """`check_exact_power`'s refusal of an m > 0 with more digits than
+    `sys.get_int_max_str_digits()` prints, worded without m, so that a
+    caller that knows m is that large need not build it."""
+    digits = sys.get_int_max_str_digits()
+    return PrecisionRequired(
+        f"exact expansion of (1+u)^m, m of more than {digits} digits, is too large"
+    )
 
 
 def _eps_terms(m: int, k: int, p: int, cap: int, bound: int | None) -> tuple:
@@ -227,7 +237,9 @@ def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
     bound eff.  Perturbing an exponent by p^N changes the action by terms
     of valuation >= p^(N-k) * p/(p-1), of key p^(cap+1+N-k), with k the
     deepest denominator in x, so the least N that puts that key at or
-    above eff is required; no finite N suffices for an exact x (eff None)."""
+    above eff is required; no finite N suffices for an exact x (eff None).
+    k is that of the gcd of x's exponent units, whose p-adic valuation is
+    their least."""
     if g.nacc is None:
         return
     if eff is None:
@@ -236,10 +248,10 @@ def _check_accuracy(g: GroupElem, x: PerfSeries, eff):
             "without a finite precision cap"
         )
     p, cap = x.p, x.cap
-    kmax = max(
-        (ring.lowest_terms(e, p, cap)[1] for m, _ in x.terms for e in ring.mono_units(m, p)),
-        default=0,
-    )
+    units = 0
+    for m, _ in x.terms:
+        units = math.gcd(units, *ring.mono_units(m, p))
+    kmax = ring.lowest_terms(units, p, cap)[1]
     need = 0
     while p ** (cap + 1 + need - kmax) < eff:
         need += 1

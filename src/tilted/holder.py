@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,9 +51,15 @@ class PPow:
     def of(value) -> "PPow":
         return value if isinstance(value, PPow) else PPow(value)
 
-    def shift(self, i) -> "PPow":
-        """Multiply by p^i."""
-        return PPow(self.q, self.s + i)
+    def shift(self, i: int) -> "PPow":
+        """Multiply by p^i.  q and s are already valid, so the product is
+        made without `__post_init__`, its s built once on integers:
+        (sn + i sd) / sd is in lowest terms when sn / sd is."""
+        s = self.s
+        out = object.__new__(PPow)
+        object.__setattr__(out, "q", self.q)
+        object.__setattr__(out, "s", Fraction(s.numerator + i * s.denominator, s.denominator))
+        return out
 
     def cmp(self, v, p: int) -> int:
         """Sign of (q * p^s) - v for a rational v: `cmp_ratio` on v's
@@ -193,7 +200,8 @@ def _tau_levels(x: PerfSeries, k: int):
     which every level has vanished, and for an exact x until the expansion
     (1+v)^n, n = cB / p^min(v_p(cB), cap), would be refused anyway.  An
     exact x refuses the generator's expansions as the action does, term by
-    term, with the action's own message.
+    term, with the action's own message; the terms are checked only from
+    the least shift at which one of them is refused, found once.
     """
     p, cap, bound = x.p, x.cap, x.bound
     moving = []
@@ -204,9 +212,17 @@ def _tau_levels(x: PerfSeries, k: int):
             moving.append((m[0], b // pv, pv))
     if moving:
         top = p ** (cap + 1)
+        refused = None
         if bound is None:
+            most = galois.EXACT_POWER_LIMIT
             # p^(v_p(c)+1) >= limit makes |n| >= p^(v_p(c)-cap) too large
-            limit = (galois.EXACT_POWER_LIMIT + 1) * top
+            limit = (most + 1) * top
+            # the least shift that refuses some term's expansion: its
+            # n = b * max(shift * pv // top, 1) leaves 0..most at once for
+            # b outside 1..most, and else once shift * pv // top > most // b
+            refused = min(
+                -(-(most // b + 1) * top // pv) if 0 < b <= most else 0 for _, b, pv in moving
+            )
         else:
             limit = bound - moving[0][0]
         # a level whose shift reaches limit has vanished (capped x) or
@@ -219,18 +235,35 @@ def _tau_levels(x: PerfSeries, k: int):
                 break
             shift *= p
         for v in itertools.count(k):
-            if bound is None:
+            if refused is not None and shift >= refused:
                 for _, b, pv in moving:
                     # n = cB / p^min(v_p(cB), cap) at c = p^v
-                    if not 0 <= b * max(shift * pv // top, 1) <= galois.EXACT_POWER_LIMIT:
+                    if not 0 <= b * max(shift * pv // top, 1) <= most:
                         # refused: the action's own check, on its own n
-                        galois.check_exact_power(ring.lowest_terms(p**v * b * pv, p, cap)[0])
+                        _refuse_expansion(v, b, pv, p, cap)
             least = min(key + shift * pv for key, _, pv in moving)
             if bound is not None and least >= bound:
                 break
             yield least
             shift *= p
     yield from itertools.repeat(None)
+
+
+def _refuse_expansion(v: int, b: int, pv: int, p: int, cap: int) -> None:
+    """Raise the action's refusal of tau^c's exact expansion on the term
+    of t units b pv, b coprime to p, at c = p^v: that of (1+u)^(cB), whose
+    n = cB / p^min(v_p(cB), cap) = b p^max(v + v_p(pv) - cap, 0) lies
+    outside 0..EXACT_POWER_LIMIT.  A negative n is refused by its sign.
+    A positive one is built only when its decimal digits could be printed:
+    n >= p^(v-cap) >= 2^(v-cap) and 2^(4D) > 10^D, so for v - cap >= 4D,
+    D = `sys.get_int_max_str_digits()` (0: no limit), n has more than D
+    digits and is refused as such."""
+    if b < 0:
+        galois.check_exact_power(b)
+    digits = sys.get_int_max_str_digits()
+    if digits and v - cap >= 4 * digits:
+        raise galois.too_many_digits()
+    galois.check_exact_power(ring.lowest_terms(p**v * b * pv, p, cap)[0])
 
 
 def _series_levels(x: PerfSeries, fam: SubgroupFamily, i_max: int):
@@ -282,7 +315,7 @@ def sh_test(
     if i_max < 0:
         raise ValueError("need i_max >= 0 to test any level")
     # a key k is the valuation k/den: k/den - mu = (k*mu_d - mu_n*den) / (mu_d*den)
-    den = (p - 1) * p**cap
+    den = ring.key_den(p, cap)
     mu_d, mu_key, mu_den = mu.denominator, mu.numerator * den, mu.denominator * den
 
     def excess(bound_i, key):
@@ -301,7 +334,8 @@ def sh_test(
                 inconclusive = True
         elif witness is None and excess(bound_i, v) > 0:
             witness = (i, fam.element(i, 1, p))
-        observed_floor = ring.bound_prec(floor, p, cap)
+        # a known least key is its own floor
+        observed_floor = None if floor is None else Fraction(floor, den)
         observed = None if v is None else observed_floor
         margins.append(LevelMargin(i, observed, observed_floor, bound_i, mu))
     margins = tuple(margins)
@@ -366,23 +400,28 @@ def _series_fit_keys(x: PerfSeries, fam: SubgroupFamily, i_max: int):
     return keys
 
 
-def fit_exponent(levels, p):
-    """Fit (p^lambda, mu) to level minima v_0, v_1, ..., using
-    v_{i+1} - v_i = p^lambda p^i (p-1); returns (p^lambda, mu, consistent)
-    where consistent says every consecutive pair gives the same p^lambda."""
-    cands = [Fraction(levels[i + 1] - levels[i], p**i * (p - 1)) for i in range(len(levels) - 1)]
-    plam_hat = cands[0]
-    consistent = all(c == plam_hat for c in cands)
-    mu_hat = levels[0] - plam_hat
-    return plam_hat, mu_hat, consistent
+def fit_exponent(keys, den: int, p: int):
+    """Fit (p^lambda, mu) to level minima v_i = keys[i] / den, at least two
+    of them, using v_{i+1} - v_i = p^lambda p^i (p-1); returns
+    (p^lambda, mu, consistent) where consistent says every consecutive
+    pair gives the same p^lambda.
+
+    The fit is decided on the keys: with step_i = keys[i+1] - keys[i], the
+    pair i gives p^lambda = step_i / (den (p-1) p^i), the same as pair 0's
+    exactly when step_i = step_0 p^i.  p^lambda and mu = v_0 - p^lambda
+    are each built once, as a Fraction."""
+    step0 = keys[1] - keys[0]
+    consistent = all(b - a == step0 * p**i for i, (a, b) in enumerate(zip(keys, keys[1:])))
+    scale = den * (p - 1)
+    return Fraction(step0, scale), Fraction(keys[0] * (p - 1) - step0, scale), consistent
 
 
 def sh_estimate(x: PerfSeries, fam: SubgroupFamily, i_max: int) -> ShEstimate:
     """Fit (p^lambda, mu) from measured margins: consecutive level minima
     satisfy v_{i+1} - v_i = p^lambda p^i (p-1) for a true exponent."""
     keys = _series_fit_keys(x, fam, i_max)
-    levels = tuple(ring.bound_prec(k, x.p, x.cap) for k in keys)
-    return ShEstimate(*fit_exponent(levels, x.p), levels)
+    den = ring.key_den(x.p, x.cap)
+    return ShEstimate(*fit_exponent(keys, den, x.p), tuple(Fraction(k, den) for k in keys))
 
 
 @dataclass(frozen=True)
@@ -417,19 +456,20 @@ def nonmembership_witness(
             raise
         return WitnessReport(False, (), plam, None)
     # the level differences v_{i+1} - v_i on the key lattice, over den
-    den = (p - 1) * p**cap
+    den = ring.key_den(p, cap)
     steps = [b - a for a, b in zip(keys, keys[1:])]
     # m_{i+1} < m_i  <=>  bound growth exceeds margin growth:
     # q p^(s+i) (p-1) > step/den, that is q p^s > step / (den (p-1) p^i)
     falls = [plam.cmp_ratio(steps[i], den * (p - 1) * p**i, p) > 0 for i in range(i_max)]
-    # d_{i+1} <= d_i  <=>  second difference of v below bound's second difference
-    worsening = all(
+    # d_{i+1} <= d_i  <=>  second difference of v below bound's second
+    # difference, read only when every margin falls
+    refuted = all(falls) and all(
         plam.cmp_ratio(steps[i + 1] - steps[i], den * (p - 1) ** 2 * p**i, p) >= 0
         for i in range(i_max - 1)
     )
     first_decrease = falls.index(True) if True in falls else None
-    levels = tuple(ring.bound_prec(key, p, cap) for key in keys)
-    return WitnessReport(all(falls) and worsening, levels, plam, first_decrease)
+    levels = tuple(Fraction(key, den) for key in keys)
+    return WitnessReport(refuted, levels, plam, first_decrease)
 
 
 def deperfection_level(x: PerfSeries) -> int | None:

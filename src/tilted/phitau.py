@@ -653,16 +653,24 @@ def basechange_from_matrix(b: MatSeries, binv: MatSeries, prec) -> PhiTauModule:
 
 def v_tau(coords) -> Fraction | None:
     """The basis valuation: the least valuation of the series `coords`
+    when a known term attains their floor, else None: `v_tau_key` as a
+    valuation."""
+    coords = tuple(coords)
+    key = v_tau_key(coords)
+    return None if key is None else ring.bound_prec(key, coords[0].p, coords[0].cap)
+
+
+def v_tau_key(coords) -> int | None:
+    """`v_tau` on the key lattice of the series `coords`: the least key
     when a known term attains their floor, else None.  Exact zeros are
     skipped, and a floor that only an O(.) cap sets vanished to
     precision, so it certifies no value.  Floors compare as keys, where a
     known term sorts before a cap of the same key: (O(5), t^5) has
     valuation 5, and (O(1), t^5) none."""
-    coords = tuple(coords)
     key, capped = min(
         ((k, not c.terms) for c in coords if (k := c.key_floor()) is not None), default=(None, True)
     )
-    return None if capped else ring.bound_prec(key, coords[0].p, coords[0].cap)
+    return None if capped else key
 
 
 def v_tilde(module: PhiTauModule, coords) -> Fraction | None:
@@ -928,18 +936,21 @@ def matrix_sh_test(module: PhiTauModule, k: int, plam=None, i_max: int = 2) -> M
 
     A sample counts only when a known entry term attains the difference's
     floor; a difference whose floor is an entry's cap vanished to
-    precision, and a level of such samples ends `holder.fit_levels`."""
+    precision, and a level of such samples ends `holder.fit_levels`.  The
+    levels are measured and fitted as keys (`v_tau_key`)."""
     if plam is not None:
         plam = PPow.of(plam)
     fam = holder.SubgroupFamily(holder.FamilyKind.TAU, k)
     p = module.p
+    den = ring.key_den(p, module.cap)
     ident = module._tau_chain.mat(0)
 
     def measure(g):
-        return (v_tau(e for row in (mat_of(module, g) - ident).rows for e in row),)
+        return (v_tau_key(e for row in (mat_of(module, g) - ident).rows for e in row),)
 
-    (levels,) = holder.fit_levels(measure, fam, p, i_max)
-    plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
+    (keys,) = holder.fit_levels(measure, fam, p, i_max)
+    levels = tuple(Fraction(key, den) for key in keys)
+    plam_hat, mu_hat, consistent = holder.fit_exponent(keys, den, p)
     if plam is None:
         status = holder.Status.PASS if consistent else holder.Status.INCONCLUSIVE
     elif consistent and plam.cmp(plam_hat, p) == 0:
@@ -969,7 +980,8 @@ def module_sh_test(
     of W^{-1} D its lattice coordinates: these columns are the
     `holder.fit_levels` tracks, and one that vanishes ends the sweep.  A
     column counts only when a known term attains its floor
-    (`v_tau`), as a `matrix_sh_test` sample does.
+    (`v_tau_key`), as a `matrix_sh_test` sample does, and the tracks are
+    measured and fitted as keys.
     Without a lattice the lattice levels and fit are None."""
     p, d, cap, prec = module.p, module.d, module.cap, module.prec
     if n < 0:
@@ -987,12 +999,15 @@ def module_sh_test(
     def measure(g):
         diff = mat_of(module, g).scale_series(galois.act(g, scalar, prec)) - scaled
         mats = (diff,) if w_inv is None else (diff, w_inv * diff)
-        return [v_tau(col) for mat in mats for col in zip(*mat.rows)]
+        return [v_tau_key(col) for mat in mats for col in zip(*mat.rows)]
 
-    levels = holder.fit_levels(measure, fam, p, i_max)
+    tracks = holder.fit_levels(measure, fam, p, i_max)
+    den = ring.key_den(p, cap)
+    # the lattice tracks follow the basis ones; None where there are none
+    levels = [tuple(Fraction(key, den) for key in keys) for keys in tracks] + [None] * d
+    fits = [holder.fit_exponent(keys, den, p) for keys in tracks] + [None] * d
     return tuple(
-        ModuleShBasisReport(j, vt, vtd, holder.fit_exponent(vt, p), vtd and holder.fit_exponent(vtd, p))
-        for j, (vt, vtd) in enumerate(zip(levels[:d], levels[d:] or (None,) * d))
+        ModuleShBasisReport(j, levels[j], levels[d + j], fits[j], fits[d + j]) for j in range(d)
     )
 
 

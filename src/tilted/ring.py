@@ -179,14 +179,20 @@ def mono_units(m, p: int) -> tuple[int, int]:
     return m[1], (m[0] - m[1] * p) // (p - 1)
 
 
+def key_den(p: int, cap: int) -> int:
+    """The denominator (p-1)*p^cap of the key lattice: a key k is the
+    valuation k / key_den(p, cap)."""
+    return (p - 1) * p**cap
+
+
 def mono_val(m, p: int, cap: int) -> Fraction:
     """Valuation of the monomial (key, A): key / ((p-1)*p^cap)."""
-    return Fraction(m[0], p**cap * (p - 1))
+    return Fraction(m[0], key_den(p, cap))
 
 
 def _ceil_key(num: int, den: int, p: int, cap: int) -> int:
     """ceil(num/den * (p-1) * p^cap) for den > 0."""
-    return -(-num * (p - 1) * p**cap // den)
+    return -(-num * key_den(p, cap) // den)
 
 
 def key_bound(prec, p: int, cap: int) -> int | None:
@@ -204,7 +210,7 @@ def bound_prec(bound: int | None, p: int, cap: int) -> Fraction | None:
     """The precision cap bound / ((p-1)*p^cap) of a key bound."""
     if bound is None:
         return None
-    return Fraction(bound, (p - 1) * p**cap)
+    return Fraction(bound, key_den(p, cap))
 
 
 @dataclass(frozen=True)

@@ -548,6 +548,14 @@ class TestHostileArgv:
             # refused before p^100000 is built
             (["module", "sh", "@d2", "--n", "100000"], 2),
             (["sh-test", "t", "--plambda", "2", "--mu", "0", "--imax", "1", "--refute"], 3),
+            # refused on the level 10^8 alone, before p^(10^8) is built
+            (["sh-estimate", "t", "--k", "100000000", "--imax", "3"], 2),
+            (
+                ["sh-test", "t", "--plambda", "3/2", "--mu", "0", "--k", "100000000", "--imax", "3", "--refute"],
+                2,
+            ),
+            # refused by the sign of t^-1's exponent, before p^(10^8) is built
+            (["sh-estimate", "t^{-1}", "--k", "100000000", "--imax", "3"], 2),
             # level 1 vanishes to precision: nothing was refuted
             (["sh-test", "t+O(5)", "--plambda", "2", "--mu", "0", "--imax", "2", "--refute"], 2),
         ],

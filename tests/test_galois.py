@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilted import galois, ring
 from tilted.errors import InsufficientGroupAccuracy, PrecisionRequired, TiltedError
@@ -124,6 +125,53 @@ class TestAction:
         y = galois.act(deep, x, 20)
         restored = galois.act(galois.gamma(4), y, 20)
         assert ring.eq_to_prec(restored, x)
+
+
+def _per_unit_accuracy(g, x, eff):
+    """`galois._check_accuracy` with the deepest denominator k taken as the
+    max of one `ring.lowest_terms` per exponent unit of x."""
+    if g.nacc is None:
+        return
+    if eff is None:
+        raise InsufficientGroupAccuracy(
+            "an approximate group element cannot act on an exact series "
+            "without a finite precision cap"
+        )
+    p, cap = x.p, x.cap
+    kmax = max(
+        (ring.lowest_terms(e, p, cap)[1] for m, _ in x.terms for e in ring.mono_units(m, p)),
+        default=0,
+    )
+    need = 0
+    while p ** (cap + 1 + need - kmax) < eff:
+        need += 1
+    if g.nacc < need:
+        raise InsufficientGroupAccuracy(
+            f"element known mod p^{g.nacc}, but p^{need} required for this precision"
+        )
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except InsufficientGroupAccuracy as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_accuracy_rule_matches_per_unit_rule(data):
+    # the deepest denominator is read off the gcd of x's exponent units:
+    # the same acceptance, and the same refusal, as one read per unit
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    cap = data.draw(st.sampled_from([0, 1, 2, 4, 6]))
+    x = data.draw(series_strategy(p=p, cap=cap))
+    eff = data.draw(st.none() | st.integers(-3, 40 * (p - 1) * p**cap))
+    c, a = data.draw(st.integers(-9, 9)), 1 + p * data.draw(st.integers(0, 9))
+    for nacc in (None, 0, 1, 2, 3, 5, 8, 12):
+        g = galois.GroupElem(c, a, nacc)
+        assert _refusal(galois._check_accuracy, g, x, eff) == _refusal(_per_unit_accuracy, g, x, eff)
 
 
 @settings(max_examples=30, deadline=None)

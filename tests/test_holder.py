@@ -38,6 +38,18 @@ class TestPPow:
         b = PPow(2).shift(3)
         assert b.cmp(54, P) == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000),
+        st.fractions(min_value=-50, max_value=50),
+        st.integers(-20, 20),
+    )
+    def test_shift_is_the_validated_bound(self, q, s_, i):
+        # shift skips __post_init__, and makes the bound it would have made
+        b, want = PPow(q, s_).shift(i), PPow(q, s_ + i)
+        assert (b, hash(b), repr(b)) == (want, hash(want), repr(want))
+        assert type(b.q) is type(b.s) is Fraction
+
     @pytest.mark.parametrize("q", [-1, 0, Fraction(-3, 2)])
     def test_rejects_nonpositive_q(self, q):
         # q * p^s is positive only for q > 0; cmp would square the sign away
@@ -238,8 +250,8 @@ class TestShEstimate:
 
     def test_fit_exponent(self):
         # v_i = 3^i: v_{i+1} - v_i = 2 * 3^i gives p^lambda = 1, mu = 0
-        assert holder.fit_exponent((1, 3, 9), 3) == (1, 0, True)
-        assert holder.fit_exponent((1, 3, 10), 3) == (1, 0, False)
+        assert holder.fit_exponent((1, 3, 9), 1, 3) == (1, 0, True)
+        assert holder.fit_exponent((1, 3, 10), 1, 3) == (1, 0, False)
 
 
 class TestNonmembership:

@@ -10,9 +10,17 @@ it is level 0 and PrecisionRequired otherwise.
 The series sweeps read each level's generator m = 1 alone, whose value
 is the least over the whole level; the series oracles act with every
 sample, skipping a sample m >= 2 whose exact expansion the action
-refuses."""
+refuses.
+
+The sweeps decide and fit on the key lattice and build each reported
+Fraction and bound once.  The oracles fit in Fraction arithmetic
+(`oracle_fit_exponent`), and the `fraction_*` sweeps read the same
+levels as the library but decide and report in Fraction arithmetic: a
+validated `PPow(q, s + i)` per level, and margins and levels converted
+by `ring.bound_prec`."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +34,17 @@ from tilted.holder import FamilyKind, LevelMargin, PPow, ShVerdict, Status, Subg
 from conftest import series_strategy
 
 # -- the oracle loops -------------------------------------------------
+
+
+def oracle_fit_exponent(levels, p):
+    """Fit (p^lambda, mu) to level minima v_0, v_1, ..., using
+    v_{i+1} - v_i = p^lambda p^i (p-1); returns (p^lambda, mu, consistent)
+    where consistent says every consecutive pair gives the same p^lambda."""
+    cands = [Fraction(levels[i + 1] - levels[i], p**i * (p - 1)) for i in range(len(levels) - 1)]
+    plam_hat = cands[0]
+    consistent = all(c == plam_hat for c in cands)
+    mu_hat = levels[0] - plam_hat
+    return plam_hat, mu_hat, consistent
 
 
 def oracle_orbit_floor(x, g):
@@ -57,7 +76,7 @@ def oracle_sh_test(x, fam, plam, mu, i_max):
     witness = None
     inconclusive = False
     for i in range(i_max + 1):
-        bound_i = plam.shift(i)
+        bound_i = PPow(plam.q, plam.s + i)
         level_min = None
         level_floor = None
         for m, v, floor in sampled_orbit_floors(x, fam, i):
@@ -106,7 +125,7 @@ def oracle_sh_estimate(x, fam, i_max):
     error = oracle_vanished([levels], i_max)
     if error is not None:
         raise error
-    return holder.ShEstimate(*holder.fit_exponent(levels, x.p), tuple(levels))
+    return holder.ShEstimate(*oracle_fit_exponent(levels, x.p), tuple(levels))
 
 
 def oracle_witness(x, fam, plam, i_max):
@@ -157,7 +176,7 @@ def oracle_matrix_sh_test(module, k, plam=None, i_max=2):
     error = oracle_vanished([levels], i_max)
     if error is not None:
         raise error
-    plam_hat, mu_hat, consistent = holder.fit_exponent(levels, p)
+    plam_hat, mu_hat, consistent = oracle_fit_exponent(levels, p)
     if plam is None:
         status = Status.PASS if consistent else Status.INCONCLUSIVE
     else:
@@ -212,10 +231,120 @@ def oracle_module_sh_test(module, k, n=0, i_max=2):
             j,
             tuple(tau_levels),
             tilde_levels and tuple(tilde_levels),
-            holder.fit_exponent(tau_levels, p),
-            tilde_levels and holder.fit_exponent(tilde_levels, p),
+            oracle_fit_exponent(tau_levels, p),
+            tilde_levels and oracle_fit_exponent(tilde_levels, p),
         )
         for j, (tau_levels, tilde_levels) in enumerate(zip(tracks[::2], tracks[1::2]))
+    )
+
+
+# -- the sweeps as they read on Fraction levels ---------------------------
+
+
+def fraction_sh_test(x, fam, plam, mu, i_max):
+    """`holder.sh_test` with a validated `PPow(q, s + i)` per level and its
+    margins converted by `ring.bound_prec`, once each for the observed
+    value and its floor."""
+    plam = PPow.of(plam)
+    mu = Fraction(mu)
+    p, cap = x.p, x.cap
+    if i_max < 0:
+        raise ValueError("need i_max >= 0 to test any level")
+    margins = []
+    witness = None
+    inconclusive = False
+    for i, (v, floor) in enumerate(holder._series_levels(x, fam, i_max)):
+        bound_i = PPow(plam.q, plam.s + i)
+        observed_floor = ring.bound_prec(floor, p, cap)
+        observed = None if v is None else ring.bound_prec(v, p, cap)
+        if observed is None:
+            if not inconclusive and floor is not None and bound_i.cmp(observed_floor - mu, p) >= 0:
+                inconclusive = True
+        elif witness is None and bound_i.cmp(observed - mu, p) > 0:
+            witness = (i, fam.element(i, 1, p))
+        margins.append(LevelMargin(i, observed, observed_floor, bound_i, mu))
+    margins = tuple(margins)
+    if witness is not None:
+        return ShVerdict(Status.FAIL, margins, witness)
+    if inconclusive:
+        return ShVerdict(Status.INCONCLUSIVE, margins)
+    return ShVerdict(Status.PASS, margins)
+
+
+def fraction_levels(x, fam, i_max):
+    return tuple(ring.bound_prec(k, x.p, x.cap) for k in holder._series_fit_keys(x, fam, i_max))
+
+
+def fraction_sh_estimate(x, fam, i_max):
+    levels = fraction_levels(x, fam, i_max)
+    return holder.ShEstimate(*oracle_fit_exponent(levels, x.p), levels)
+
+
+def fraction_witness(x, fam, plam, i_max):
+    """`holder.nonmembership_witness` on Fraction levels: m_{i+1} < m_i is
+    v_{i+1} - v_i < p^lambda p^i (p-1), and the falls worsen when each
+    second difference lies at or below p^lambda p^i (p-1)^2."""
+    plam = PPow.of(plam)
+    p = x.p
+    try:
+        levels = fraction_levels(x, fam, i_max)
+    except DegenerateOrbit:
+        if x.bound is not None:
+            raise
+        return holder.WitnessReport(False, (), plam, None)
+    steps = [b - a for a, b in zip(levels, levels[1:])]
+    falls = [PPow(plam.q * (p - 1), plam.s + i).cmp(steps[i], p) > 0 for i in range(i_max)]
+    worsening = all(
+        PPow(plam.q * (p - 1) ** 2, plam.s + i).cmp(steps[i + 1] - steps[i], p) >= 0
+        for i in range(i_max - 1)
+    )
+    first_decrease = falls.index(True) if True in falls else None
+    return holder.WitnessReport(all(falls) and worsening, levels, plam, first_decrease)
+
+
+def fraction_matrix_sh_test(module, k, plam=None, i_max=2):
+    """`phitau.matrix_sh_test` measured by the Fraction `v_tau`."""
+    if plam is not None:
+        plam = PPow.of(plam)
+    fam = SubgroupFamily(FamilyKind.TAU, k)
+    p = module.p
+    ident = module._tau_chain.mat(0)
+
+    def measure(g):
+        return (phitau.v_tau(e for row in (phitau.mat_of(module, g) - ident).rows for e in row),)
+
+    (levels,) = holder.fit_levels(measure, fam, p, i_max)
+    plam_hat, mu_hat, consistent = oracle_fit_exponent(levels, p)
+    if plam is None:
+        status = Status.PASS if consistent else Status.INCONCLUSIVE
+    elif consistent and plam.cmp(plam_hat, p) == 0:
+        status = Status.PASS
+    else:
+        status = Status.FAIL
+    return phitau.MatrixShReport(levels, plam_hat, mu_hat, consistent, status)
+
+
+def fraction_module_sh_test(module, k, n=0, i_max=2):
+    """`phitau.module_sh_test` measured by the Fraction `v_tau`."""
+    p, d, cap, prec = module.p, module.d, module.cap, module.prec
+    if n < 0:
+        raise ValueError(f"need n >= 0 to scale by t^(1/p^n), got n={n}")
+    fam = SubgroupFamily(FamilyKind.TAU, k)
+    scalar = ring.one(p, cap) if n == 0 else ring.monomial(p, cap, 1, 0, Fraction(1, p**n))
+    scaled = module._tau_chain.mat(0).scale_series(scalar).truncate(prec)
+    w_inv = module.lattice_inverse() if module.lattice is not None else None
+
+    def measure(g):
+        diff = phitau.mat_of(module, g).scale_series(galois.act(g, scalar, prec)) - scaled
+        mats = (diff,) if w_inv is None else (diff, w_inv * diff)
+        return [phitau.v_tau(col) for mat in mats for col in zip(*mat.rows)]
+
+    levels = holder.fit_levels(measure, fam, p, i_max)
+    return tuple(
+        phitau.ModuleShBasisReport(
+            j, vt, vtd, oracle_fit_exponent(vt, p), vtd and oracle_fit_exponent(vtd, p)
+        )
+        for j, (vt, vtd) in enumerate(zip(levels[:d], levels[d:] or (None,) * d))
     )
 
 
@@ -295,6 +424,24 @@ def test_tau_orbit_floor_matches_act(case):
     acted = outcome(oracle_orbit_floor, x, g)
     if not any(o.startswith("PrecisionRequired") for o in (keyed, acted)):
         assert keyed == acted
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("text", ["t", "t + u*t^{2}", "t^{-1}"])
+def test_refusal_by_the_level_alone_matches_act(p, text):
+    # at 640 printable digits, a level 4*640 or more above the cap refuses
+    # before p^(k+i) is built; on either side of that line, and of the
+    # level where n first has more than 640 digits (2126 above the cap at
+    # p = 2), the refusal is the action's own
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        x = ring.parse_series(text, p, 2)
+        for above in (640, 1000, 2126, 2127, 2559, 2560, 2561):
+            k = x.cap + above
+            assert outcome(keyed_orbit_floor, x, k) == outcome(oracle_orbit_floor, x, galois.tau(p**k))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def split_p(c, p):
@@ -418,6 +565,71 @@ def test_series_fits_match_loops(case):
     assert outcome(holder.sh_estimate, x, fam, i_max) == outcome(oracle_sh_estimate, x, fam, i_max)
     assert outcome(holder.nonmembership_witness, x, fam, plam, i_max) == outcome(
         oracle_witness, x, fam, plam, i_max
+    )
+
+
+@st.composite
+def keyed_series_cases(draw):
+    """(x, family, p^lambda, mu, i_max): x exact or capped on the key
+    lattice, a family of either kind and any base level, and an i_max
+    below, at and above the fit horizon."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cap = draw(st.sampled_from([1, 2, 4]))
+    prec = draw(st.none() | st.builds(lambda n: Fraction(n, p - 1), st.integers(0, 40 * p)))
+    x = draw(series_strategy(p=p, cap=cap, max_terms=3, prec=prec))
+    kind = draw(st.sampled_from(list(FamilyKind)))
+    fam = SubgroupFamily(kind, draw(st.integers(kind is FamilyKind.GAMMA, 3)))
+    plam = draw(
+        st.sampled_from([Fraction(3, 2), Fraction(p, p - 1), PPow(Fraction(p, p - 1), Fraction(-1, 2))])
+    )
+    mu = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)]))
+    return x, fam, plam, mu, draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyed_series_cases())
+@example((ring.parse_series("t", 3, 6), SubgroupFamily(FamilyKind.TAU, 0), Fraction(3, 2), 0, 3))
+@example(
+    (ring.parse_series("u+t^{2}+O(7)", 7, 2), SubgroupFamily(FamilyKind.GAMMA, 1), Fraction(7, 6), Fraction(1, 2), 2)
+)
+def test_series_sweeps_match_fraction_sweeps(case):
+    x, fam, plam, mu, i_max = case
+    assert outcome(holder.sh_test, x, fam, plam, mu, i_max) == outcome(
+        fraction_sh_test, x, fam, plam, mu, i_max
+    )
+    assert outcome(holder.sh_estimate, x, fam, i_max) == outcome(fraction_sh_estimate, x, fam, i_max)
+    assert outcome(holder.nonmembership_witness, x, fam, plam, i_max) == outcome(
+        fraction_witness, x, fam, plam, i_max
+    )
+
+
+@st.composite
+def keyed_module_cases(draw):
+    """(module, k, n, p^lambda, i_max): a base-change module with its
+    lattice inverse known, read back from text, or without a lattice."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 2))
+    mod = phitau.basechange_generate(
+        d, seed=draw(st.integers(0, 3)), p=p, prec=draw(st.sampled_from([12, 24]))
+    )
+    form = draw(st.sampled_from(["lattice", "text", "bare"]))
+    if form == "text":
+        mod = phitau.module_from_text(phitau.module_to_text(mod))
+    elif form == "bare":
+        mod = phitau.make_module(mod.frob, mod.mat_tau, mod.prec)
+    plam = draw(st.sampled_from([None, Fraction(3, 2), PPow(Fraction(3, 2), Fraction(2))]))
+    return mod, draw(st.integers(0, 2)), draw(st.integers(0, 2)), plam, draw(st.integers(2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(keyed_module_cases())
+def test_module_sweeps_match_fraction_sweeps(case):
+    mod, k, n, plam, i_max = case
+    assert outcome(phitau.matrix_sh_test, mod, k, plam=plam, i_max=i_max) == outcome(
+        fraction_matrix_sh_test, mod, k, plam=plam, i_max=i_max
+    )
+    assert outcome(phitau.module_sh_test, mod, k, n=n, i_max=i_max) == outcome(
+        fraction_module_sh_test, mod, k, n=n, i_max=i_max
     )
 
 

@@ -20,7 +20,9 @@ chain compositions (``phitau._TauChain._compose``), matrix inversions
 passes of the group action on a series (``galois._apply``, one per
 action of any element tau^c gamma_a, on any series) and Lucas rows of
 (1+v)^m expanded afresh (``galois._lucas_row``, the misses of the memo
-of rows) that one pass made; a range means that the later passes
+of rows) that one pass made, and the exponents p^lambda validated
+(``holder.PPow.__post_init__``, one per `PPow` built by its
+constructor); a range means that the later passes
 differ.  A module keeps its Id, each Mat(tau^c), c < 0, and g.P and
 g(P^-1) for each g that it was asked for, so the later passes of
 ``module`` build no identity, act with no g on a matrix and invert only
@@ -67,6 +69,7 @@ COUNTED = (
     ("dot", "ring.dot"),
     ("apply", "galois._apply"),
     ("rows", "galois._lucas_row"),
+    ("ppow", "holder.PPow.__post_init__"),
 )
 
 
